@@ -2,7 +2,7 @@
 //! costs ~1.3 us at p99 — essentially a key hash plus a table lookup).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rc_core::{ClientInputs, Prediction, ResultCache, ShardedResultCache};
+use rc_core::{ClientInputs, Prediction, ShardedResultCache};
 use rc_types::time::Timestamp;
 use rc_types::vm::{OsType, Party, ProdTag, SubscriptionId, VmRole};
 
@@ -26,38 +26,8 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(i.cache_key("VM_P95UTIL")))
     });
 
-    c.bench_function("result_cache_hit", |b| {
-        let mut cache = ResultCache::new(1 << 20);
-        for k in 0..100_000u64 {
-            cache.insert(k, Prediction { value: 1, score: 0.9 });
-        }
-        let mut k = 0u64;
-        b.iter(|| {
-            k = (k + 1) % 100_000;
-            std::hint::black_box(cache.get(k))
-        })
-    });
-
-    c.bench_function("result_cache_miss", |b| {
-        let mut cache = ResultCache::new(1 << 20);
-        let mut k = 1_000_000u64;
-        b.iter(|| {
-            k += 1;
-            std::hint::black_box(cache.get(k))
-        })
-    });
-
-    c.bench_function("result_cache_insert_with_eviction", |b| {
-        let mut cache = ResultCache::new(10_000);
-        let mut k = 0u64;
-        b.iter(|| {
-            k += 1;
-            cache.insert(k, Prediction { value: 2, score: 0.8 });
-        })
-    });
-
-    // The sharded cache behind RcClient: same single-thread costs, plus
-    // the batch probe that locks each touched shard once.
+    // The sharded cache behind RcClient: single-thread hit, miss and
+    // evicting insert, plus the positional batch probe.
     c.bench_function("sharded_cache_hit", |b| {
         let cache = ShardedResultCache::new(1 << 20, ShardedResultCache::default_shards());
         for k in 0..100_000u64 {
@@ -66,6 +36,18 @@ fn bench_cache(c: &mut Criterion) {
         let mut k = 0u64;
         b.iter(|| {
             k = (k + 1) % 100_000;
+            std::hint::black_box(cache.get(k))
+        })
+    });
+
+    c.bench_function("sharded_cache_miss", |b| {
+        let cache = ShardedResultCache::new(1 << 20, ShardedResultCache::default_shards());
+        for k in 0..100_000u64 {
+            cache.insert(k, Prediction { value: 1, score: 0.9 });
+        }
+        let mut k = 1_000_000u64;
+        b.iter(|| {
+            k += 1;
             std::hint::black_box(cache.get(k))
         })
     });

@@ -1,13 +1,11 @@
 //! Client-side caches: results, models, feature data, and the local disk
 //! cache (§4.2, "Cache management").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration as StdDuration, SystemTime};
 
-use arc_swap::ArcSwap;
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
@@ -16,22 +14,7 @@ use rc_types::vm::SubscriptionId;
 use crate::features::SubscriptionFeatures;
 use crate::prediction::Prediction;
 
-/// The result cache: a capacity-bounded hash table keyed by the hash of
-/// `(model name, client inputs)`. Each entry stores "only the
-/// corresponding prediction value and score" (§4.2).
-#[derive(Debug)]
-pub struct ResultCache {
-    map: HashMap<u64, Prediction>,
-    /// Insertion order for FIFO eviction once the capacity is reached.
-    order: VecDeque<u64>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    insertions: u64,
-}
-
-/// A point-in-time copy of a [`ResultCache`]'s counters.
+/// A point-in-time copy of the result cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResultCacheStats {
     /// Lookups that found an entry.
@@ -44,171 +27,237 @@ pub struct ResultCacheStats {
     pub insertions: u64,
 }
 
-impl ResultCache {
-    /// Creates a cache holding at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "result cache needs capacity");
-        ResultCache {
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
-            order: VecDeque::new(),
-            capacity,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            insertions: 0,
-        }
-    }
+/// `Slot::value` of an empty slot.
+const EMPTY: u64 = 0;
 
-    /// Looks a key up, recording hit/miss statistics.
-    pub fn get(&mut self, key: u64) -> Option<Prediction> {
-        match self.map.get(&key) {
-            Some(p) => {
-                self.hits += 1;
-                Some(*p)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
+/// Failed reads a reader spins through before it yields its time slice,
+/// so that a writer preempted mid-write on a one-CPU box gets to finish.
+const SPIN_LIMIT: u32 = 64;
 
-    /// Inserts a prediction, evicting the oldest entry when full.
-    /// Returns `true` when the insert displaced an older entry.
-    pub fn insert(&mut self, key: u64, prediction: Prediction) -> bool {
-        let mut evicted = false;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            while let Some(old) = self.order.pop_front() {
-                if self.map.remove(&old).is_some() {
-                    self.evictions += 1;
-                    evicted = true;
-                    break;
-                }
-            }
-        }
-        self.insertions += 1;
-        if self.map.insert(key, prediction).is_none() {
-            self.order.push_back(key);
-        }
-        evicted
-    }
-
-    /// Empties the cache (statistics are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Hits recorded so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses recorded so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Evictions performed so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Insertions performed so far (including overwrites).
-    pub fn insertions(&self) -> u64 {
-        self.insertions
-    }
-
-    /// All counters at once.
-    pub fn stats(&self) -> ResultCacheStats {
-        ResultCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            insertions: self.insertions,
-        }
-    }
-
-    /// Hit rate over all lookups (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// One shard's immutable, atomically published view: the live entries
-/// split across small copy-on-write chunks. Readers resolve a key with
-/// two array indexes and one `HashMap::get` — no locks, no allocation.
-/// A write clones only the touched chunk(s) plus the spine of `Arc`
-/// pointers, so publish cost stays O(chunk) rather than O(shard).
+/// One entry of a shard's open-addressed table: "only the corresponding
+/// prediction value and score" (§4.2) next to the key. `value` holds the
+/// bucket index plus one and doubles as the occupancy flag ([`EMPTY`]),
+/// so every `u64` — `0` and `u64::MAX` included — is a legal key.
 #[derive(Debug)]
-struct ShardSnap {
-    chunks: Box<[Arc<HashMap<u64, Prediction>>]>,
-    /// Live entries across all chunks (maintained at build time so
-    /// `len()` stays lock-free too).
-    len: usize,
+struct Slot {
+    key: AtomicU64,
+    value: AtomicU64,
+    score: AtomicU64,
 }
 
-impl ShardSnap {
-    fn empty(n_chunks: usize) -> ShardSnap {
-        let empty = Arc::new(HashMap::new());
-        ShardSnap { chunks: vec![empty; n_chunks].into_boxed_slice(), len: 0 }
-    }
-}
-
-/// One shard's mutable state, touched only by writers (insert / evict /
-/// clear) under the shard's mutex. Readers never look here.
+/// One shard's writer-side state, touched only under the shard's mutex.
 #[derive(Debug)]
 struct ShardWrite {
-    /// Insertion order for FIFO eviction, exactly as in [`ResultCache`].
-    order: VecDeque<u64>,
-    capacity: usize,
+    /// The FIFO order book: the resident keys, oldest at `head`.
+    ring: Box<[u64]>,
+    head: usize,
     insertions: u64,
     evictions: u64,
 }
 
+/// One shard: a fixed table of all-atomic slots that writers update in
+/// place and readers probe without locking, validated by `seq`.
 #[derive(Debug)]
 struct Shard {
-    /// The published view; readers go through `snap.with(..)` only.
-    snap: ArcSwap<ShardSnap>,
+    /// Even while the slots are stable, odd between a writer's first and
+    /// last store. A reader that sees the same even value before and
+    /// after its probe saw a consistent table.
+    seq: AtomicU64,
+    /// Resident entries; written under `write`, read lock-free.
+    len: AtomicUsize,
+    /// Linear-probed, at most two thirds full, never resized.
+    slots: Box<[Slot]>,
     write: Mutex<ShardWrite>,
-    /// Lookup counters live outside the snapshot so a hit is a relaxed
-    /// `fetch_add`, not a snapshot rebuild; padded so two shards' hit
-    /// counters never share a cache line.
+    /// Lookup counters are padded so that readers bumping them never
+    /// share a cache line with `seq` or with another shard.
     hits: CachePadded<AtomicU64>,
     misses: CachePadded<AtomicU64>,
 }
 
-/// An N-way sharded result cache with an RCU-style read path.
+/// The slot after `i`, wrapping.
+#[inline]
+fn next_slot(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
+    }
+}
+
+impl Shard {
+    fn new(capacity: usize) -> Shard {
+        // At most 1.5 slots per entry, and always one to spare so that
+        // every probe run ends at an empty slot.
+        let n_slots = (capacity * 3).div_ceil(2).max(capacity + 1);
+        Shard {
+            seq: AtomicU64::new(0),
+            len: AtomicUsize::new(0),
+            slots: (0..n_slots)
+                .map(|_| Slot {
+                    key: AtomicU64::new(0),
+                    value: AtomicU64::new(EMPTY),
+                    score: AtomicU64::new(0),
+                })
+                .collect(),
+            write: Mutex::new(ShardWrite {
+                ring: vec![0; capacity].into_boxed_slice(),
+                head: 0,
+                insertions: 0,
+                evictions: 0,
+            }),
+            hits: CachePadded::new(AtomicU64::new(0)),
+            misses: CachePadded::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// Where a key's probe run starts: the high bits of a multiplicative
+    /// mix, scaled to the slot count, so that it shares nothing with the
+    /// xor-fold that picked the shard.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((mixed as u128 * self.slots.len() as u128) >> 64) as usize
+    }
+
+    /// Probes for `key`: the slot that holds it with its `value` word, or
+    /// the empty slot that ends its run with [`EMPTY`]. A full lap can
+    /// only happen to a reader racing a writer, whose sequence check then
+    /// discards the answer.
+    #[inline]
+    fn locate(&self, key: u64) -> (usize, u64) {
+        let n = self.slots.len();
+        let mut i = self.home(key);
+        for _ in 0..n {
+            let tagged = self.slots[i].value.load(Ordering::Relaxed);
+            if tagged == EMPTY || self.slots[i].key.load(Ordering::Relaxed) == key {
+                return (i, tagged);
+            }
+            i = next_slot(i, n);
+        }
+        (i, EMPTY)
+    }
+
+    /// The lock-free read: probe between two loads of `seq`, retry when a
+    /// writer was (or got) in the way. The initial `Acquire` load pairs
+    /// with the writer's closing `Release` store, so an even `seq` comes
+    /// with every slot store before it; the `Acquire` fence pairs with
+    /// the writer's `Release` fence, so a probe that saw any store of a
+    /// later write also sees that write's odd `seq` in the second load.
+    #[inline]
+    fn read(&self, key: u64) -> Option<Prediction> {
+        let mut failed = 0u32;
+        loop {
+            let before = self.seq.load(Ordering::Acquire);
+            if before & 1 == 0 {
+                let (i, tagged) = self.locate(key);
+                let score = self.slots[i].score.load(Ordering::Relaxed);
+                fence(Ordering::Acquire);
+                if self.seq.load(Ordering::Relaxed) == before {
+                    return (tagged != EMPTY).then(|| Prediction {
+                        value: (tagged - 1) as usize,
+                        score: f64::from_bits(score),
+                    });
+                }
+            }
+            failed += 1;
+            if failed < SPIN_LIMIT {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Runs `mutate` with `seq` odd. Callers hold the write mutex, and
+    /// `mutate` does nothing that can panic: a writer that died mid-write
+    /// would leave `seq` odd and every reader of the shard retrying.
+    #[inline]
+    fn write_slots(&self, mutate: impl FnOnce()) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        mutate();
+        self.seq.store(seq + 2, Ordering::Release);
+    }
+
+    #[inline]
+    fn fill(&self, i: usize, key: u64, tagged: u64, score: u64) {
+        self.slots[i].key.store(key, Ordering::Relaxed);
+        self.slots[i].score.store(score, Ordering::Relaxed);
+        self.slots[i].value.store(tagged, Ordering::Relaxed);
+    }
+
+    /// Empties slot `hole` and closes the gap by backward shift: each
+    /// later entry of the run moves into the hole unless its home lies
+    /// cyclically after the hole, so every run still ends at the first
+    /// empty slot past its keys' homes and no tombstone is left behind.
+    fn vacate(&self, mut hole: usize) {
+        let n = self.slots.len();
+        let mut j = hole;
+        loop {
+            j = next_slot(j, n);
+            let tagged = self.slots[j].value.load(Ordering::Relaxed);
+            if tagged == EMPTY {
+                break;
+            }
+            let key = self.slots[j].key.load(Ordering::Relaxed);
+            let home = self.home(key);
+            let stays = if hole <= j { hole < home && home <= j } else { hole < home || home <= j };
+            if !stays {
+                self.fill(hole, key, tagged, self.slots[j].score.load(Ordering::Relaxed));
+                hole = j;
+            }
+        }
+        self.slots[hole].value.store(EMPTY, Ordering::Relaxed);
+    }
+
+    /// One insert under the write mutex: overwrite in place, or evict the
+    /// shard's oldest key when full and take the free slot. Returns
+    /// `true` on displacement.
+    fn insert(&self, write: &mut ShardWrite, key: u64, prediction: Prediction) -> bool {
+        assert!(prediction.value < usize::MAX, "bucket index must leave room for the empty flag");
+        let (tagged, score) = (prediction.value as u64 + 1, prediction.score.to_bits());
+        write.insertions += 1;
+        let (at, resident) = self.locate(key);
+        if resident != EMPTY {
+            self.write_slots(|| self.fill(at, key, tagged, score));
+            return false;
+        }
+        let capacity = write.ring.len();
+        let len = self.len.load(Ordering::Relaxed);
+        if len < capacity {
+            self.write_slots(|| self.fill(at, key, tagged, score));
+            write.ring[(write.head + len) % capacity] = key;
+            self.len.store(len + 1, Ordering::Relaxed);
+            return false;
+        }
+        // Full: the oldest key leaves and the new one takes its place at
+        // the back of the order book, which is the slot `head` frees.
+        let (hole, victim) = self.locate(write.ring[write.head]);
+        assert!(victim != EMPTY, "the order book names only resident keys");
+        self.write_slots(|| {
+            self.vacate(hole);
+            self.fill(self.locate(key).0, key, tagged, score);
+        });
+        write.ring[write.head] = key;
+        write.head = (write.head + 1) % capacity;
+        write.evictions += 1;
+        true
+    }
+}
+
+/// The result cache: an N-way sharded, capacity-bounded table keyed by
+/// the hash of `(model name, client inputs)`, FIFO-evicted per shard.
 ///
-/// The single-mutex cache serializes every `predict_single` in the
-/// process; §6.1's microsecond in-cache latencies only hold if concurrent
-/// resource managers don't queue on one lock. PR 7 sharded the mutex;
-/// this version removes it from the read path entirely: each shard
-/// publishes an immutable [`ShardSnap`] through an epoch-protected
-/// [`ArcSwap`], so `get` is a pinned pointer load plus a `HashMap`
-/// probe — zero locks, zero heap allocations. Writes still serialize
-/// per shard (mutex around the FIFO order book and the copy-on-write
-/// rebuild) and publish the successor snapshot with one atomic store,
-/// making every insert immediately visible to subsequent gets.
+/// §6.1's microsecond in-cache latencies only hold if concurrent
+/// resource managers never queue on a lock to read, and a miss is a
+/// request-to-placement cost, so a write must be cheap too. Each shard is
+/// a fixed-capacity open-addressed table of atomic slots: `get` probes
+/// it under a per-shard sequence counter — no locks, no heap allocation,
+/// a retry only when a write to the same shard overlaps — and `insert`
+/// takes the shard's mutex and stores in place, evicting the shard's
+/// oldest key by backward-shift deletion once the shard is full. Every
+/// insert is visible to every `get` that starts after it returns.
 ///
 /// Statistics stay *exact*: hits/misses are per-shard padded atomics
 /// bumped once per lookup; insertions/evictions are updated under the
@@ -218,13 +267,12 @@ pub struct ShardedResultCache {
     shards: Vec<Shard>,
     /// `n_shards - 1`; the shard count is always a power of two.
     mask: u64,
-    /// `n_chunks - 1` within each shard; also a power of two.
-    chunk_mask: u64,
 }
 
 impl ShardedResultCache {
     /// Creates a cache of `n_shards` shards (rounded up to a power of
-    /// two) splitting `capacity` entries across them.
+    /// two) splitting `capacity` entries across them. The tables are
+    /// allocated here, once: about 44 bytes per entry of capacity.
     ///
     /// # Panics
     ///
@@ -233,26 +281,9 @@ impl ShardedResultCache {
         assert!(capacity > 0, "result cache needs capacity");
         let n_shards = n_shards.clamp(1, 1 << 16).next_power_of_two();
         let per_shard = capacity.div_ceil(n_shards).max(1);
-        // Aim for ~64 entries per chunk so a copy-on-write insert clones
-        // a bounded slice of the shard, not the whole map.
-        let n_chunks = (per_shard / 64).next_power_of_two().clamp(1, 256);
-        let shards = (0..n_shards)
-            .map(|_| Shard {
-                snap: ArcSwap::new(Arc::new(ShardSnap::empty(n_chunks))),
-                write: Mutex::new(ShardWrite {
-                    order: VecDeque::new(),
-                    capacity: per_shard,
-                    insertions: 0,
-                    evictions: 0,
-                }),
-                hits: CachePadded::new(AtomicU64::new(0)),
-                misses: CachePadded::new(AtomicU64::new(0)),
-            })
-            .collect();
         ShardedResultCache {
-            shards,
+            shards: (0..n_shards).map(|_| Shard::new(per_shard)).collect(),
             mask: (n_shards - 1) as u64,
-            chunk_mask: (n_chunks - 1) as u64,
         }
     }
 
@@ -272,84 +303,31 @@ impl ShardedResultCache {
     /// The shard a key lives in.
     #[inline]
     pub fn shard_index(&self, key: u64) -> usize {
-        // Fold the high bits in so the shard choice and the in-shard
-        // HashMap bucket don't depend on the same low bits alone.
+        // Fold the high bits in so the shard choice does not depend on
+        // the low bits alone.
         ((key ^ (key >> 32)) & self.mask) as usize
     }
 
-    /// The chunk (within a shard) a key lives in. A multiplicative mix
-    /// decorrelates this from [`ShardedResultCache::shard_index`]'s
-    /// xor-fold so chunks fill evenly.
-    #[inline]
-    fn chunk_index(&self, key: u64) -> usize {
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.chunk_mask) as usize
-    }
-
-    /// Looks a key up against the shard's published snapshot — no locks,
-    /// no heap allocation. Records exactly one hit or miss.
+    /// Looks a key up in its shard's table — no locks, no heap
+    /// allocation. Records exactly one hit or miss.
     #[inline]
     pub fn get(&self, key: u64) -> Option<Prediction> {
         let shard = &self.shards[self.shard_index(key)];
-        let ci = self.chunk_index(key);
-        let found = shard.snap.with(|s| s.chunks[ci].get(&key).copied());
-        match found {
-            Some(p) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                Some(p)
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Applies one insert to a working copy of a shard's chunk spine.
-    /// `Arc::make_mut` clones a chunk the first time the working copy
-    /// touches it and mutates in place thereafter, so a batch clones
-    /// each chunk at most once. Returns `true` on displacement.
-    fn insert_into(
-        &self,
-        write: &mut ShardWrite,
-        chunks: &mut [Arc<HashMap<u64, Prediction>>],
-        len: &mut usize,
-        key: u64,
-        prediction: Prediction,
-    ) -> bool {
-        let mut evicted = false;
-        let ci = self.chunk_index(key);
-        if *len >= write.capacity && !chunks[ci].contains_key(&key) {
-            while let Some(old) = write.order.pop_front() {
-                let oci = self.chunk_index(old);
-                if Arc::make_mut(&mut chunks[oci]).remove(&old).is_some() {
-                    write.evictions += 1;
-                    *len -= 1;
-                    evicted = true;
-                    break;
-                }
-            }
-        }
-        write.insertions += 1;
-        if Arc::make_mut(&mut chunks[ci]).insert(key, prediction).is_none() {
-            write.order.push_back(key);
-            *len += 1;
-        }
-        evicted
+        let found = shard.read(key);
+        let counter = if found.is_some() { &shard.hits } else { &shard.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Inserts a prediction into the owning shard, evicting that shard's
-    /// oldest entry when it is full, and publishes the successor
-    /// snapshot (immediately visible to every `get`). Returns `true` on
-    /// displacement.
+    /// oldest entry when it is full. Returns `true` on displacement.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `prediction.value == usize::MAX`.
     pub fn insert(&self, key: u64, prediction: Prediction) -> bool {
         let shard = &self.shards[self.shard_index(key)];
-        let mut write = shard.write.lock();
-        let cur = shard.snap.load_full();
-        let mut chunks = cur.chunks.to_vec();
-        let mut len = cur.len;
-        let evicted = self.insert_into(&mut write, &mut chunks, &mut len, key, prediction);
-        shard.snap.store(Arc::new(ShardSnap { chunks: chunks.into_boxed_slice(), len }));
-        evicted
+        shard.insert(&mut shard.write.lock(), key, prediction)
     }
 
     /// Batch lookup, positional (`out[i]` answers `keys[i]`). Each key
@@ -361,52 +339,56 @@ impl ShardedResultCache {
     }
 
     /// Batch insert: groups entries by shard, taking each touched
-    /// shard's write lock once and publishing one successor snapshot per
-    /// shard. Returns the number of entries whose insert displaced an
-    /// older one.
+    /// shard's write lock once. Returns the number of entries whose
+    /// insert displaced an older one.
     pub fn insert_batch(&self, entries: &[(u64, Prediction)]) -> u64 {
         let mut order: Vec<(usize, usize)> =
             entries.iter().enumerate().map(|(i, &(k, _))| (self.shard_index(k), i)).collect();
         order.sort_unstable();
         let mut evicted = 0;
-        let mut at = 0;
-        while at < order.len() {
-            let shard_idx = order[at].0;
-            let shard = &self.shards[shard_idx];
+        for run in order.chunk_by(|a, b| a.0 == b.0) {
+            let shard = &self.shards[run[0].0];
             let mut write = shard.write.lock();
-            let cur = shard.snap.load_full();
-            let mut chunks = cur.chunks.to_vec();
-            let mut len = cur.len;
-            while at < order.len() && order[at].0 == shard_idx {
-                let (key, prediction) = entries[order[at].1];
-                if self.insert_into(&mut write, &mut chunks, &mut len, key, prediction) {
-                    evicted += 1;
-                }
-                at += 1;
+            for &(_, i) in run {
+                let (key, prediction) = entries[i];
+                evicted += u64::from(shard.insert(&mut write, key, prediction));
             }
-            shard.snap.store(Arc::new(ShardSnap { chunks: chunks.into_boxed_slice(), len }));
         }
         evicted
     }
 
-    /// Empties every shard (statistics are kept).
+    /// Empties every shard (statistics are kept). Costs in proportion to
+    /// what is resident, not to the capacity: a nearly empty shard deletes
+    /// its few keys one by one instead of sweeping its whole table.
     pub fn clear(&self) {
-        let n_chunks = (self.chunk_mask + 1) as usize;
         for shard in &self.shards {
             let mut write = shard.write.lock();
-            write.order.clear();
-            shard.snap.store(Arc::new(ShardSnap::empty(n_chunks)));
+            let (len, capacity) = (shard.len.load(Ordering::Relaxed), write.ring.len());
+            shard.write_slots(|| {
+                if len < shard.slots.len() / 32 {
+                    for k in 0..len {
+                        let key = write.ring[(write.head + k) % capacity];
+                        shard.vacate(shard.locate(key).0);
+                    }
+                } else {
+                    for slot in shard.slots.iter() {
+                        slot.value.store(EMPTY, Ordering::Relaxed);
+                    }
+                }
+            });
+            write.head = 0;
+            shard.len.store(0, Ordering::Relaxed);
         }
     }
 
     /// Entries currently cached across all shards (lock-free).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.snap.with(|snap| snap.len)).sum()
+        self.shards.iter().map(|s| s.len.load(Ordering::Relaxed)).sum()
     }
 
     /// True when every shard is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.snap.with(|snap| snap.len == 0))
+        self.len() == 0
     }
 
     fn one_shard_stats(shard: &Shard) -> ResultCacheStats {
@@ -714,55 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn result_cache_hits_and_misses() {
-        let mut c = ResultCache::new(8);
-        assert_eq!(c.get(1), None);
-        c.insert(1, pred(2));
-        assert_eq!(c.get(1).unwrap().value, 2);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn result_cache_evicts_fifo() {
-        let mut c = ResultCache::new(3);
-        for k in 0..3 {
-            c.insert(k, pred(k as usize));
-        }
-        c.insert(99, pred(99));
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.evictions(), 1);
-        assert_eq!(c.get(0), None, "oldest entry evicted");
-        assert!(c.get(99).is_some());
-    }
-
-    #[test]
-    fn result_cache_reinsert_does_not_grow() {
-        let mut c = ResultCache::new(2);
-        c.insert(1, pred(1));
-        c.insert(1, pred(2));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(1).unwrap().value, 2);
-        assert_eq!(c.insertions(), 2, "overwrites still count as insertions");
-    }
-
-    #[test]
-    fn result_cache_stats_track_all_counters() {
-        let mut c = ResultCache::new(2);
-        c.get(1); // miss
-        assert!(!c.insert(1, pred(1)));
-        assert!(!c.insert(2, pred(2)));
-        assert!(c.insert(3, pred(3)), "third insert must evict");
-        c.get(3); // hit
-        let s = c.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.insertions, 3);
-    }
-
-    #[test]
     fn feature_cache_basics() {
         let mut f = FeatureCache::default();
         assert!(f.is_empty());
@@ -976,6 +909,32 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.stats().insertions, 10_000, "clear keeps statistics");
+    }
+
+    #[test]
+    fn clear_empties_sparse_and_dense_shards_alike() {
+        let c = ShardedResultCache::new(4096, 1);
+        // Sparse: few enough residents that each is deleted on its own.
+        for k in 0..50u64 {
+            c.insert(k.wrapping_mul(0x9E37_79B9_7F4A_7C15), pred(k as usize));
+        }
+        c.clear();
+        assert!(c.is_empty());
+        for k in 0..50u64 {
+            assert_eq!(c.get(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)), None);
+        }
+        // The order book restarted too: refilling evicts only once full.
+        for k in 0..4096u64 {
+            assert!(!c.insert(k, pred(1)), "insert {k} into a cleared cache evicted");
+        }
+        assert!(c.insert(4096, pred(1)));
+        assert_eq!(c.get(0), None, "the oldest key after the clear went first");
+        // Dense: the whole table is swept.
+        c.clear();
+        assert!(c.is_empty());
+        assert!((0..=4096u64).all(|k| c.get(k).is_none()));
+        assert!(!c.insert(7, pred(7)));
+        assert_eq!(c.get(7).unwrap().value, 7);
     }
 
     #[test]

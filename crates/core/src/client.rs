@@ -69,8 +69,8 @@ pub struct ClientConfig {
     /// Result-cache capacity in entries (split across the shards).
     pub result_cache_capacity: usize,
     /// Result-cache shard count (rounded up to a power of two); `0` picks
-    /// a machine-appropriate default. `1` degenerates to the old
-    /// single-mutex cache — useful as a contention baseline.
+    /// a machine-appropriate default. `1` puts every key in one table
+    /// behind one write mutex — useful as a contention baseline.
     pub result_cache_shards: usize,
     /// Directory for the local disk cache; `None` disables it.
     pub disk_cache_dir: Option<std::path::PathBuf>,
@@ -1089,8 +1089,9 @@ impl RcClient {
     ///
     /// One epoch pin covers the whole resolution: model, feature record,
     /// staleness, and generation all come from the same snapshot, so a
-    /// concurrent publish can never mix versions within one call. The
-    /// model itself runs outside the pin — it holds its own `Arc`.
+    /// concurrent publish can never mix versions within one call. Feature
+    /// assembly and the model run outside the pin, on the stack, against
+    /// the two `Arc`s cloned under it — a miss allocates nothing.
     fn execute(&self, model_name: &str, inputs: &ClientInputs) -> Option<Executed> {
         let metrics = &self.shared.metrics;
         let resolved = self.shared.serve.with(|snap| {
@@ -1104,10 +1105,10 @@ impl RcClient {
                     return None;
                 }
             };
-            let features = match snap.features.get(&inputs.subscription) {
+            let sub = match snap.features.get(&inputs.subscription) {
                 Some(sub) => {
                     metrics.feature_cache_hits.increment();
-                    model.spec.features(inputs, sub.as_ref())
+                    sub.clone()
                 }
                 None => {
                     metrics.feature_cache_misses.increment();
@@ -1116,13 +1117,12 @@ impl RcClient {
             };
             let stale = snap.stale_models.contains(model_name)
                 || snap.stale_subs.contains(&inputs.subscription);
-            Some((model, features, snap.generation, stale))
+            Some((model, sub, snap.generation, stale))
         });
-        let (model, features, generation, stale) = resolved?;
+        let (model, sub, generation, stale) = resolved?;
         self.shared.model_execs.fetch_add(1, Ordering::Relaxed);
         metrics.model_execs.increment();
-        let (value, score) = rc_ml::Classifier::predict(model.as_ref(), &features);
-        Some(Executed { prediction: Prediction { value, score }, generation, stale })
+        Some(Executed { prediction: model.predict_for(inputs, &sub), generation, stale })
     }
 
     /// Shadow-evaluates a candidate model side-by-side with the serving
@@ -1150,14 +1150,8 @@ impl RcClient {
         let Some(sub) = sub else {
             return ShadowPrediction { serving: None, candidate: None };
         };
-        let serving = model.map(|m| {
-            let features = m.spec.features(inputs, sub.as_ref());
-            let (value, score) = rc_ml::Classifier::predict(m.as_ref(), &features);
-            Prediction { value, score }
-        });
-        let features = candidate.spec.features(inputs, sub.as_ref());
-        let (value, score) = rc_ml::Classifier::predict(candidate, &features);
-        ShadowPrediction { serving, candidate: Some(Prediction { value, score }) }
+        let serving = model.map(|m| m.predict_for(inputs, &sub));
+        ShadowPrediction { serving, candidate: Some(candidate.predict_for(inputs, &sub)) }
     }
 
     fn no_prediction(&self) -> PredictionResponse {
@@ -1381,16 +1375,11 @@ fn pull_worker(shared: Arc<Shared>) {
         let have_features = shared.serve.with(|s| s.features.contains_key(&inputs.subscription))
             || resilient_fetch_features(&shared, inputs.subscription);
         if let (Some(model), true) = (model, have_features) {
-            let features = shared.serve.with(|s| {
-                s.features
-                    .get(&inputs.subscription)
-                    .map(|sub| model.spec.features(&inputs, sub.as_ref()))
-            });
-            if let Some(features) = features {
+            let sub = shared.serve.with(|s| s.features.get(&inputs.subscription).cloned());
+            if let Some(sub) = sub {
                 shared.model_execs.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.model_execs.increment();
-                let (value, score) = rc_ml::Classifier::predict(model.as_ref(), &features);
-                let evicted = shared.results.insert(key, Prediction { value, score });
+                let evicted = shared.results.insert(key, model.predict_for(&inputs, &sub));
                 shared.metrics.result_insertions.increment();
                 if evicted {
                     shared.metrics.result_evictions.increment();

@@ -236,7 +236,49 @@ impl SubscriptionFeatures {
     }
 }
 
-/// Pushes `label: value` onto the two parallel vectors.
+/// Widest feature vector any model consumes (Table 1: 127 for the
+/// utilization models); the size of the buffer callers assemble into.
+pub const MAX_FEATURES: usize = 128;
+
+/// A feature vector being assembled in a caller's buffer.
+pub(crate) struct Row<'a> {
+    values: &'a mut [f64; MAX_FEATURES],
+    len: usize,
+}
+
+impl Row<'_> {
+    fn push(&mut self, value: f64) {
+        self.values[self.len] = value;
+        self.len += 1;
+    }
+}
+
+/// One model family's assembly routine: values go to the row, labels to
+/// the name list when one is asked for.
+pub(crate) type Build =
+    fn(&ClientInputs, &SubscriptionFeatures, &mut Row<'_>, &mut Option<&mut Vec<String>>);
+
+/// Runs `build` into `out`, returning how many features it wrote.
+pub(crate) fn assemble(
+    build: Build,
+    inputs: &ClientInputs,
+    sub: &SubscriptionFeatures,
+    out: &mut [f64; MAX_FEATURES],
+) -> usize {
+    let mut row = Row { values: out, len: 0 };
+    build(inputs, sub, &mut row, &mut None);
+    row.len
+}
+
+/// The labels `build` gives its features, in order.
+pub(crate) fn names_of(build: Build) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut row = Row { values: &mut [0.0; MAX_FEATURES], len: 0 };
+    build(&dummy_inputs(), &SubscriptionFeatures::default(), &mut row, &mut Some(&mut names));
+    names
+}
+
+/// Pushes `label: value` onto the row and, when present, the name list.
 macro_rules! feat {
     ($names:ident, $values:ident, $label:expr, $value:expr) => {
         if let Some(names) = $names.as_mut() {
@@ -249,7 +291,7 @@ macro_rules! feat {
 /// Shared client-input encoding used by the utilization models.
 fn push_client_inputs(
     inputs: &ClientInputs,
-    values: &mut Vec<f64>,
+    values: &mut Row<'_>,
     names: &mut Option<&mut Vec<String>>,
 ) {
     let sku = SKU_CATALOG[inputs.sku_index];
@@ -294,27 +336,14 @@ fn push_client_inputs(
     feat!(names, values, "log1p_deploy_size_hint", (inputs.deployment_size_hint as f64).ln_1p());
 }
 
-/// Builds the 127-feature vector of the utilization models (Table 1).
-pub fn utilization_features(inputs: &ClientInputs, sub: &SubscriptionFeatures) -> Vec<f64> {
-    build_utilization(inputs, sub, &mut None)
-}
-
-/// Names of the utilization features, aligned with
-/// [`utilization_features`].
-pub fn utilization_feature_names() -> Vec<String> {
-    let mut names = Vec::new();
-    let inputs = dummy_inputs();
-    build_utilization(&inputs, &SubscriptionFeatures::default(), &mut Some(&mut names));
-    names
-}
-
-fn build_utilization(
+/// The 127-feature vector of the utilization models (Table 1).
+pub(crate) fn build_utilization(
     inputs: &ClientInputs,
     sub: &SubscriptionFeatures,
+    v: &mut Row<'_>,
     names: &mut Option<&mut Vec<String>>,
-) -> Vec<f64> {
-    let mut v = Vec::with_capacity(128);
-    push_client_inputs(inputs, &mut v, names);
+) {
+    push_client_inputs(inputs, v, names);
 
     let sku = SKU_CATALOG[inputs.sku_index];
     let avg_f = SubscriptionFeatures::fraction4(&sub.avg_bucket_counts);
@@ -416,28 +445,15 @@ fn build_utilization(
     // Entropy of the avg-bucket history: consistent subscriptions score 0.
     let entropy: f64 = avg_f.iter().filter(|&&p| p > 0.0).map(|&p| -p * p.ln()).sum();
     feat!(names, v, "avg_bucket_entropy", entropy);
-
-    v
 }
 
-/// Builds the 24-feature vector of the deployment-size models (Table 1).
-pub fn deployment_features(inputs: &ClientInputs, sub: &SubscriptionFeatures) -> Vec<f64> {
-    build_deployment(inputs, sub, &mut None)
-}
-
-/// Names of the deployment features.
-pub fn deployment_feature_names() -> Vec<String> {
-    let mut names = Vec::new();
-    build_deployment(&dummy_inputs(), &SubscriptionFeatures::default(), &mut Some(&mut names));
-    names
-}
-
-fn build_deployment(
+/// The 24-feature vector of the deployment-size models (Table 1).
+pub(crate) fn build_deployment(
     inputs: &ClientInputs,
     sub: &SubscriptionFeatures,
+    v: &mut Row<'_>,
     names: &mut Option<&mut Vec<String>>,
-) -> Vec<f64> {
-    let mut v = Vec::with_capacity(24);
+) {
     let sku = SKU_CATALOG[inputs.sku_index];
     feat!(names, v, "party_first", f64::from(inputs.party == Party::First));
     feat!(names, v, "is_iaas", f64::from(inputs.vm_type() == VmType::Iaas));
@@ -473,27 +489,15 @@ fn build_deployment(
     feat!(names, v, "deployments_per_day", sub.n_deployments as f64 / age_days.max(1.0));
     feat!(names, v, "cores", sku.cores as f64);
     feat!(names, v, "memory_gb", sku.memory_gb);
-    v
 }
 
-/// Builds the 26-feature vector of the lifetime model.
-pub fn lifetime_features(inputs: &ClientInputs, sub: &SubscriptionFeatures) -> Vec<f64> {
-    build_lifetime(inputs, sub, &mut None)
-}
-
-/// Names of the lifetime features.
-pub fn lifetime_feature_names() -> Vec<String> {
-    let mut names = Vec::new();
-    build_lifetime(&dummy_inputs(), &SubscriptionFeatures::default(), &mut Some(&mut names));
-    names
-}
-
-fn build_lifetime(
+/// The 26-feature vector of the lifetime model.
+pub(crate) fn build_lifetime(
     inputs: &ClientInputs,
     sub: &SubscriptionFeatures,
+    v: &mut Row<'_>,
     names: &mut Option<&mut Vec<String>>,
-) -> Vec<f64> {
-    let mut v = Vec::with_capacity(26);
+) {
     let sku = SKU_CATALOG[inputs.sku_index];
     feat!(names, v, "party_first", f64::from(inputs.party == Party::First));
     feat!(names, v, "is_iaas", f64::from(inputs.vm_type() == VmType::Iaas));
@@ -525,27 +529,15 @@ fn build_lifetime(
     let (m_avg, _) =
         SubscriptionFeatures::mean_std(sub.sum_avg_util, sub.sum_sq_avg_util, sub.n_vms);
     feat!(names, v, "mean_avg_util", m_avg);
-    v
 }
 
-/// Builds the 34-feature vector of the workload-class model (Table 1).
-pub fn class_features(inputs: &ClientInputs, sub: &SubscriptionFeatures) -> Vec<f64> {
-    build_class(inputs, sub, &mut None)
-}
-
-/// Names of the class features.
-pub fn class_feature_names() -> Vec<String> {
-    let mut names = Vec::new();
-    build_class(&dummy_inputs(), &SubscriptionFeatures::default(), &mut Some(&mut names));
-    names
-}
-
-fn build_class(
+/// The 34-feature vector of the workload-class model (Table 1).
+pub(crate) fn build_class(
     inputs: &ClientInputs,
     sub: &SubscriptionFeatures,
+    v: &mut Row<'_>,
     names: &mut Option<&mut Vec<String>>,
-) -> Vec<f64> {
-    let mut v = Vec::with_capacity(34);
+) {
     let sku = SKU_CATALOG[inputs.sku_index];
     feat!(names, v, "party_first", f64::from(inputs.party == Party::First));
     feat!(names, v, "is_iaas", f64::from(inputs.vm_type() == VmType::Iaas));
@@ -587,7 +579,6 @@ fn build_class(
         feat!(names, v, format!("hist_avg_bucket_{i}"), f);
     }
     feat!(names, v, "windows_fraction", sub.n_windows as f64 / sub.n_vms.max(1) as f64);
-    v
 }
 
 /// Placeholder inputs used only to enumerate feature names.
@@ -610,6 +601,12 @@ mod tests {
     use super::*;
     use rc_types::time::Timestamp;
     use rc_types::vm::VmRole;
+
+    fn collect(build: Build, inputs: &ClientInputs, sub: &SubscriptionFeatures) -> Vec<f64> {
+        let mut buf = [0.0; MAX_FEATURES];
+        let n = assemble(build, inputs, sub, &mut buf);
+        buf[..n].to_vec()
+    }
 
     fn inputs() -> ClientInputs {
         ClientInputs {
@@ -644,24 +641,24 @@ mod tests {
     #[test]
     fn feature_widths_match_table1() {
         let sub = SubscriptionFeatures::new(SubscriptionId(3));
-        assert_eq!(utilization_features(&inputs(), &sub).len(), 127);
-        assert_eq!(deployment_features(&inputs(), &sub).len(), 24);
-        assert_eq!(class_features(&inputs(), &sub).len(), 34);
-        assert_eq!(lifetime_features(&inputs(), &sub).len(), 26);
+        assert_eq!(collect(build_utilization, &inputs(), &sub).len(), 127);
+        assert_eq!(collect(build_deployment, &inputs(), &sub).len(), 24);
+        assert_eq!(collect(build_class, &inputs(), &sub).len(), 34);
+        assert_eq!(collect(build_lifetime, &inputs(), &sub).len(), 26);
     }
 
     #[test]
     fn names_align_with_values() {
-        assert_eq!(utilization_feature_names().len(), 127);
-        assert_eq!(deployment_feature_names().len(), 24);
-        assert_eq!(class_feature_names().len(), 34);
-        assert_eq!(lifetime_feature_names().len(), 26);
+        assert_eq!(names_of(build_utilization).len(), 127);
+        assert_eq!(names_of(build_deployment).len(), 24);
+        assert_eq!(names_of(build_class).len(), 34);
+        assert_eq!(names_of(build_lifetime).len(), 26);
         // Names must be unique within a model.
         for names in [
-            utilization_feature_names(),
-            deployment_feature_names(),
-            class_feature_names(),
-            lifetime_feature_names(),
+            names_of(build_utilization),
+            names_of(build_deployment),
+            names_of(build_class),
+            names_of(build_lifetime),
         ] {
             let mut sorted = names.clone();
             sorted.sort();
@@ -704,12 +701,12 @@ mod tests {
     #[test]
     fn history_features_change_with_observations() {
         let empty = SubscriptionFeatures::new(SubscriptionId(3));
-        let before = utilization_features(&inputs(), &empty);
+        let before = collect(build_utilization, &inputs(), &empty);
         let mut sub = SubscriptionFeatures::new(SubscriptionId(3));
         for d in 0..5 {
             sub.observe_vm(&observation(d));
         }
-        let after = utilization_features(&inputs(), &sub);
+        let after = collect(build_utilization, &inputs(), &sub);
         assert_eq!(before.len(), after.len());
         assert_ne!(before, after);
     }
@@ -727,10 +724,10 @@ mod tests {
             });
         }
         for f in [
-            utilization_features(&inputs(), &sub),
-            deployment_features(&inputs(), &sub),
-            class_features(&inputs(), &sub),
-            lifetime_features(&inputs(), &sub),
+            collect(build_utilization, &inputs(), &sub),
+            collect(build_deployment, &inputs(), &sub),
+            collect(build_class, &inputs(), &sub),
+            collect(build_lifetime, &inputs(), &sub),
         ] {
             assert!(f.iter().all(|x| x.is_finite()), "non-finite feature in {f:?}");
         }

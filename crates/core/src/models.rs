@@ -12,11 +12,11 @@ use rc_ml::{Classifier, GradientBoosting, RandomForest};
 use rc_types::metrics::PredictionMetric;
 
 use crate::features::{
-    class_feature_names, class_features, deployment_feature_names, deployment_features,
-    lifetime_feature_names, lifetime_features, utilization_feature_names, utilization_features,
-    SubscriptionFeatures,
+    assemble, build_class, build_deployment, build_lifetime, build_utilization, names_of, Build,
+    SubscriptionFeatures, MAX_FEATURES,
 };
 use crate::inputs::ClientInputs;
+use crate::prediction::Prediction;
 
 /// The learning approach used for a metric (Table 1, column 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,32 +85,41 @@ impl ModelSpec {
         Self::all()[metric.index()]
     }
 
-    /// Assembles the feature vector this model consumes.
-    pub fn features(&self, inputs: &ClientInputs, sub: &SubscriptionFeatures) -> Vec<f64> {
+    /// The assembly routine of this model's feature family.
+    fn build(&self) -> Build {
         match self.metric {
-            PredictionMetric::AvgCpuUtil | PredictionMetric::P95MaxCpuUtil => {
-                utilization_features(inputs, sub)
-            }
+            PredictionMetric::AvgCpuUtil | PredictionMetric::P95MaxCpuUtil => build_utilization,
             PredictionMetric::DeploymentSizeVms | PredictionMetric::DeploymentSizeCores => {
-                deployment_features(inputs, sub)
+                build_deployment
             }
-            PredictionMetric::Lifetime => lifetime_features(inputs, sub),
-            PredictionMetric::WorkloadClass => class_features(inputs, sub),
+            PredictionMetric::Lifetime => build_lifetime,
+            PredictionMetric::WorkloadClass => build_class,
         }
+    }
+
+    /// Assembles the feature vector this model consumes into `out` and
+    /// returns its length — the allocation-free form the serve path uses
+    /// with a stack buffer.
+    pub fn features_into(
+        &self,
+        inputs: &ClientInputs,
+        sub: &SubscriptionFeatures,
+        out: &mut [f64; MAX_FEATURES],
+    ) -> usize {
+        assemble(self.build(), inputs, sub, out)
+    }
+
+    /// [`ModelSpec::features_into`] as an owned vector, for training sets
+    /// and offline callers.
+    pub fn features(&self, inputs: &ClientInputs, sub: &SubscriptionFeatures) -> Vec<f64> {
+        let mut buf = [0.0; MAX_FEATURES];
+        let n = self.features_into(inputs, sub, &mut buf);
+        buf[..n].to_vec()
     }
 
     /// Names of the features, aligned with [`ModelSpec::features`].
     pub fn feature_names(&self) -> Vec<String> {
-        match self.metric {
-            PredictionMetric::AvgCpuUtil | PredictionMetric::P95MaxCpuUtil => {
-                utilization_feature_names()
-            }
-            PredictionMetric::DeploymentSizeVms | PredictionMetric::DeploymentSizeCores => {
-                deployment_feature_names()
-            }
-            PredictionMetric::Lifetime => lifetime_feature_names(),
-            PredictionMetric::WorkloadClass => class_feature_names(),
-        }
+        names_of(self.build())
     }
 
     /// Number of input features (Table 1, column 3).
@@ -155,15 +164,25 @@ impl Classifier for TrainedModel {
         }
     }
 
-    fn predict_proba(&self, features: &[f64]) -> Vec<f64> {
+    fn predict_proba_into(&self, features: &[f64], out: &mut [f64]) {
         match &self.estimator {
-            Estimator::Forest(m) => m.predict_proba(features),
-            Estimator::Boosted(m) => m.predict_proba(features),
+            Estimator::Forest(m) => m.predict_proba_into(features, out),
+            Estimator::Boosted(m) => m.predict_proba_into(features, out),
         }
     }
 }
 
 impl TrainedModel {
+    /// Assembles this model's features for `inputs` on the stack and
+    /// executes it: the whole model-execution step of a result-cache
+    /// miss, without touching the heap.
+    pub fn predict_for(&self, inputs: &ClientInputs, sub: &SubscriptionFeatures) -> Prediction {
+        let mut buf = [0.0; MAX_FEATURES];
+        let n = self.spec.features_into(inputs, sub, &mut buf);
+        let (value, score) = self.predict(&buf[..n]);
+        Prediction { value, score }
+    }
+
     /// Unnormalized per-feature importance of the underlying estimator.
     pub fn feature_importance(&self) -> Vec<f64> {
         match &self.estimator {

@@ -1,4 +1,4 @@
-//! Bagged random forests over [`DecisionTree`]s.
+//! Bagged random forests of CART trees ([`crate::tree`]).
 //!
 //! Each member tree trains on a bootstrap resample of the rows and examines
 //! a random subset of features at every split (`sqrt(n_features)` by
@@ -11,8 +11,9 @@ use rand::Rng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use crate::arena::deserialize_validated;
 use crate::dataset::BinnedDataset;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{ClassTrees, Grower, TreeConfig};
 use crate::Classifier;
 
 /// Hyperparameters for a [`RandomForest`].
@@ -44,11 +45,17 @@ impl Default for RandomForestConfig {
 }
 
 /// A trained random forest classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RandomForest {
-    trees: Vec<DecisionTree>,
-    n_classes: usize,
+    /// Every member, in one arena with one probability slab.
+    trees: ClassTrees,
+    /// Where each member starts, in training order.
+    roots: Vec<u32>,
+    /// Gini gain per feature, summed over the members.
+    feature_gain: Vec<f64>,
 }
+
+deserialize_validated!(RandomForest { trees, roots, feature_gain });
 
 impl RandomForest {
     /// Trains a forest on `data`.
@@ -74,7 +81,7 @@ impl RandomForest {
 
         // One pool task per tree: member seeds derive from the tree index,
         // so the forest is identical however the tasks are scheduled.
-        let trees = crate::pool::run(n_threads, config.n_trees, |k| {
+        let grown = crate::pool::run(n_threads, config.n_trees, |k| {
             let seed = config.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(k as u64);
             let mut rng = StdRng::seed_from_u64(seed);
             let indices: Vec<u32> = (0..sample).map(|_| rng.gen_range(0..n) as u32).collect();
@@ -83,50 +90,53 @@ impl RandomForest {
                 seed: seed ^ 0xabcd_1234,
                 ..config.tree.clone()
             };
-            DecisionTree::fit_on(data, &indices, &cfg)
+            Grower::grow_tree(data, &indices, &cfg)
         });
 
-        RandomForest { trees, n_classes }
+        let mut forest = RandomForest {
+            trees: ClassTrees::new(n_classes, n_features),
+            roots: Vec::with_capacity(grown.len()),
+            feature_gain: vec![0.0; n_features],
+        };
+        for member in &grown {
+            forest.roots.push(forest.trees.push(member));
+            for (total, gain) in forest.feature_gain.iter_mut().zip(&member.feature_gain) {
+                *total += gain;
+            }
+        }
+        forest
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        self.trees.validate(&self.roots)
     }
 
     /// Number of member trees.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.roots.len()
     }
 
     /// Mean per-feature gini gain across members (unnormalized importance).
     pub fn feature_importance(&self) -> Vec<f64> {
-        if self.trees.is_empty() {
-            return Vec::new();
-        }
-        let nf = self.trees[0].feature_gain().len();
-        let mut acc = vec![0.0; nf];
-        for t in &self.trees {
-            for (a, g) in acc.iter_mut().zip(t.feature_gain()) {
-                *a += g;
-            }
-        }
-        let n = self.trees.len() as f64;
-        acc.iter_mut().for_each(|a| *a /= n);
-        acc
+        let n = self.roots.len() as f64;
+        self.feature_gain.iter().map(|total| total / n).collect()
     }
 }
 
 impl Classifier for RandomForest {
     fn n_classes(&self) -> usize {
-        self.n_classes
+        self.trees.n_classes()
     }
 
-    fn predict_proba(&self, features: &[f64]) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.n_classes];
-        for t in &self.trees {
-            for (a, p) in acc.iter_mut().zip(t.predict_proba(features)) {
-                *a += p;
+    fn predict_proba_into(&self, features: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        for &root in &self.roots {
+            for (a, &p) in out.iter_mut().zip(self.trees.distribution(root, features)) {
+                *a += p as f64;
             }
         }
-        let n = self.trees.len() as f64;
-        acc.iter_mut().for_each(|a| *a /= n);
-        acc
+        let n = self.roots.len() as f64;
+        out.iter_mut().for_each(|a| *a /= n);
     }
 }
 
@@ -134,6 +144,7 @@ impl Classifier for RandomForest {
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+    use crate::tree::DecisionTree;
 
     /// Four-class dataset: class = 2*(x0>0) + (x1>0), with noise features.
     fn quadrants(n: usize) -> Dataset {
@@ -160,6 +171,72 @@ mod tests {
         let f = RandomForest::fit(&b, &cfg);
         let correct = (0..d.len()).filter(|&i| f.predict(d.row(i)).0 == d.label(i)).count();
         assert!(correct as f64 / d.len() as f64 > 0.93, "got {correct}/800");
+    }
+
+    /// The forest as it was before the shared arena: every member a tree
+    /// of its own, one probability vector per member, summed in member
+    /// order.
+    fn reference_proba(members: &[DecisionTree], features: &[f64]) -> Vec<f64> {
+        let mut acc = vec![0.0f64; members[0].n_classes()];
+        for t in members {
+            for (a, p) in acc.iter_mut().zip(t.predict_proba(features)) {
+                *a += p;
+            }
+        }
+        let n = members.len() as f64;
+        acc.iter_mut().for_each(|a| *a /= n);
+        acc
+    }
+
+    /// The bootstrap and seeds of `RandomForest::fit`, member by member.
+    fn members_of(data: &BinnedDataset<'_>, config: &RandomForestConfig) -> Vec<DecisionTree> {
+        let n = data.source().len();
+        (0..config.n_trees)
+            .map(|k| {
+                let seed = config.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(k as u64);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let indices: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n) as u32).collect();
+                let cfg = TreeConfig {
+                    features_per_split: Some(2),
+                    seed: seed ^ 0xabcd_1234,
+                    ..config.tree.clone()
+                };
+                DecisionTree::fit_on(data, &indices, &cfg)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stack_accumulation_matches_the_vec_accumulation() {
+        let d = quadrants(400);
+        let b = BinnedDataset::build(&d);
+        for seed in [0x5eedu64, 0xfeed] {
+            let cfg = RandomForestConfig { n_trees: 12, seed, ..RandomForestConfig::default() };
+            let f = RandomForest::fit(&b, &cfg);
+            let members = members_of(&b, &cfg);
+            for row in crate::arena::wild_rows(4, 1_000, seed) {
+                let old = reference_proba(&members, &row);
+                let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&old), bits(&f.predict_proba(&row)), "seed {seed:#x}");
+                // Same first-max tie-break on the same numbers.
+                let (value, score) = f.predict(&row);
+                let first_max = old.iter().position(|&p| p == score).unwrap();
+                assert_eq!(value, first_max);
+                assert!(old.iter().all(|&p| p <= score));
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_missing_and_dangling_roots() {
+        let d = quadrants(200);
+        let b = BinnedDataset::build(&d);
+        let cfg = RandomForestConfig { n_trees: 2, ..RandomForestConfig::default() };
+        let f = RandomForest::fit(&b, &cfg);
+        let decode = |f: &RandomForest| crate::from_bytes::<RandomForest>(&crate::to_bytes(f));
+        assert!(decode(&f).is_ok());
+        assert!(decode(&RandomForest { roots: vec![], ..f.clone() }).is_err());
+        assert!(decode(&RandomForest { roots: vec![0, u32::MAX], ..f.clone() }).is_err());
     }
 
     #[test]

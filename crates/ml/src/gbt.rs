@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::arena::{deserialize_validated, Node, TreeArena};
 use crate::dataset::{BinnedDataset, MAX_BINS};
 use crate::Classifier;
 
@@ -42,43 +43,15 @@ impl Default for GradientBoostingConfig {
     }
 }
 
-/// One node of a regression tree in the boosted ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum RegNode {
-    /// Terminal node carrying the (already shrunk) score contribution.
-    Leaf { value: f64 },
-    /// Internal node: rows with `features[feature] <= threshold` go left.
-    Split { feature: u32, threshold: f64, left: u32, right: u32 },
-}
-
-/// A regression tree fit to gradients, arena-allocated.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RegTree {
-    nodes: Vec<RegNode>,
-}
-
-impl RegTree {
-    /// Raw score contribution for one feature row.
-    fn score(&self, features: &[f64]) -> f64 {
-        let mut id = 0u32;
-        loop {
-            match &self.nodes[id as usize] {
-                RegNode::Leaf { value } => return *value,
-                RegNode::Split { feature, threshold, left, right } => {
-                    id = if features[*feature as usize] <= *threshold { *left } else { *right };
-                }
-            }
-        }
-    }
-}
-
 /// Scratch state for growing one regression tree.
 struct RegGrower<'a, 'b> {
     data: &'a BinnedDataset<'b>,
     grad: &'a [f64],
     hess: &'a [f64],
     config: &'a GradientBoostingConfig,
-    nodes: Vec<RegNode>,
+    /// Depth-first node list; a leaf carries its (already shrunk) score
+    /// contribution.
+    nodes: Vec<Node<f64>>,
     feature_gain: Vec<f64>,
 }
 
@@ -99,18 +72,18 @@ impl RegGrower<'_, '_> {
                     }
                 }
                 let id = self.nodes.len() as u32;
-                self.nodes.push(RegNode::Leaf { value: 0.0 });
+                self.nodes.push(Node::Leaf(0.0));
                 let (li, ri) = indices.split_at_mut(mid);
                 let left = self.grow(li, depth + 1);
                 let right = self.grow(ri, depth + 1);
                 self.nodes[id as usize] =
-                    RegNode::Split { feature: feature as u32, threshold, left, right };
+                    Node::Split { feature: feature as u32, threshold, left, right };
                 return id;
             }
         }
         let value = -g / (h + self.config.lambda) * self.config.learning_rate;
         let id = self.nodes.len() as u32;
-        self.nodes.push(RegNode::Leaf { value });
+        self.nodes.push(Node::Leaf(value));
         id
     }
 
@@ -160,15 +133,28 @@ impl RegGrower<'_, '_> {
 }
 
 /// A trained gradient-boosted multi-class classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GradientBoosting {
-    /// `rounds x n_classes` regression trees, row-major by round.
-    trees: Vec<RegTree>,
+    /// Every regression tree, in one arena; a leaf's `threshold` cell
+    /// holds its (already shrunk) score contribution.
+    trees: TreeArena,
+    /// Where each of the `rounds x n_classes` trees starts, row-major by
+    /// round.
+    roots: Vec<u32>,
     n_classes: usize,
     /// Per-class prior log-odds used as the initial score.
     base_score: Vec<f64>,
     /// Accumulated split gain per feature.
     feature_gain: Vec<f64>,
+}
+
+deserialize_validated!(GradientBoosting { trees, roots, n_classes, base_score, feature_gain });
+
+/// Raw score contribution of the regression tree at `root` for one
+/// feature row.
+#[inline]
+fn score(trees: &TreeArena, root: u32, features: &[f64]) -> f64 {
+    trees.leaf_value(trees.leaf(root, features))
 }
 
 impl GradientBoosting {
@@ -194,7 +180,8 @@ impl GradientBoosting {
             row.copy_from_slice(&base_score);
         }
 
-        let mut trees = Vec::with_capacity(config.n_rounds * k);
+        let mut trees = TreeArena::default();
+        let mut roots = Vec::with_capacity(config.n_rounds * k);
         let mut feature_gain = vec![0.0; nf];
         let mut grad = vec![0.0f64; n];
         let mut hess = vec![0.0f64; n];
@@ -205,7 +192,8 @@ impl GradientBoosting {
             for c in 0..k {
                 // Softmax gradients for class c.
                 for i in 0..n {
-                    softmax_into(&scores[i * k..(i + 1) * k], &mut probs);
+                    probs.copy_from_slice(&scores[i * k..(i + 1) * k]);
+                    softmax_in_place(&mut probs);
                     let p = probs[c];
                     let y = f64::from(data.source().label(i) == c);
                     grad[i] = p - y;
@@ -223,20 +211,40 @@ impl GradientBoosting {
                 for (a, g) in feature_gain.iter_mut().zip(&grower.feature_gain) {
                     *a += g;
                 }
-                let tree = RegTree { nodes: grower.nodes };
+                let root = trees.append(&grower.nodes, |&value| (0, value));
                 for i in 0..n {
-                    scores[i * k + c] += tree.score(data.source().row(i));
+                    scores[i * k + c] += score(&trees, root, data.source().row(i));
                 }
-                trees.push(tree);
+                roots.push(root);
             }
         }
 
-        GradientBoosting { trees, n_classes: k, base_score, feature_gain }
+        GradientBoosting { trees, roots, n_classes: k, base_score, feature_gain }
+    }
+
+    /// Whether decoded fields describe an ensemble that is safe to walk:
+    /// whole rounds of trees in a valid arena over `feature_gain.len()`
+    /// features, a prior per class, every leaf value and prior finite.
+    fn validate(&self) -> Result<(), String> {
+        let k = self.n_classes;
+        if k == 0 || self.base_score.len() != k || !self.roots.len().is_multiple_of(k) {
+            return Err(format!(
+                "{} trees and {} priors do not make rounds of {k} classes",
+                self.roots.len(),
+                self.base_score.len()
+            ));
+        }
+        self.trees.validate(&self.roots, self.feature_gain.len())?;
+        let leaf_values = self.trees.leaves().map(|id| self.trees.leaf_value(id));
+        if !leaf_values.chain(self.base_score.iter().copied()).all(f64::is_finite) {
+            return Err("non-finite leaf value or prior".into());
+        }
+        Ok(())
     }
 
     /// Number of regression trees in the ensemble (rounds × classes).
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.roots.len()
     }
 
     /// Accumulated split gain per feature (unnormalized importance).
@@ -250,29 +258,31 @@ impl Classifier for GradientBoosting {
         self.n_classes
     }
 
-    fn predict_proba(&self, features: &[f64]) -> Vec<f64> {
-        let k = self.n_classes;
-        let mut scores = self.base_score.clone();
-        for (t, tree) in self.trees.iter().enumerate() {
-            scores[t % k] += tree.score(features);
+    fn predict_proba_into(&self, features: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(&self.base_score);
+        // Round by round, so each class's score adds up in tree order.
+        for round in self.roots.chunks_exact(self.n_classes) {
+            for (s, &root) in out.iter_mut().zip(round) {
+                *s += score(&self.trees, root, features);
+            }
         }
-        let mut probs = vec![0.0; k];
-        softmax_into(&scores, &mut probs);
-        probs
+        softmax_in_place(out);
     }
 }
 
-/// Writes `softmax(scores)` into `out`.
-fn softmax_into(scores: &[f64], out: &mut [f64]) {
+/// Replaces raw scores with their softmax.
+fn softmax_in_place(scores: &mut [f64]) {
     let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
-    for (o, &s) in out.iter_mut().zip(scores) {
-        let e = (s - max).exp();
-        *o = e;
-        sum += e;
+    for s in scores.iter_mut() {
+        // `exp(±0)` is exactly 1 (C Annex F), so the top score skips the
+        // call: a quarter of a four-class softmax.
+        let below_max = *s - max;
+        *s = if below_max == 0.0 { 1.0 } else { below_max.exp() };
+        sum += *s;
     }
-    for o in out.iter_mut() {
-        *o /= sum;
+    for s in scores.iter_mut() {
+        *s /= sum;
     }
 }
 
@@ -314,16 +324,16 @@ mod tests {
 
     #[test]
     fn softmax_is_a_distribution() {
-        let mut out = [0.0; 3];
-        softmax_into(&[1.0, 2.0, 3.0], &mut out);
+        let mut out = [1.0, 2.0, 3.0];
+        softmax_in_place(&mut out);
         assert!((out.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(out[2] > out[1] && out[1] > out[0]);
     }
 
     #[test]
     fn softmax_handles_extremes() {
-        let mut out = [0.0; 2];
-        softmax_into(&[1000.0, -1000.0], &mut out);
+        let mut out = [1000.0, -1000.0];
+        softmax_in_place(&mut out);
         assert!((out[0] - 1.0).abs() < 1e-12);
         assert!(out[1] >= 0.0);
     }
@@ -356,6 +366,92 @@ mod tests {
             assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
         }
+    }
+
+    /// `predict_proba` as it was before the arena: walk `Node` links,
+    /// index classes by `t % k`, softmax into a second vector.
+    fn reference_proba(trees: &[Vec<Node<f64>>], base_score: &[f64], features: &[f64]) -> Vec<f64> {
+        let k = base_score.len();
+        let mut scores = base_score.to_vec();
+        for (t, nodes) in trees.iter().enumerate() {
+            scores[t % k] += *crate::arena::reference_leaf(nodes, features);
+        }
+        let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut probs: Vec<f64> = scores.iter().map(|&s| (s - max).exp()).collect();
+        let sum: f64 = probs.iter().sum();
+        probs.iter_mut().for_each(|p| *p /= sum);
+        probs
+    }
+
+    /// Grows regression trees on made-up gradients, keeps both the node
+    /// lists and their arenas, and compares the two walks bit for bit.
+    #[test]
+    fn arena_ensemble_matches_the_node_ensemble() {
+        for seed in [5u64, 23] {
+            let d = spiralish(300 + seed as usize);
+            let b = BinnedDataset::build(&d);
+            let config = GradientBoostingConfig::default();
+            let (k, n) = (3, d.len());
+            let mut all: Vec<u32> = (0..n as u32).collect();
+            let mut node_trees = Vec::new();
+            for t in 0..4 * k as u64 {
+                let wave =
+                    |i: usize, phase: u64| ((i as u64 * 31 + t * 7 + seed + phase) % 17) as f64;
+                let grad: Vec<f64> = (0..n).map(|i| wave(i, 0) / 17.0 - 0.5).collect();
+                let hess: Vec<f64> = (0..n).map(|i| 0.05 + wave(i, 3) / 100.0).collect();
+                let mut grower = RegGrower {
+                    data: &b,
+                    grad: &grad,
+                    hess: &hess,
+                    config: &config,
+                    nodes: Vec::new(),
+                    feature_gain: vec![0.0; 3],
+                };
+                grower.grow(&mut all, 0);
+                assert!(grower.nodes.len() > 1, "gradients must be splittable");
+                node_trees.push(grower.nodes);
+            }
+            let mut trees = TreeArena::default();
+            let roots = node_trees.iter().map(|n| trees.append(n, |&v| (0, v))).collect();
+            let model = GradientBoosting {
+                trees,
+                roots,
+                n_classes: k,
+                base_score: vec![-1.2, -0.9, -1.3],
+                feature_gain: vec![0.0; 3],
+            };
+            assert!(model.validate().is_ok());
+            for row in crate::arena::wild_rows(3, 1_000, seed) {
+                let old = reference_proba(&node_trees, &model.base_score, &row);
+                let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&old), bits(&model.predict_proba(&row)), "seed {seed}");
+                let (value, score) = model.predict(&row);
+                assert_eq!(value, old.iter().position(|&p| p == score).unwrap());
+                assert!(old.iter().all(|&p| p <= score));
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_partial_rounds_and_non_finite_leaves() {
+        let d = spiralish(200);
+        let b = BinnedDataset::build(&d);
+        let g = GradientBoosting::fit(
+            &b,
+            &GradientBoostingConfig { n_rounds: 2, ..Default::default() },
+        );
+        let decode =
+            |g: &GradientBoosting| crate::from_bytes::<GradientBoosting>(&crate::to_bytes(g));
+        assert!(decode(&g).is_ok());
+        let mut partial = g.clone();
+        partial.roots.pop();
+        assert!(decode(&partial).is_err());
+        // 1e999 is valid JSON and parses to infinity.
+        let text = String::from_utf8(crate::to_bytes(&g)).unwrap();
+        let prior = format!("\"base_score\":[{}", g.base_score[0]);
+        assert!(text.contains(&prior));
+        let poisoned = text.replace(&prior, "\"base_score\":[1e999");
+        assert!(crate::from_bytes::<GradientBoosting>(poisoned.as_bytes()).is_err());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! crate implements all three, plus the shared machinery they need:
 //!
 //! - [`dataset`]: feature matrices with quantile binning for fast splits.
-//! - [`tree`]: CART classification trees (gini impurity).
+//! - [`tree`]: CART classification trees (gini impurity), served from the
+//!   flattened node arena in `arena`.
 //! - [`forest`]: bagged random forests with per-split feature subsampling,
 //!   trained in parallel on the scoped worker pool.
 //! - [`pool`]: a minimal scoped worker pool (dynamic dispatch over
@@ -23,6 +24,7 @@
 //! serialize with serde so the client library can cache them and account
 //! for their size (Table 1's "model size" column).
 
+mod arena;
 pub mod dataset;
 pub mod eval;
 pub mod fft;
@@ -40,21 +42,41 @@ pub use tree::{DecisionTree, TreeConfig};
 
 use serde::{de::DeserializeOwned, Serialize};
 
+/// Classes [`Classifier::predict`] can rank without touching the heap.
+const STACK_CLASSES: usize = 16;
+
 /// A trained multi-class classifier producing per-class probabilities.
 pub trait Classifier {
     /// Number of classes the model distinguishes.
     fn n_classes(&self) -> usize;
 
+    /// Writes the class-probability vector for one feature row into
+    /// `out`, which is [`Classifier::n_classes`] long. Every entry lies in
+    /// `[0, 1]` and the entries sum to 1 (up to rounding). Must not
+    /// allocate: this is the model-execution step of a result-cache miss.
+    fn predict_proba_into(&self, features: &[f64], out: &mut [f64]);
+
     /// Class-probability vector for one feature row.
-    ///
-    /// The returned vector has length [`Classifier::n_classes`], every entry
-    /// lies in `[0, 1]`, and the entries sum to 1 (up to rounding).
-    fn predict_proba(&self, features: &[f64]) -> Vec<f64>;
+    fn predict_proba(&self, features: &[f64]) -> Vec<f64> {
+        let mut probs = vec![0.0; self.n_classes()];
+        self.predict_proba_into(features, &mut probs);
+        probs
+    }
 
     /// Most likely class and its probability (the "confidence score" the
-    /// Resource Central client exposes to callers).
+    /// Resource Central client exposes to callers); the lowest index wins
+    /// a tie. Allocation-free up to [`STACK_CLASSES`] classes.
     fn predict(&self, features: &[f64]) -> (usize, f64) {
-        let probs = self.predict_proba(features);
+        let k = self.n_classes();
+        let mut stack = [0.0; STACK_CLASSES];
+        let mut heap = Vec::new();
+        let probs = if k <= STACK_CLASSES {
+            &mut stack[..k]
+        } else {
+            heap.resize(k, 0.0);
+            &mut heap[..]
+        };
+        self.predict_proba_into(features, probs);
         let (mut best, mut best_p) = (0, f64::NEG_INFINITY);
         for (i, &p) in probs.iter().enumerate() {
             if p > best_p {

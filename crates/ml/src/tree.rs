@@ -10,6 +10,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use crate::arena::{deserialize_validated, Node, TreeArena};
 use crate::dataset::BinnedDataset;
 use crate::Classifier;
 
@@ -43,23 +44,82 @@ impl Default for TreeConfig {
     }
 }
 
-/// One node of a tree, stored in an arena indexed by `u32`.
+/// Classification trees in one arena, with the slab their leaves index:
+/// one `n_classes`-wide row of class probabilities per leaf, in arena
+/// order. A [`DecisionTree`] holds one tree, a random forest all of its
+/// members.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-enum Node {
-    /// Terminal node carrying the class distribution of its training rows.
-    Leaf { probs: Vec<f32> },
-    /// Internal node: rows with `features[feature] <= threshold` go left.
-    Split { feature: u32, threshold: f64, left: u32, right: u32 },
+pub(crate) struct ClassTrees {
+    arena: TreeArena,
+    leaf_probs: Vec<f32>,
+    n_classes: usize,
+    n_features: usize,
+}
+
+impl ClassTrees {
+    pub(crate) fn new(n_classes: usize, n_features: usize) -> Self {
+        ClassTrees { arena: TreeArena::default(), leaf_probs: Vec::new(), n_classes, n_features }
+    }
+
+    /// Flattens a grown tree behind those already here and returns its
+    /// root; its leaf distributions move to the end of the slab.
+    pub(crate) fn push(&mut self, grown: &Grower) -> u32 {
+        let (slab, k) = (&mut self.leaf_probs, self.n_classes);
+        self.arena.append(&grown.nodes, |probs| {
+            let row = (slab.len() / k) as u32;
+            slab.extend_from_slice(probs);
+            (row, 0.0)
+        })
+    }
+
+    pub(crate) fn n_classes(&self) -> usize {
+        self.n_classes
+    }
+
+    /// The class distribution of the leaf `features` falls into in the
+    /// tree at `root`.
+    #[inline]
+    pub(crate) fn distribution(&self, root: u32, features: &[f64]) -> &[f32] {
+        let row = self.arena.leaf_row(self.arena.leaf(root, features));
+        &self.leaf_probs[row * self.n_classes..(row + 1) * self.n_classes]
+    }
+
+    /// Whether decoded fields describe trees that are safe to walk from
+    /// `roots`: a valid arena, at least one root, every leaf's row inside
+    /// the slab, every probability finite.
+    pub(crate) fn validate(&self, roots: &[u32]) -> Result<(), String> {
+        self.arena.validate(roots, self.n_features)?;
+        if roots.is_empty() || self.n_classes == 0 {
+            return Err("no trees or no classes".into());
+        }
+        let rows = self.leaf_probs.len() / self.n_classes;
+        if let Some(id) = self.arena.leaves().find(|&id| self.arena.leaf_row(id) >= rows) {
+            return Err(format!("leaf {id} points past the {rows}-row probability slab"));
+        }
+        if !self.leaf_probs.iter().all(|p| p.is_finite()) {
+            return Err("non-finite leaf probability".into());
+        }
+        Ok(())
+    }
 }
 
 /// A trained CART classification tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DecisionTree {
-    nodes: Vec<Node>,
-    n_classes: usize,
-    n_features: usize,
+    /// The tree, rooted at node 0.
+    trees: ClassTrees,
     /// Total gini gain contributed by each feature, for importance reports.
     feature_gain: Vec<f64>,
+}
+
+deserialize_validated!(DecisionTree { trees, feature_gain });
+
+/// Growing state: the depth-first node list `fit` flattens when done.
+pub(crate) struct Grower {
+    nodes: Vec<Node<Vec<f32>>>,
+    pub(crate) n_classes: usize,
+    pub(crate) n_features: usize,
+    pub(crate) feature_gain: Vec<f64>,
 }
 
 impl DecisionTree {
@@ -73,25 +133,57 @@ impl DecisionTree {
         Self::fit_on(data, &indices, config)
     }
 
-    /// Grows a tree on the given subset of row indices (used by bagging).
+    /// Grows a tree on the given subset of row indices.
     ///
     /// # Panics
     ///
     /// Panics when `indices` is empty.
     pub fn fit_on(data: &BinnedDataset<'_>, indices: &[u32], config: &TreeConfig) -> Self {
+        let grown = Grower::grow_tree(data, indices, config);
+        let mut trees = ClassTrees::new(grown.n_classes, grown.n_features);
+        trees.push(&grown);
+        DecisionTree { trees, feature_gain: grown.feature_gain }
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        self.trees.validate(&[0])
+    }
+
+    /// Number of nodes in the tree.
+    pub fn n_nodes(&self) -> usize {
+        self.trees.arena.n_nodes()
+    }
+
+    /// Depth of the tree (a lone leaf has depth 0).
+    pub fn depth(&self) -> usize {
+        self.trees.arena.depth()
+    }
+
+    /// Accumulated gini gain per feature (unnormalized importance).
+    pub fn feature_gain(&self) -> &[f64] {
+        &self.feature_gain
+    }
+}
+
+impl Grower {
+    /// Grows the node list for `indices`; node 0 is the root.
+    pub(crate) fn grow_tree(
+        data: &BinnedDataset<'_>,
+        indices: &[u32],
+        config: &TreeConfig,
+    ) -> Self {
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
-        let n_classes = data.source().n_classes();
         let n_features = data.source().n_features();
-        let mut tree = DecisionTree {
+        let mut grower = Grower {
             nodes: Vec::new(),
-            n_classes,
+            n_classes: data.source().n_classes(),
             n_features,
             feature_gain: vec![0.0; n_features],
         };
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut idx = indices.to_vec();
-        tree.grow(data, &mut idx, 0, config, &mut rng);
-        tree
+        grower.grow(data, &mut idx, 0, config, &mut rng);
+        grower
     }
 
     /// Recursively grows the subtree for `indices`, returning its node id.
@@ -123,7 +215,7 @@ impl DecisionTree {
                 debug_assert!(mid > 0 && mid < indices.len());
                 // Reserve this node's slot before children are appended.
                 let id = self.nodes.len() as u32;
-                self.nodes.push(Node::Leaf { probs: Vec::new() });
+                self.nodes.push(Node::Leaf(Vec::new()));
                 let (left_idx, right_idx) = indices.split_at_mut(mid);
                 let left = self.grow(data, left_idx, depth + 1, config, rng);
                 let right = self.grow(data, right_idx, depth + 1, config, rng);
@@ -134,7 +226,7 @@ impl DecisionTree {
         }
         let probs = counts.iter().map(|&c| (c as f64 / total as f64) as f32).collect();
         let id = self.nodes.len() as u32;
-        self.nodes.push(Node::Leaf { probs });
+        self.nodes.push(Node::Leaf(probs));
         id
     }
 
@@ -204,49 +296,16 @@ impl DecisionTree {
         }
         best
     }
-
-    /// Number of nodes in the tree.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Depth of the tree (a lone leaf has depth 0).
-    pub fn depth(&self) -> usize {
-        fn rec(nodes: &[Node], id: u32) -> usize {
-            match &nodes[id as usize] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + rec(nodes, *left).max(rec(nodes, *right)),
-            }
-        }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            rec(&self.nodes, 0)
-        }
-    }
-
-    /// Accumulated gini gain per feature (unnormalized importance).
-    pub fn feature_gain(&self) -> &[f64] {
-        &self.feature_gain
-    }
 }
 
 impl Classifier for DecisionTree {
     fn n_classes(&self) -> usize {
-        self.n_classes
+        self.trees.n_classes
     }
 
-    fn predict_proba(&self, features: &[f64]) -> Vec<f64> {
-        let mut id = 0u32;
-        loop {
-            match &self.nodes[id as usize] {
-                Node::Leaf { probs } => {
-                    return probs.iter().map(|&p| p as f64).collect();
-                }
-                Node::Split { feature, threshold, left, right } => {
-                    id = if features[*feature as usize] <= *threshold { *left } else { *right };
-                }
-            }
+    fn predict_proba_into(&self, features: &[f64], out: &mut [f64]) {
+        for (o, &p) in out.iter_mut().zip(self.trees.distribution(0, features)) {
+            *o = p as f64;
         }
     }
 }
@@ -351,6 +410,52 @@ mod tests {
         let tree = DecisionTree::fit(&b, &TreeConfig::default());
         let g = tree.feature_gain();
         assert!(g[0] > g[1] && g[0] > g[2], "feature 0 should dominate: {g:?}");
+    }
+
+    /// The flattened walk against the `Node` walk it replaced: the full
+    /// probability vector, bit for bit, NaN and infinite inputs included.
+    #[test]
+    fn arena_walk_matches_the_node_walk() {
+        for seed in [3u64, 11] {
+            // Overlapping classes with flipped labels: a deep, ragged tree.
+            let mut d = Dataset::new(3, 3);
+            for row in crate::arena::wild_rows(3, 600, seed ^ 0xD5)
+                .iter()
+                .filter(|r| r.iter().all(|x| x.is_finite()))
+            {
+                let noise = (row[0] * 1e3) as i64 % 7 == 0;
+                d.push(
+                    row,
+                    ((row[0] > 0.0) as usize + (row[1] > 0.3) as usize + noise as usize) % 3,
+                );
+            }
+            let b = BinnedDataset::build(&d);
+            let indices: Vec<u32> = (0..d.len() as u32).collect();
+            let cfg = TreeConfig { seed, features_per_split: Some(2), ..TreeConfig::default() };
+            let tree = DecisionTree::fit_on(&b, &indices, &cfg);
+            let grown = Grower::grow_tree(&b, &indices, &cfg);
+            assert_eq!(tree.n_nodes(), grown.nodes.len());
+            assert!(tree.depth() > 3, "depth {}", tree.depth());
+            assert!(tree.validate().is_ok());
+            for row in crate::arena::wild_rows(3, 2_000, seed) {
+                let old: Vec<u64> = crate::arena::reference_leaf(&grown.nodes, &row)
+                    .iter()
+                    .map(|&p| (p as f64).to_bits())
+                    .collect();
+                let new: Vec<u64> = tree.predict_proba(&row).iter().map(|p| p.to_bits()).collect();
+                assert_eq!(old, new, "seed {seed}, row {row:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_leaf_row_outside_the_slab() {
+        let d = blobs(200);
+        let b = BinnedDataset::build(&d);
+        let mut tree = DecisionTree::fit(&b, &TreeConfig::default());
+        assert!(crate::from_bytes::<DecisionTree>(&crate::to_bytes(&tree)).is_ok());
+        tree.trees.leaf_probs.truncate(tree.trees.leaf_probs.len() - 1);
+        assert!(crate::from_bytes::<DecisionTree>(&crate::to_bytes(&tree)).is_err());
     }
 
     #[test]

@@ -270,12 +270,18 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 sequence starting at `pos`.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run up to the next quote or escape and
+                    // validate only that run: neither byte can occur
+                    // inside a multi-byte UTF-8 sequence. Validating the
+                    // whole remaining buffer per character made a
+                    // document quadratic in its length.
+                    let start = self.pos;
+                    while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().ok_or_else(|| Error::msg("unterminated string"))?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    s.push_str(run);
                 }
             }
         }
@@ -344,6 +350,31 @@ mod tests {
     fn rejects_non_finite_floats() {
         assert!(to_vec(&f64::NAN).is_err());
         assert!(to_vec(&f64::INFINITY).is_err());
+    }
+
+    /// Regression: `parse_string` used to re-validate the whole remaining
+    /// buffer for every character, so a megabyte of strings took minutes
+    /// in a debug build.
+    #[test]
+    fn string_heavy_megabyte_parses_in_linear_time() {
+        let item = "\"caf\u{e9} \\\"quoted\\\" \\n \u{1f600} plain ascii filler text\"";
+        let n = (1 << 20) / item.len() + 1;
+        let doc = format!("[{}]", vec![item; n].join(","));
+        assert!(doc.len() >= 1 << 20);
+        let started = std::time::Instant::now();
+        let parsed: Vec<String> = from_slice(doc.as_bytes()).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.len(), n);
+        assert_eq!(parsed[n - 1], "caf\u{e9} \"quoted\" \n \u{1f600} plain ascii filler text");
+        assert!(elapsed < std::time::Duration::from_secs(1), "took {elapsed:?}");
+    }
+
+    #[test]
+    fn rejects_invalid_utf8_and_unterminated_strings() {
+        assert!(from_slice::<String>(b"\"ab\xffcd\"").is_err());
+        assert!(from_slice::<String>(b"\"\xe9").is_err());
+        assert!(from_slice::<String>(b"\"never closed").is_err());
+        assert!(from_slice::<String>(b"\"dangling \\").is_err());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   the store byte-identical.
 //! - **Poisoned models**: payloads failing checksum or slot-identity
 //!   checks are rejected by the client while the resident model keeps
-//!   serving.
+//!   serving; so are checksum-valid payloads whose tree arena would hang
+//!   or panic a walk (self-loop, child out of range, truncated slab).
 //! - **Metric quarantine**: one metric's failed training quarantines only
 //!   that metric; the other five publish and drive the scheduler
 //!   end-to-end.
@@ -26,7 +27,7 @@ use std::sync::{Mutex, OnceLock};
 
 use bytes::Bytes;
 use rc_core::labels::vm_inputs;
-use rc_core::{ModelSpec, PipelineError, PublishGate};
+use rc_core::{ModelSpec, PipelineError, PublishGate, TrainedModel};
 use rc_scheduler::RcSource;
 use rc_store::{
     checksum, rollback, Manifest, ModelEntry, StoreError, VersionedRecord, MANIFEST_KEY,
@@ -509,6 +510,95 @@ fn a_poisoned_model_payload_is_rejected_and_the_old_model_keeps_serving() {
     assert_eq!(client.model_rejected_count(), 2, "the wrong-slot payload must be rejected");
     assert_eq!(client.get_available_models().len(), 6);
     assert_eq!(client.predict_single("VM_P95UTIL", &inputs), before);
+}
+
+/// Rewrites the first JSON array stored under `"column":` in a model
+/// payload, element by element.
+fn edit_column(payload: &[u8], column: &str, edit: impl FnOnce(&mut Vec<String>)) -> Vec<u8> {
+    let text = std::str::from_utf8(payload).expect("model payloads are JSON text");
+    let start = text.find(&format!("\"{column}\":[")).expect("column present") + column.len() + 4;
+    let end = start + text[start..].find(']').expect("array closes");
+    let mut items: Vec<String> = text[start..end].split(',').map(str::to_owned).collect();
+    edit(&mut items);
+    format!("{}{}{}", &text[..start], items.join(","), &text[end..]).into_bytes()
+}
+
+/// A decoded child index used to be trusted: a garbled payload whose
+/// manifest checksum still matched could send the client's sanity probe
+/// into a self-referencing node (a hang) or past the end of the node list
+/// (a panic). Decoding now validates the arena, so each of these is an
+/// ordinary rejected payload.
+#[test]
+fn a_garbled_arena_is_a_decode_error_and_the_old_model_keeps_serving() {
+    let _gate = gate();
+    let (trace, output) = world();
+    let store = Store::in_memory();
+    output.publish(&store, 0.5).expect("v1");
+    let client = RcClient::new(store.clone(), ClientConfig::default());
+    assert!(client.initialize());
+    let inputs = (0..trace.n_vms() as u64)
+        .map(|id| vm_inputs(trace, VmId(id)))
+        .find(|inputs| client.predict_single("VM_P95UTIL", inputs).is_predicted())
+        .expect("some subscription must be predictable");
+    let before = client.predict_single("VM_P95UTIL", &inputs);
+
+    let manifest = Manifest::read_current(&store).unwrap().expect("v1 manifest");
+    let logical = ModelSpec::for_metric(PredictionMetric::P95MaxCpuUtil).store_key();
+    let good = store.get_latest(&manifest.versioned_key(&logical)).unwrap().data;
+    assert!(rc_ml::from_bytes::<TrainedModel>(&good).is_ok());
+
+    let garbled = [
+        ("self-loop", edit_column(&good, "left", |left| left[1] = "1".into())),
+        ("child out of range", edit_column(&good, "left", |left| left[0] = "4000000000".into())),
+        ("feature out of range", edit_column(&good, "feature", |f| f[0] = "127".into())),
+        (
+            "truncated slab",
+            edit_column(&good, "leaf_probs", |probs| probs.truncate(probs.len() - 1)),
+        ),
+        ("short column", edit_column(&good, "threshold", |t| t.truncate(t.len() - 1))),
+        ("dangling root", edit_column(&good, "roots", |roots| roots[0] = "4000000000".into())),
+    ];
+    for (n, (what, bytes)) in garbled.iter().enumerate() {
+        assert!(rc_ml::from_bytes::<TrainedModel>(bytes).is_err(), "{what} must not decode");
+
+        // Seal the garbled bytes under a matching checksum and reload.
+        store.put(&manifest.versioned_key(&logical), bytes.clone().into()).unwrap();
+        let models = manifest
+            .models
+            .iter()
+            .map(|e| ModelEntry {
+                checksum: if e.key == logical { checksum(bytes) } else { e.checksum },
+                ..e.clone()
+            })
+            .collect();
+        let sealed = Manifest::new(
+            manifest.version,
+            manifest.last_good,
+            manifest.version_tag.clone(),
+            models,
+            manifest.features.clone(),
+        );
+        store.put(MANIFEST_KEY, sealed.to_bytes()).unwrap();
+        let rejected0 = rc_obs::global().counter(rc_obs::CLIENT_MODEL_REJECTED).get();
+        client.force_reload_cache();
+        assert_eq!(
+            rc_obs::global().counter(rc_obs::CLIENT_MODEL_REJECTED).get() - rejected0,
+            1,
+            "{what} lands on rc_client_model_rejected"
+        );
+        assert_eq!(client.model_rejected_count(), n as u64 + 1);
+        assert_eq!(client.get_available_models().len(), 6);
+        assert_eq!(client.predict_single("VM_P95UTIL", &inputs), before, "{what}");
+    }
+
+    // Without a manifest the same bytes are an undecodable flat-key
+    // payload: counted on rc_client_corrupt_payloads, never served.
+    let flat = Store::in_memory();
+    flat.put(&logical, garbled[0].1.clone().into()).unwrap();
+    let corrupt0 = rc_obs::global().counter(rc_obs::CLIENT_CORRUPT_PAYLOADS).get();
+    let flat_client = RcClient::new(flat, ClientConfig::default());
+    assert!(!flat_client.initialize(), "no decodable model, nothing to serve");
+    assert_eq!(rc_obs::global().counter(rc_obs::CLIENT_CORRUPT_PAYLOADS).get() - corrupt0, 1);
 }
 
 #[test]

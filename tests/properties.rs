@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use rc_analysis::{spearman, Cdf};
-use rc_core::{Prediction, ResultCache};
+use rc_core::{Prediction, ShardedResultCache};
 use rc_ml::fft::{fft_in_place, Complex};
 use rc_ml::Classifier;
 use rc_trace::arrival::gamma_fn;
@@ -13,6 +13,14 @@ use rc_types::buckets::{
 };
 use rc_types::telemetry::UtilReading;
 use rc_types::time::{Duration, Timestamp};
+
+mod common;
+
+/// Keys the cache-oracle property draws from: both ends of the key space
+/// (an empty-slot sentinel must never shadow a legal key), neighbours that
+/// share probe runs, and enough others to overflow small capacities.
+const ORACLE_KEYS: [u64; 12] =
+    [0, u64::MAX, 1, 2, 3, u64::MAX - 1, 1 << 32, (1 << 32) + 1, 0xDEAD_BEEF, 97, 98, 99];
 
 proptest! {
     // --- Bucketizers: total and monotone (Table 3 semantics) ---
@@ -149,12 +157,57 @@ proptest! {
         capacity in 1usize..64,
         ops in proptest::collection::vec((any::<u64>(), 0usize..4), 1..300),
     ) {
-        let mut cache = ResultCache::new(capacity);
+        let cache = ShardedResultCache::new(capacity, 1);
         for (key, value) in ops {
             cache.insert(key, Prediction { value, score: 0.5 });
             prop_assert!(cache.len() <= capacity);
             // Whatever was just inserted is retrievable.
             prop_assert_eq!(cache.get(key).map(|p| p.value), Some(value));
+        }
+    }
+
+    // Random get / insert / insert_batch / clear sequences through a
+    // one-shard table and the pre-sharding `ResultCache` kept as its
+    // oracle: same answers, same evicted flags, same `len()`, same
+    // counters, after every step.
+    #[test]
+    fn sharded_cache_matches_the_reference_oracle(
+        capacity in 1usize..10,
+        ops in proptest::collection::vec((0u8..16, 0usize..ORACLE_KEYS.len(), 0usize..4), 1..400),
+    ) {
+        let cache = ShardedResultCache::new(capacity, 1);
+        let mut oracle = common::ResultCache::new(capacity);
+        let pred = |key: u64, value: usize| Prediction { value, score: (key % 101) as f64 / 100.0 };
+        for (step, &(op, pick, value)) in ops.iter().enumerate() {
+            let key = ORACLE_KEYS[pick];
+            match op {
+                0..=5 => prop_assert_eq!(cache.get(key), oracle.get(key), "get {}", key),
+                6..=12 => prop_assert_eq!(
+                    cache.insert(key, pred(key, value)),
+                    oracle.insert(key, pred(key, value)),
+                    "insert {}", key
+                ),
+                13..=14 => {
+                    // A batch of the next few ops' keys, duplicates included.
+                    let batch: Vec<(u64, Prediction)> = ops[step..]
+                        .iter()
+                        .take(5)
+                        .map(|&(_, pick, value)| (ORACLE_KEYS[pick], pred(ORACLE_KEYS[pick], value)))
+                        .collect();
+                    let evicted = batch.iter().filter(|&&(k, p)| oracle.insert(k, p)).count();
+                    prop_assert_eq!(cache.insert_batch(&batch), evicted as u64);
+                }
+                _ => {
+                    cache.clear();
+                    oracle.clear();
+                }
+            }
+            prop_assert_eq!(cache.len(), oracle.len());
+            prop_assert_eq!(cache.stats(), oracle.stats());
+        }
+        // Full scan: the two agree on every key that was ever in play.
+        for key in ORACLE_KEYS {
+            prop_assert_eq!(cache.get(key), oracle.get(key), "final scan {}", key);
         }
     }
 
@@ -238,6 +291,63 @@ fn forest_probabilities_on_simplex_for_wild_inputs() {
         assert_eq!(p.len(), 3);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-5, "{p:?}");
         assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)), "{p:?}");
+    }
+}
+
+/// The arena walk on real pipeline output, two trace seeds, rows with NaN
+/// and both infinities mixed in: the stack-scratch `predict` names the
+/// first maximum of the full `predict_proba` vector, and a model decoded
+/// from its own bytes (validated arena and all) answers bit for bit the
+/// same. The walk itself is pinned against the pre-arena `Node` walk in
+/// `rc-ml`'s unit tests, where the builder's node lists are visible.
+#[test]
+fn pipeline_models_predict_identically_through_stack_vec_and_wire() {
+    use rc_core::{run_pipeline, PipelineConfig, TrainedModel};
+    use rc_trace::{Trace, TraceConfig};
+    for seed in [0x5059_2017u64, 0xC0FFEE] {
+        let trace = Trace::generate(&TraceConfig {
+            seed,
+            target_vms: 3_000,
+            n_subscriptions: 150,
+            days: 24,
+            ..TraceConfig::small()
+        });
+        let output = run_pipeline(&trace, &PipelineConfig::fast(24)).expect("pipeline");
+        assert_eq!(output.models.len(), 6);
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for model in &output.models {
+            let decoded: TrainedModel =
+                rc_ml::from_bytes(&rc_ml::to_bytes(model)).expect("decodes");
+            for _ in 0..500 {
+                let row: Vec<f64> = (0..model.spec.n_features())
+                    .map(|_| match next() % 12 {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        _ => (next() % 20_000) as f64 / 1_000.0 - 4.0,
+                    })
+                    .collect();
+                let probs = model.predict_proba(&row);
+                let (value, score) = model.predict(&row);
+                let first_max = probs.iter().position(|&p| p == score).expect("score is a class's");
+                assert_eq!(value, first_max, "{:?}: first-max tie-break", model.spec.metric);
+                assert!(probs.iter().all(|&p| p <= score));
+                let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&probs),
+                    bits(&decoded.predict_proba(&row)),
+                    "{:?}",
+                    model.spec.metric
+                );
+                assert_eq!(decoded.predict(&row), (value, score));
+            }
+        }
     }
 }
 

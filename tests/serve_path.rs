@@ -1,9 +1,10 @@
 //! Lock-free serve-path regressions: model swap-in racing
-//! `predict_single`, zero heap allocations on the cache-hit path, and a
-//! seeded concurrency stress of the RCU result cache with full-scan
-//! oracle reconciliation.
+//! `predict_single`, zero heap allocations on the cache-hit path and on a
+//! miss into a full cache, and seeded concurrency stresses of the result
+//! cache (mixed traffic, and one writer against three readers per shard)
+//! with full-scan oracle reconciliation.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use rc_core::labels::vm_inputs;
@@ -161,13 +162,67 @@ fn hit_path_is_allocation_free() {
     assert_eq!(allocs, 0, "cache-hit predict_single allocated {allocs} times in 10k calls");
 }
 
-/// Deterministic value for a stress key; a torn chunk publish would
-/// surface as a key answering some other key's prediction.
+/// The miss path's claim, next to the hit path's: with the result cache
+/// full, a warmed `predict_single` that assembles features, walks the
+/// model, inserts and evicts performs zero heap allocations, for every
+/// one of the six models.
+#[test]
+fn miss_path_is_allocation_free() {
+    const CAPACITY: usize = 64;
+    let (trace, store, _) = world();
+    let config = ClientConfig {
+        result_cache_capacity: CAPACITY,
+        result_cache_shards: 4,
+        ..ClientConfig::default()
+    };
+    let client = RcClient::new(store, config);
+    assert!(client.initialize());
+
+    // Inputs the world answers, each moved to deployment days of its own
+    // so that every request below is a key the cache has never seen.
+    let templates: Vec<_> = (0..trace.n_vms() as u64)
+        .map(|i| vm_inputs(&trace, VmId(i)))
+        .filter(|inp| client.predict_single("VM_P95UTIL", inp).is_predicted())
+        .take(32)
+        .collect();
+    assert_eq!(templates.len(), 32, "world must answer a healthy share of inputs");
+    let models = client.get_available_models();
+    assert_eq!(models.len(), 6);
+    let mut day = 10_000;
+    let mut fresh = |i: usize| {
+        day += 1;
+        let mut inp = templates[i % templates.len()];
+        inp.deployment_time = rc_types::time::Timestamp::from_days(day);
+        inp
+    };
+
+    // Warm-up: fills every shard to the brim and touches every lazy
+    // structure on the path; these calls may allocate.
+    for i in 0..8 * CAPACITY {
+        let _ = client.predict_single(&models[i % 6], &fresh(i));
+    }
+    assert_eq!(client.result_cache_len(), CAPACITY, "the cache must be full before measuring");
+
+    let stats = client.result_cache_stats();
+    let before = rc_obs::thread_allocations();
+    for i in 0..6_000 {
+        let response = client.predict_single(&models[i % 6], &fresh(i));
+        assert!(std::hint::black_box(response).is_predicted());
+    }
+    let allocs = rc_obs::thread_allocations() - before;
+    let after = client.result_cache_stats();
+    assert_eq!(after.misses - stats.misses, 6_000, "every measured call was a miss");
+    assert_eq!(after.evictions - stats.evictions, 6_000, "every measured insert evicted");
+    assert_eq!(allocs, 0, "a miss into a full cache allocated {allocs} times in 6k calls");
+}
+
+/// Deterministic value for a stress key; a torn read would surface as a
+/// key answering some other key's prediction.
 fn oracle_prediction(key: u64) -> Prediction {
     Prediction { value: (key % 7) as usize, score: (key % 100) as f64 / 100.0 }
 }
 
-/// Seeded stress of the RCU result cache: concurrent get/insert/evict
+/// Seeded stress of the result cache: concurrent get/insert/evict
 /// across shards, then full-scan oracle reconciliation — every cached
 /// value is the one its key deterministically maps to, the scan finds
 /// exactly `len()` entries, entries never exceed capacity, and the exact
@@ -238,6 +293,179 @@ fn rcu_cache_stress_reconciles_with_oracle() {
             }
         }
         assert_eq!(found, live, "seed {seed:#x}: scan count must equal the shards' len()");
+    }
+}
+
+/// Torn-read stress of the in-place table: per shard, one writer inserts
+/// a stream of new keys (evicting FIFO once the shard is full) and keeps
+/// overwriting recent ones with new generations, while three readers
+/// look the recent keys up. Every stored `(value, score)` pair satisfies
+/// `score bits == mix(key, value)`, so a reader that saw the value of one
+/// write and the score of another — or another key's pair, mid
+/// backward-shift — is caught. A key that is provably resident for the
+/// whole lookup (inserted before it started, fewer than a shard's
+/// capacity of inserts begun after it when it ended) must never read as
+/// absent. Afterwards the counters reconcile and a full scan finds
+/// exactly the last `capacity` keys of each shard.
+#[test]
+fn seqlock_table_never_tears_under_one_writer_three_readers_per_shard() {
+    const SHARDS: usize = 2;
+    const PER_SHARD: usize = 128;
+    const INSERTS: usize = 12_000;
+    const READERS: usize = 3;
+
+    fn mix(key: u64, value: usize) -> u64 {
+        let mut z = key ^ (value as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z ^ (z >> 31)
+    }
+    fn pair(key: u64, generation: usize) -> Prediction {
+        Prediction { value: generation, score: f64::from_bits(mix(key, generation)) }
+    }
+    fn check(key: u64, p: Prediction) {
+        assert_eq!(p.score.to_bits(), mix(key, p.value), "torn pair under key {key:#x}: {p:?}");
+    }
+
+    /// Tells the other threads that one of them died, so that nobody waits
+    /// for its progress and the failure surfaces instead of a hang.
+    struct FlagOnPanic<'a>(&'a AtomicBool);
+    impl Drop for FlagOnPanic<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+    }
+
+    for seed in [0x5059_2017u64, 0xDEAD_BEEF, 0x1234_5678] {
+        let cache = ShardedResultCache::new(SHARDS * PER_SHARD, SHARDS);
+        // Each shard's key stream: distinct keys that route to it.
+        let streams: Vec<Vec<u64>> = (0..SHARDS)
+            .map(|shard| {
+                let mut state = seed ^ (shard as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F);
+                let mut keys = Vec::with_capacity(INSERTS);
+                let mut seen = std::collections::HashSet::new();
+                while keys.len() < INSERTS {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    if cache.shard_index(state) == shard && seen.insert(state) {
+                        keys.push(state);
+                    }
+                }
+                keys
+            })
+            .collect();
+        // Per shard: inserts begun and finished (readers bracket a lookup
+        // with `finished` before and `begun` after), and lookups made.
+        let counters = || (0..SHARDS).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        let (begun, finished, looked) = (counters(), counters(), counters());
+        let died = AtomicBool::new(false);
+        let barrier = Barrier::new(SHARDS * (1 + READERS));
+        let (mut lookups, mut guaranteed) = (0u64, 0u64);
+
+        std::thread::scope(|scope| {
+            let mut readers = Vec::new();
+            for (shard, keys) in streams.iter().enumerate() {
+                let (cache, barrier) = (&cache, &barrier);
+                let (begun, finished, looked) = (&begun[shard], &finished[shard], &looked[shard]);
+                let died = &died;
+                scope.spawn(move || {
+                    let _flag = FlagOnPanic(died);
+                    barrier.wait();
+                    for (n, &key) in keys.iter().enumerate() {
+                        // Pace the writer by its readers, so that lookups
+                        // and writes interleave for the whole run on any box.
+                        while looked.load(Ordering::Relaxed) < n as u64 / 4
+                            && !died.load(Ordering::SeqCst)
+                        {
+                            std::thread::yield_now();
+                        }
+                        begun.store(n as u64 + 1, Ordering::SeqCst);
+                        let evicted = cache.insert(key, pair(key, 0));
+                        assert_eq!(evicted, n >= PER_SHARD, "FIFO evicts exactly once full");
+                        finished.store(n as u64 + 1, Ordering::SeqCst);
+                        // Overwrite one of the newer half of the resident
+                        // keys in place with a new generation.
+                        let recent = keys[n - (n * 31 % (PER_SHARD / 2)).min(n)];
+                        assert!(
+                            !cache.insert(recent, pair(recent, n + 1)),
+                            "overwrites evict nothing"
+                        );
+                    }
+                });
+                for r in 0..READERS {
+                    readers.push(scope.spawn(move || {
+                        let _flag = FlagOnPanic(died);
+                        barrier.wait();
+                        let mut state = seed ^ (r as u64 + 7).wrapping_mul(0xE703_7ED1_A0B4_28DB);
+                        let (mut lookups, mut guaranteed) = (0u64, 0u64);
+                        loop {
+                            let done = finished.load(Ordering::SeqCst) as usize;
+                            if done == INSERTS || died.load(Ordering::SeqCst) {
+                                return (lookups, guaranteed);
+                            }
+                            if done == 0 {
+                                std::thread::yield_now();
+                                continue;
+                            }
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            // One of the newer half of the resident keys.
+                            let n = done - 1 - state as usize % done.min(PER_SHARD / 2);
+                            let found = cache.get(keys[n]);
+                            lookups += 1;
+                            looked.fetch_add(1, Ordering::Relaxed);
+                            if let Some(p) = found {
+                                check(keys[n], p);
+                            }
+                            // Insert `m` evicts key `m - PER_SHARD`, so key
+                            // `n` stayed resident if no insert past
+                            // `n + PER_SHARD` had begun when the lookup
+                            // returned.
+                            if (begun.load(Ordering::SeqCst) as usize) < n + PER_SHARD {
+                                guaranteed += 1;
+                                assert!(
+                                    found.is_some(),
+                                    "resident key {n} of shard {shard} read as absent"
+                                );
+                            }
+                        }
+                    }));
+                }
+            }
+            for reader in readers {
+                let (l, g) = reader.join().expect("reader");
+                lookups += l;
+                guaranteed += g;
+            }
+        });
+        assert!(lookups >= (SHARDS * INSERTS / 4) as u64, "seed {seed:#x}: readers kept pace");
+        assert!(guaranteed > 0, "seed {seed:#x}: the residency check never applied");
+
+        // Full-scan oracle: exactly the last PER_SHARD keys of each stream
+        // are resident, each with a pair that satisfies the invariant.
+        assert_eq!(cache.len(), SHARDS * PER_SHARD);
+        let mut scanned = 0u64;
+        for keys in &streams {
+            for (n, &key) in keys.iter().enumerate() {
+                let found = cache.get(key);
+                scanned += 1;
+                assert_eq!(found.is_some(), n >= INSERTS - PER_SHARD, "seed {seed:#x}: key {n}");
+                if let Some(p) = found {
+                    check(key, p);
+                }
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            stats.hits + stats.misses,
+            lookups + scanned,
+            "seed {seed:#x}: every get counted"
+        );
+        assert_eq!(stats.insertions, 2 * (SHARDS * INSERTS) as u64);
+        assert_eq!(stats.evictions, (SHARDS * (INSERTS - PER_SHARD)) as u64);
     }
 }
 
