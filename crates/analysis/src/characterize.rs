@@ -6,7 +6,7 @@
 use serde::{Deserialize, Serialize};
 
 use rc_core::labels::classify_vm;
-use rc_ml::fft::PeriodicityConfig;
+use rc_ml::fft::{PeriodicityConfig, PeriodicityDetector};
 use rc_trace::Trace;
 use rc_types::time::Timestamp;
 use rc_types::vm::{Party, RegionId, VmType};
@@ -189,14 +189,14 @@ pub struct ClassCoreHours {
 
 /// Computes Figure 6 by running the FFT classifier over the trace.
 pub fn class_core_hours(trace: &Trace) -> ClassCoreHours {
-    let cfg = PeriodicityConfig::default();
+    let mut detector = PeriodicityDetector::new(PeriodicityConfig::default());
     // Accumulators: [DI, interactive, unknown] core-hours per party.
     let mut acc: [[f64; 3]; 2] = [[0.0; 3]; 2];
     for id in trace.vm_ids() {
         let vm = trace.vm(id);
         let end = vm.deleted.min(trace.window_end());
         let ch = vm.sku.cores as f64 * end.since(vm.created).as_hours_f64();
-        let class = classify_vm(trace, id, vm.lifetime(), &cfg);
+        let class = classify_vm(trace, id, &mut detector);
         let slot = match class {
             Some(0) => 0,
             Some(_) => 1,
@@ -250,7 +250,7 @@ pub fn metric_correlations(trace: &Trace, party: Option<Party>) -> CorrelationMa
     for vm in &trace.vms {
         *groups.entry((vm.subscription.0, vm.region.0, vm.created.day_index())).or_default() += 1;
     }
-    let cfg = PeriodicityConfig::default();
+    let mut detector = PeriodicityDetector::new(PeriodicityConfig::default());
     let mut avg_col = Vec::new();
     let mut p95_col = Vec::new();
     let mut cores_col = Vec::new();
@@ -263,7 +263,7 @@ pub fn metric_correlations(trace: &Trace, party: Option<Party>) -> CorrelationMa
         if party.is_some_and(|p| vm.party != p) {
             continue;
         }
-        let Some(class) = classify_vm(trace, id, vm.lifetime(), &cfg) else {
+        let Some(class) = classify_vm(trace, id, &mut detector) else {
             continue;
         };
         let (avg, p95) = trace.vm_util_summary(id, UTIL_SAMPLES);

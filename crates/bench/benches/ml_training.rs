@@ -1,11 +1,15 @@
 //! Criterion benches for the learning substrate: tree / forest / boosting
-//! training throughput and FFT classification.
+//! training throughput, FFT classification, and the label extraction
+//! around it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rc_core::label_vms;
 use rc_ml::{
     detect_diurnal_periodicity, BinnedDataset, Dataset, DecisionTree, GradientBoosting,
-    GradientBoostingConfig, PeriodicityConfig, RandomForest, RandomForestConfig, TreeConfig,
+    GradientBoostingConfig, PeriodicityConfig, PeriodicityDetector, RandomForest,
+    RandomForestConfig, TreeConfig,
 };
+use rc_trace::{Trace, TraceConfig};
 
 fn synthetic(n: usize, nf: usize) -> Dataset {
     let mut d = Dataset::new(nf, 4);
@@ -52,6 +56,32 @@ fn bench_training(c: &mut Criterion) {
         .collect();
     c.bench_function("fft_periodicity_6day_series", |b| {
         b.iter(|| detect_diurnal_periodicity(&series, &PeriodicityConfig::default()))
+    });
+
+    // The control loop's window (seed 19 of the benchmark's `LOOP_SEEDS`:
+    // 2,788 VMs, 190 of them observed for three days or more).
+    let window = Trace::generate(&TraceConfig {
+        seed: 19u64.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
+        days: 18,
+        n_subscriptions: 100,
+        target_vms: 2_600,
+        n_regions: 2,
+    });
+    c.bench_function("label_vms_loop_window", |b| b.iter(|| label_vms(&window, 120)));
+
+    // One long-lived VM of that window through `Trace::workload_class`:
+    // generate its six-day series, transform, test — with the detector
+    // kept across calls, as label extraction keeps it.
+    let long_lived = window
+        .vm_ids()
+        .find(|&id| {
+            let (first, last) = window.vm_slots(id);
+            last - first >= 6 * 288
+        })
+        .expect("a loop window holds VMs observed for six days");
+    let mut detector = PeriodicityDetector::new(PeriodicityConfig::default());
+    c.bench_function("classify_one_6day_vm", |b| {
+        b.iter(|| window.workload_class(long_lived, &mut detector))
     });
 }
 

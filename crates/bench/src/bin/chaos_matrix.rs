@@ -257,7 +257,10 @@ fn main() {
         .set_config("fault_tick", FAULT_TICK)
         .set_config("window_vms", window_vms as u64)
         .set_result("matrix", &rows)
-        .set_result("violations", &violations);
+        .set_result("violations", &violations)
+        // The tick's stage budget: median per stage over every scenario's
+        // ticks the tracer still holds.
+        .set_span_medians(rc_obs::global_tracer(), "loop.");
     match report.write_default("BENCH_chaos.json") {
         Ok(path) => eprintln!("report: {}", path.display()),
         Err(e) => eprintln!("report write failed: {e}"),

@@ -228,7 +228,9 @@ fn main() {
         .set_config("watch_ticks", config.watch_ticks)
         .set_result("summary", &summary)
         .set_result("accuracy_gain", summary.live_accuracy - summary.frozen_accuracy)
-        .set_counter_deltas(&after, &before);
+        .set_counter_deltas(&after, &before)
+        // The tick's stage budget: median per stage over the soak's ticks.
+        .set_span_medians(rc_obs::global_tracer(), "loop.");
     match report.write_default("BENCH_loop.json") {
         Ok(path) => eprintln!("report: {}", path.display()),
         Err(e) => eprintln!("report write failed: {e}"),

@@ -7,8 +7,11 @@
 //!
 //! With two files, both must validate and their deterministic views
 //! (every section except the wall-clock `quantiles`/`spans`) must be
-//! byte-identical — the double-run reproducibility contract. Exits
-//! non-zero on any failure, so CI needs no jq.
+//! byte-identical — the double-run reproducibility contract, and, with
+//! the committed `BENCH_*.json` as the second file, the gate that a
+//! change which moves a tick, an accuracy or an event has to regenerate
+//! the report on purpose. Exits non-zero on any failure, so CI needs no
+//! jq.
 
 use std::path::Path;
 

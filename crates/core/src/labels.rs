@@ -6,23 +6,17 @@
 //! also get an FFT workload-class label (§3.6); every deployment yields
 //! max-size labels.
 
-use rc_ml::fft::{detect_diurnal_periodicity, PeriodicityConfig};
+use rc_ml::fft::{PeriodicityConfig, PeriodicityDetector};
 use rc_trace::Trace;
 use rc_types::buckets::{
     Bucketizer, DeploymentSizeBucketizer, LifetimeBucketizer, UtilizationBucketizer,
 };
-use rc_types::time::Duration;
 use rc_types::vm::{OsType, VmId};
 
 use crate::features::{DeploymentObservation, VmObservation};
 use crate::inputs::ClientInputs;
 
-/// Days of telemetry required before the FFT classifier will label a VM.
-pub const CLASSIFY_MIN_DAYS: f64 = 3.0;
-
-/// Maximum days of telemetry fed to the FFT (longer series are truncated;
-/// 6 days is plenty to resolve a diurnal peak).
-pub const CLASSIFY_MAX_DAYS: f64 = 6.0;
+pub use rc_trace::{CLASSIFY_MAX_DAYS, CLASSIFY_MIN_DAYS};
 
 /// One labelled VM example.
 #[derive(Debug, Clone)]
@@ -51,34 +45,42 @@ pub struct LabeledDeployment {
     pub completed_secs: u64,
 }
 
-/// Extracts labelled VM examples, sorted by creation time.
+/// Labelled VM examples in creation order, each extracted when the
+/// iterator reaches it: a consumer that scores a prefix of the window pays
+/// for that prefix.
 ///
 /// `max_util_samples` bounds the telemetry read per VM when summarizing
-/// utilization (long-lived VMs are strided).
-pub fn label_vms(trace: &Trace, max_util_samples: usize) -> Vec<LabeledVm> {
+/// utilization (long-lived VMs are strided). The iterator owns the
+/// extraction's working memory — the sampled maxima and the FFT
+/// detector's plan and buffers — and reuses it from VM to VM.
+pub fn labels(trace: &Trace, max_util_samples: usize) -> impl Iterator<Item = LabeledVm> + '_ {
     let util_b = UtilizationBucketizer;
     let life_b = LifetimeBucketizer;
-    let fft_cfg = PeriodicityConfig::default();
-    let mut out = Vec::with_capacity(trace.n_vms());
-    for id in trace.vm_ids() {
+    let mut detector = PeriodicityDetector::new(PeriodicityConfig::default());
+    let mut maxes = Vec::new();
+    trace.vm_ids().map(move |id| {
         let vm = trace.vm(id);
         // VMs shorter than one telemetry interval still get labelled:
-        // `vm_util_summary` falls back to the model's targets when the
+        // `summarize_with` falls back to the model's targets when the
         // slot range is empty (a sub-5-minute VM has one partial reading
         // in production; its parameters are the best estimate of it).
-        let (avg, p95) = trace.vm_util_summary(id, max_util_samples);
+        let (first_slot, last_slot) = trace.vm_slots(id);
+        let (avg, p95) = trace.util_params(id).summarize_with(
+            first_slot,
+            last_slot,
+            max_util_samples,
+            &mut maxes,
+        );
         let lifetime = vm.lifetime();
-        let class = classify_vm(trace, id, lifetime, &fft_cfg);
-        let inputs = vm_inputs(trace, id);
-        out.push(LabeledVm {
+        LabeledVm {
             vm_id: id,
-            inputs,
+            inputs: vm_inputs(trace, id),
             obs: VmObservation {
                 created_secs: vm.created.as_secs(),
                 avg_bucket: util_b.bucket(&avg),
                 p95_bucket: util_b.bucket(&p95),
                 lifetime_bucket: life_b.bucket(&lifetime),
-                class,
+                class: classify_vm(trace, id, &mut detector),
                 cores: vm.sku.cores,
                 memory_gb: vm.sku.memory_gb,
                 os_windows: vm.os == OsType::Windows,
@@ -87,38 +89,21 @@ pub fn label_vms(trace: &Trace, max_util_samples: usize) -> Vec<LabeledVm> {
                 lifetime_secs: lifetime.as_secs(),
             },
             completed_secs: vm.deleted.as_secs(),
-        });
-    }
-    out
+        }
+    })
 }
 
-/// Runs the FFT periodicity analysis on a VM's average-utilization series.
-///
-/// Returns `Some(0)` for delay-insensitive, `Some(1)` for interactive,
-/// `None` ("Unknown") when the VM lived less than [`CLASSIFY_MIN_DAYS`]
-/// inside the observation window.
-pub fn classify_vm(
-    trace: &Trace,
-    id: VmId,
-    lifetime: Duration,
-    cfg: &PeriodicityConfig,
-) -> Option<usize> {
-    if lifetime.as_days_f64() < CLASSIFY_MIN_DAYS {
-        return None;
-    }
-    let (first_slot, last_slot) = trace.vm_slots(id);
-    let observed_days = (last_slot - first_slot) as f64 * 300.0 / 86_400.0;
-    if observed_days < CLASSIFY_MIN_DAYS {
-        return None;
-    }
-    let max_slots = (CLASSIFY_MAX_DAYS * 288.0) as u64;
-    let last = last_slot.min(first_slot + max_slots);
-    let series = trace.util_params(id).avg_series(first_slot, last);
-    let result = detect_diurnal_periodicity(&series, cfg);
-    if !result.enough_data {
-        return None;
-    }
-    Some(usize::from(result.periodic))
+/// Extracts every labelled VM example, sorted by creation time; see
+/// [`labels`].
+pub fn label_vms(trace: &Trace, max_util_samples: usize) -> Vec<LabeledVm> {
+    labels(trace, max_util_samples).collect()
+}
+
+/// [`Trace::workload_class`] as the class model's label: `Some(0)` for
+/// delay-insensitive, `Some(1)` for interactive, `None` ("Unknown") when
+/// the VM was observed for less than [`CLASSIFY_MIN_DAYS`].
+pub fn classify_vm(trace: &Trace, id: VmId, detector: &mut PeriodicityDetector) -> Option<usize> {
+    trace.workload_class(id, detector).map(usize::from)
 }
 
 /// The client inputs a scheduler would pass when placing this VM.
@@ -220,6 +205,47 @@ mod tests {
                 assert_eq!(l.obs.class, None);
             }
         }
+    }
+
+    #[test]
+    fn a_prefix_of_the_iterator_is_a_prefix_of_the_vector_and_extracts_nothing_else() {
+        let mut t = trace();
+        let all = label_vms(&t, 200);
+        let n = 700;
+        assert!(all[..n].iter().any(|l| l.obs.class.is_some()), "the prefix reaches the FFT");
+        // Past the prefix, every VM's utilization model is poison:
+        // summarizing one panics (`expect("finite utils")` at the latest),
+        // so getting through `take(n)` shows none of them was touched.
+        for util in &mut t.util[n..] {
+            util.base = f64::NAN;
+            util.p95_level = f64::NAN;
+        }
+        let prefix: Vec<LabeledVm> = labels(&t, 200).take(n).collect();
+        assert_eq!(format!("{prefix:?}"), format!("{:?}", &all[..n]));
+        let past = std::panic::catch_unwind(|| labels(&t, 200).skip(n).for_each(drop));
+        assert!(past.is_err(), "a poisoned VM does panic when it is reached");
+    }
+
+    #[test]
+    fn dataset_export_carries_the_same_class_as_the_labels() {
+        // One §3.6 rule (`Trace::workload_class`) behind both the class
+        // model's labels and the public-dataset `vmcategory` column.
+        let t = trace();
+        let rows = rc_trace::vm_table(&t, 60);
+        let labels = label_vms(&t, 200);
+        assert_eq!(rows.len(), labels.len());
+        let mut classified = 0;
+        for (row, label) in rows.iter().zip(&labels) {
+            assert_eq!(row.vmid, label.vm_id.0);
+            let expect = match label.obs.class {
+                None => "Unknown",
+                Some(0) => "Delay-insensitive",
+                Some(_) => "Interactive",
+            };
+            assert_eq!(row.vmcategory, expect, "VM {}", row.vmid);
+            classified += usize::from(label.obs.class.is_some());
+        }
+        assert!(classified > 20, "need some classified VMs, got {classified}");
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! journals and summaries.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
+use rc_core::labels::labels;
 use rc_core::{
-    cleanup, label_deployments, label_vms, run_pipeline, ClientInputs, LabeledDeployment,
-    LabeledVm, PipelineConfig, PublishGate, SubscriptionFeatures, TrainedModel,
+    cleanup, label_deployments, run_pipeline, ClientInputs, LabeledDeployment, LabeledVm,
+    PipelineConfig, PublishGate, SubscriptionFeatures, TrainedModel,
 };
-use rc_ml::Classifier;
 use rc_obs::{
     acc_gauge_name, counts_psi, AccuracyTracker, Counter, DriftConfig, DriftSignal,
     LeadingDriftConfig, LeadingDriftMonitor, Registry, WindowSketch,
@@ -324,25 +325,51 @@ pub struct LoopSummary {
 }
 
 /// One resident model/feature set, decoded out of a published version.
-#[derive(Clone)]
 struct ModelSet {
-    /// `(model_name, model)` in manifest order.
-    models: Vec<(String, TrainedModel)>,
+    /// In manifest order.
+    models: Vec<TrainedModel>,
     features: HashMap<SubscriptionId, SubscriptionFeatures>,
     version: u64,
     digest: u64,
 }
 
 impl ModelSet {
-    fn model(&self, name: &str) -> Option<&TrainedModel> {
-        self.models.iter().find(|(n, _)| n == name).map(|(_, m)| m)
+    fn predictor(&self) -> Predictor<'_> {
+        Predictor::new(&self.models, &self.features)
+    }
+}
+
+/// Models and the feature records they read, borrowed from wherever they
+/// live (a resident [`ModelSet`], a pipeline's output) with each metric's
+/// model looked up once instead of once per prediction.
+#[derive(Clone, Copy)]
+struct Predictor<'a> {
+    /// By [`PredictionMetric::index`].
+    models: [Option<&'a TrainedModel>; 6],
+    features: &'a HashMap<SubscriptionId, SubscriptionFeatures>,
+}
+
+impl<'a> Predictor<'a> {
+    fn new(
+        models: &'a [TrainedModel],
+        features: &'a HashMap<SubscriptionId, SubscriptionFeatures>,
+    ) -> Self {
+        let mut by_metric = [None; 6];
+        for model in models {
+            // First wins, as a scan of the list for the name did.
+            by_metric[model.spec.metric.index()].get_or_insert(model);
+        }
+        Predictor { models: by_metric, features }
     }
 
-    fn predict(&self, name: &str, inputs: &ClientInputs) -> Option<usize> {
-        let model = self.model(name)?;
+    fn has_model(&self, metric: PredictionMetric) -> bool {
+        self.models[metric.index()].is_some()
+    }
+
+    fn predict(&self, metric: PredictionMetric, inputs: &ClientInputs) -> Option<usize> {
+        let model = self.models[metric.index()]?;
         let sub = self.features.get(&inputs.subscription)?;
-        let features = model.spec.features(inputs, sub);
-        Some(model.predict(&features).0)
+        Some(model.predict_for(inputs, sub).value)
     }
 }
 
@@ -438,9 +465,9 @@ pub struct LoopController {
     /// Input-distribution monitor; baseline installed at promotion.
     leading: LeadingDriftMonitor,
     counters: LoopCounters,
-    serving: Option<ModelSet>,
+    serving: Option<Arc<ModelSet>>,
     /// The first promoted set, frozen, for the no-retrain baseline.
-    frozen: Option<ModelSet>,
+    frozen: Option<Arc<ModelSet>>,
     quarantine: QuarantineSet,
     phase: Phase,
     tick: u32,
@@ -547,23 +574,36 @@ impl LoopController {
             self.journal_chaos(tick, "manual_publish".to_string());
         }
 
-        // 1. Ingest the next rolling window and sketch its feature
-        // distributions.
+        // 1. Ingest the next rolling window, sketch its feature
+        // distributions, and extract the labels this tick scores: the
+        // first `eval_per_tick` of each kind. (A retrain labels the whole
+        // window itself, inside `run_pipeline`.)
+        let tracer = rc_obs::global_tracer();
+        let span = tracer.span("loop.ingest");
         let window = self.ingest_window(tick);
+        span.finish();
+        let span = tracer.span("loop.sketch");
         let sketch = sketch_window(&window);
-        let vms = label_vms(&window, 120);
-        let deployments = label_deployments(&window);
-        let eval_vms = &vms[..vms.len().min(self.config.eval_per_tick)];
-        let eval_deps = &deployments[..deployments.len().min(self.config.eval_per_tick)];
+        span.finish();
+        let mut span = tracer.span("loop.label");
+        let eval_vms: Vec<LabeledVm> =
+            labels(&window, 120).take(self.config.eval_per_tick).collect();
+        let mut eval_deps = label_deployments(&window);
+        eval_deps.truncate(self.config.eval_per_tick);
+        span.record("vms", eval_vms.len() as u64).record("deployments", eval_deps.len() as u64);
+        span.finish();
 
         // 2. Serve the window through the published models and score it.
-        self.evaluate_live(tick, eval_vms, eval_deps);
+        let span = tracer.span("loop.evaluate");
+        self.evaluate_live(tick, &eval_vms, &eval_deps);
         self.tracker.tick();
         self.registry.tick();
+        span.finish();
 
         // 3a. Consult the leading (input-distribution) monitor — this
         // sees the shifted window immediately, before mispredictions
         // have accumulated into the label-based signal.
+        let span = tracer.span("loop.react");
         for obs in self.leading.observe(&sketch) {
             if obs.tripped {
                 self.journal.push(TickEvent {
@@ -597,11 +637,16 @@ impl LoopController {
         }
         if self.phase == Phase::Steady {
             if let Some(reason) = self.retrain_reason(tick, &drifting) {
-                let ingested =
-                    IngestedWindow { window: &window, sketch: &sketch, eval_vms, eval_deps };
+                let ingested = IngestedWindow {
+                    window: &window,
+                    sketch: &sketch,
+                    eval_vms: &eval_vms,
+                    eval_deps: &eval_deps,
+                };
                 self.do_retrain(tick, reason, &ingested, &mut degraded);
             }
         }
+        span.finish();
 
         // 5. Close the tick: heal chaos, refresh gauges.
         self.store.heal();
@@ -716,42 +761,33 @@ impl LoopController {
     /// Replays the evaluation slice through the serving and frozen sets,
     /// feeding the drift monitor with the serving side's outcomes.
     fn evaluate_live(&mut self, tick: u32, vms: &[LabeledVm], deployments: &[LabeledDeployment]) {
-        let Some(serving) = self.serving.clone() else { return };
-        let frozen = self.frozen.clone();
+        let Some(serving) = &self.serving else { return };
+        let serving = serving.predictor();
+        let frozen = self.frozen.as_deref().map(ModelSet::predictor);
         let mut next_id = (tick as u64) << 32;
-        let mut score = |set_live: &ModelSet,
-                         metric: PredictionMetric,
-                         inputs: &ClientInputs,
-                         truth: usize,
-                         live: &mut Tally,
-                         tracker: &AccuracyTracker| {
-            if let Some(predicted) = set_live.predict(metric.model_name(), inputs) {
+        let mut score = |metric: PredictionMetric, inputs: &ClientInputs, truth: usize| {
+            if let Some(predicted) = serving.predict(metric, inputs) {
                 let id = next_id;
                 next_id += 1;
-                tracker.record_prediction(metric.model_name(), id, predicted);
-                tracker.record_outcome(metric.model_name(), id, truth);
-                live.record(metric, predicted == truth);
+                self.tracker.record_prediction(metric.model_name(), id, predicted);
+                self.tracker.record_outcome(metric.model_name(), id, truth);
+                self.live.record(metric, predicted == truth);
+            }
+            if let Some(predicted) = frozen.and_then(|f| f.predict(metric, inputs)) {
+                self.frozen_tally.record(metric, predicted == truth);
             }
         };
         for vm in vms {
             for metric in vm_metrics() {
-                let Some(truth) = vm_truth(metric, vm) else { continue };
-                score(&serving, metric, &vm.inputs, truth, &mut self.live, &self.tracker);
-                if let Some(frozen) = &frozen {
-                    if let Some(predicted) = frozen.predict(metric.model_name(), &vm.inputs) {
-                        self.frozen_tally.record(metric, predicted == truth);
-                    }
+                if let Some(truth) = vm_truth(metric, vm) {
+                    score(metric, &vm.inputs, truth);
                 }
             }
         }
         for dep in deployments {
             for metric in deployment_metrics() {
-                let Some(truth) = deployment_truth(metric, dep) else { continue };
-                score(&serving, metric, &dep.inputs, truth, &mut self.live, &self.tracker);
-                if let Some(frozen) = &frozen {
-                    if let Some(predicted) = frozen.predict(metric.model_name(), &dep.inputs) {
-                        self.frozen_tally.record(metric, predicted == truth);
-                    }
+                if let Some(truth) = deployment_truth(metric, dep) {
+                    score(metric, &dep.inputs, truth);
                 }
             }
         }
@@ -760,10 +796,11 @@ impl LoopController {
     /// Serving metrics whose drift signal currently reads `Drifting`.
     fn drifting_metrics(&self) -> Vec<String> {
         let Some(serving) = &self.serving else { return Vec::new() };
+        let serving = serving.predictor();
         PredictionMetric::ALL
             .iter()
-            .map(|m| m.model_name())
-            .filter(|name| serving.model(name).is_some())
+            .filter(|&&metric| serving.has_model(metric))
+            .map(|metric| metric.model_name())
             .filter(|name| self.tracker.drift(name) == DriftSignal::Drifting)
             .map(str::to_string)
             .collect()
@@ -857,20 +894,10 @@ impl LoopController {
 
         // Shadow-evaluate the candidate against the serving set on the
         // replay slice. No store write, no tracker write: invisible.
-        let candidate = ModelSet {
-            models: output
-                .models
-                .iter()
-                .map(|m| (m.spec.metric.model_name().to_string(), m.clone()))
-                .collect(),
-            features: output.feature_data.clone(),
-            version: 0,
-            digest: 0,
-        };
         self.counters.shadow_evals.increment();
         let comparison = shadow_compare(
-            self.serving.as_ref(),
-            &candidate,
+            self.serving.as_deref().map(ModelSet::predictor),
+            Predictor::new(&output.models, &output.feature_data),
             &eval_vms[..eval_vms.len().min(self.config.shadow_slice)],
             &eval_deps[..eval_deps.len().min(self.config.shadow_slice)],
         );
@@ -1094,15 +1121,14 @@ impl ShadowComparison {
 /// Scores both sets on the replay slice. Metrics are compared only where
 /// the candidate has a model and at least one example scored.
 fn shadow_compare(
-    serving: Option<&ModelSet>,
-    candidate: &ModelSet,
+    serving: Option<Predictor<'_>>,
+    candidate: Predictor<'_>,
     vms: &[LabeledVm],
     deployments: &[LabeledDeployment],
 ) -> ShadowComparison {
     let mut rows = Vec::new();
     for metric in PredictionMetric::ALL {
-        let name = metric.model_name();
-        if candidate.model(name).is_none() {
+        if !candidate.has_model(metric) {
             continue;
         }
         let (mut s_correct, mut c_correct, mut n) = (0u64, 0u64, 0u64);
@@ -1114,13 +1140,13 @@ fn shadow_compare(
             counts[bucket] += 1;
         };
         let mut score = |inputs: &ClientInputs, truth: usize| {
-            let Some(c) = candidate.predict(name, inputs) else { return };
+            let Some(c) = candidate.predict(metric, inputs) else { return };
             n += 1;
             if c == truth {
                 c_correct += 1;
             }
             bump(&mut c_counts, c);
-            if let Some(s) = serving.and_then(|s| s.predict(name, inputs)) {
+            if let Some(s) = serving.and_then(|s| s.predict(metric, inputs)) {
                 if s == truth {
                     s_correct += 1;
                 }
@@ -1147,7 +1173,7 @@ fn shadow_compare(
             let prediction_psi =
                 if s_counts.is_empty() { 0.0 } else { counts_psi(&s_counts, &c_counts) };
             rows.push(ShadowRow {
-                metric: name.to_string(),
+                metric: metric.model_name().to_string(),
                 serving: s_correct as f64 / n as f64,
                 candidate: c_correct as f64 / n as f64,
                 prediction_psi,
@@ -1251,7 +1277,7 @@ fn garble(trace: &Trace) -> Trace {
 /// Decodes the store's current manifest into a resident [`ModelSet`].
 /// Any missing or checksum-mismatched payload voids the load — a
 /// half-published version must never partially serve.
-fn load_model_set<B: StoreBackend + ?Sized>(store: &B) -> Option<ModelSet> {
+fn load_model_set<B: StoreBackend + ?Sized>(store: &B) -> Option<Arc<ModelSet>> {
     let manifest = Manifest::read_current(store).ok()??;
     let prefix = Manifest::version_prefix(manifest.version);
     let mut models = Vec::with_capacity(manifest.models.len());
@@ -1260,9 +1286,7 @@ fn load_model_set<B: StoreBackend + ?Sized>(store: &B) -> Option<ModelSet> {
         if checksum(&record.data) != entry.checksum {
             return None;
         }
-        let model: TrainedModel = rc_ml::from_bytes(&record.data).ok()?;
-        let name = entry.key.trim_start_matches("model/").to_string();
-        models.push((name, model));
+        models.push(rc_ml::from_bytes(&record.data).ok()?);
     }
     let mut features = HashMap::with_capacity(manifest.features.len());
     for entry in &manifest.features {
@@ -1275,7 +1299,7 @@ fn load_model_set<B: StoreBackend + ?Sized>(store: &B) -> Option<ModelSet> {
         features.insert(SubscriptionId(sub), decoded);
     }
     let digest = manifest_models_digest(&manifest);
-    Some(ModelSet { models, features, version: manifest.version, digest })
+    Some(Arc::new(ModelSet { models, features, version: manifest.version, digest }))
 }
 
 /// FNV-1a over the serialized journal: the reproducibility witness.

@@ -35,7 +35,9 @@ pub mod tree;
 
 pub use dataset::{BinnedDataset, Dataset};
 pub use eval::{ConfusionMatrix, ThresholdedEval};
-pub use fft::{detect_diurnal_periodicity, fft_in_place, Complex, PeriodicityConfig};
+pub use fft::{
+    detect_diurnal_periodicity, fft_in_place, Complex, PeriodicityConfig, PeriodicityDetector,
+};
 pub use forest::{RandomForest, RandomForestConfig};
 pub use gbt::{GradientBoosting, GradientBoostingConfig};
 pub use tree::{DecisionTree, TreeConfig};

@@ -130,6 +130,31 @@ impl BenchReport {
         self
     }
 
+    /// Records the median duration of every span the tracer retains
+    /// whose name starts with `prefix` (wall-clock section) — the budget
+    /// of a stage that runs many times, such as a control-loop tick's,
+    /// where the most recent run is one sample and the mean is pulled by
+    /// the few runs that do something else (a tick that retrains).
+    pub fn set_span_medians(&mut self, tracer: &Tracer, prefix: &str) -> &mut Self {
+        let mut by_name: Vec<(String, Vec<u64>)> = Vec::new();
+        for event in tracer.events() {
+            let Some(ns) = event.duration_ns else { continue };
+            if !event.name.starts_with(prefix) {
+                continue;
+            }
+            match by_name.iter_mut().find(|(name, _)| *name == event.name) {
+                Some((_, durations)) => durations.push(ns),
+                None => by_name.push((event.name, vec![ns])),
+            }
+        }
+        for (name, mut durations) in by_name {
+            let mid = durations.len() / 2;
+            let (_, median, _) = durations.select_nth_unstable(mid);
+            Self::upsert(&mut self.spans, &name, Value::U64(*median));
+        }
+        self
+    }
+
     /// Records one named timing in nanoseconds (wall-clock section).
     pub fn set_span(&mut self, name: &str, duration_ns: u64) -> &mut Self {
         Self::upsert(&mut self.spans, name, Value::U64(duration_ns));
@@ -316,6 +341,29 @@ mod tests {
             serde_json::to_vec(&det).unwrap(),
             serde_json::to_vec(&deterministic_view(&other.to_value())).unwrap()
         );
+    }
+
+    #[test]
+    fn span_medians_summarize_repeated_stages() {
+        let tracer = Tracer::new(64);
+        for _ in 0..5 {
+            tracer.span("tick.a").finish();
+            tracer.span("tick.b").finish();
+        }
+        tracer.span("other").finish();
+        tracer.event("tick.event", Vec::new());
+        let mut report = BenchReport::new("unit");
+        report.set_span_medians(&tracer, "tick.");
+        let names: Vec<&str> = report.spans.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, vec!["tick.a", "tick.b"], "one entry per stage, first-seen order");
+        let mut a: Vec<u64> = tracer
+            .events()
+            .iter()
+            .filter(|e| e.name == "tick.a")
+            .filter_map(|e| e.duration_ns)
+            .collect();
+        a.sort_unstable();
+        assert_eq!(report.spans[0].1, Value::U64(a[2]));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use std::io::{BufRead, Write};
 
+use rc_ml::fft::{PeriodicityConfig, PeriodicityDetector};
 use rc_types::time::Timestamp;
 use rc_types::vm::VmId;
 
@@ -90,11 +91,10 @@ impl From<std::io::Error> for DatasetError {
 /// Builds the export rows for a trace.
 ///
 /// `max_util_samples` bounds the telemetry read per VM for the CPU
-/// summary columns; the category column uses the same FFT analysis as
-/// §3.6 (VMs observed less than 3 days are `Unknown`).
+/// summary columns; the category column is [`Trace::workload_class`]
+/// (VMs observed less than 3 days are `Unknown`).
 pub fn vm_table(trace: &Trace, max_util_samples: usize) -> Vec<VmTableRow> {
-    use rc_ml::fft::{detect_diurnal_periodicity, PeriodicityConfig};
-    let cfg = PeriodicityConfig::default();
+    let mut detector = PeriodicityDetector::new(PeriodicityConfig::default());
     let mut rows = Vec::with_capacity(trace.n_vms());
     for id in trace.vm_ids() {
         let vm = trace.vm(id);
@@ -115,18 +115,10 @@ pub fn vm_table(trace: &Trace, max_util_samples: usize) -> Vec<VmTableRow> {
         } else {
             p95
         };
-        let category = if vm.lifetime().as_days_f64() < crate::DATASET_CLASSIFY_MIN_DAYS {
-            "Unknown"
-        } else {
-            let series = trace.util_params(id).avg_series(first, last.min(first + 6 * 288));
-            let result = detect_diurnal_periodicity(&series, &cfg);
-            if !result.enough_data {
-                "Unknown"
-            } else if result.periodic {
-                "Interactive"
-            } else {
-                "Delay-insensitive"
-            }
+        let category = match trace.workload_class(id, &mut detector) {
+            None => "Unknown",
+            Some(true) => "Interactive",
+            Some(false) => "Delay-insensitive",
         };
         rows.push(VmTableRow {
             vmid: id.0,

@@ -33,14 +33,10 @@ pub mod utilization;
 
 pub use arrival::{ArrivalIter, ArrivalProcess};
 pub use dataset::{read_vm_table, vm_table, write_cpu_readings, write_vm_table, VmTableRow};
-
-/// Minimum observed days before the dataset export assigns a workload
-/// category (mirrors §3.6's three-day requirement).
-pub const DATASET_CLASSIFY_MIN_DAYS: f64 = 3.0;
 pub use degrade::{ramp_severity, TelemetryDegrade};
 pub use dirty::{trace_fingerprint, DirtyPlan, DirtyReport};
 pub use generator::TraceConfig;
 pub use profile::{ProfileConfig, SubscriptionProfile};
 pub use stream::{DirtyVmStream, StreamedVm, VmStream};
-pub use trace::{DeploymentRecord, Trace};
+pub use trace::{DeploymentRecord, Trace, CLASSIFY_MAX_DAYS, CLASSIFY_MIN_DAYS};
 pub use utilization::UtilParams;

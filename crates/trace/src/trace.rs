@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use rc_ml::fft::PeriodicityDetector;
 use rc_types::telemetry::VmRecord;
 use rc_types::time::{Duration, Timestamp, TELEMETRY_INTERVAL};
 use rc_types::vm::{DeploymentId, RegionId, SubscriptionId, VmId};
@@ -10,6 +11,14 @@ use rc_types::vm::{DeploymentId, RegionId, SubscriptionId, VmId};
 use crate::generator::TraceConfig;
 use crate::profile::SubscriptionProfile;
 use crate::utilization::UtilParams;
+
+/// Days of telemetry required before the FFT classifier will label a VM
+/// (§3.6).
+pub const CLASSIFY_MIN_DAYS: f64 = 3.0;
+
+/// Maximum days of telemetry fed to the FFT (longer series are truncated;
+/// 6 days is plenty to resolve a diurnal peak).
+pub const CLASSIFY_MAX_DAYS: f64 = 6.0;
 
 /// One deployment: a group of VMs a subscription creates together in a
 /// region (§3.4's day-grouped redefinition is applied by the analysis
@@ -106,6 +115,27 @@ impl Trace {
     pub fn vm_util_summary(&self, id: VmId, max_samples: usize) -> (f64, f64) {
         let (first, last) = self.vm_slots(id);
         self.util_params(id).summarize(first, last, max_samples)
+    }
+
+    /// §3.6's workload class of a VM, from the FFT periodicity analysis of
+    /// its average-utilization series: `Some(true)` for (potentially)
+    /// interactive, `Some(false)` for delay-insensitive, `None`
+    /// ("Unknown") when fewer than [`CLASSIFY_MIN_DAYS`] of it fall inside
+    /// the observation window or the detector wants more than it got. The
+    /// first [`CLASSIFY_MAX_DAYS`] observed days are analysed.
+    pub fn workload_class(&self, id: VmId, detector: &mut PeriodicityDetector) -> Option<bool> {
+        let (first_slot, last_slot) = self.vm_slots(id);
+        let slot_secs = TELEMETRY_INTERVAL.as_secs() as f64;
+        let observed_days = (last_slot - first_slot) as f64 * slot_secs / 86_400.0;
+        if observed_days < CLASSIFY_MIN_DAYS {
+            return None;
+        }
+        let max_slots = (CLASSIFY_MAX_DAYS * 86_400.0 / slot_secs) as u64;
+        let last_slot = last_slot.min(first_slot + max_slots);
+        let params = self.util_params(id);
+        let result =
+            detector.detect_with(|series| params.avg_series_into(first_slot, last_slot, series));
+        result.enough_data.then_some(result.periodic)
     }
 
     /// True when the VM both starts and ends inside the window (the

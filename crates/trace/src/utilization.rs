@@ -99,25 +99,43 @@ impl UtilParams {
         self
     }
 
-    /// The telemetry reading for a global 5-minute slot index.
-    ///
-    /// Pure: the same `(params, slot)` always yields the same reading.
-    pub fn reading(&self, slot: u64) -> UtilReading {
-        let ts = Timestamp::from_secs(slot * TELEMETRY_INTERVAL.as_secs());
-        let hour = ts.hour_of_day();
-
-        // Diurnal swing multiplies the base; cos integrates to zero over a
-        // day so the daily mean stays near `base`.
+    /// The diurnal multiplier on `base` at a slot of the day: the swing
+    /// multiplies the base, and `cos` integrates to zero over a day, so
+    /// the daily mean stays near `base`.
+    fn diurnal(&self, slot_of_day: u64) -> f64 {
+        let hour = (slot_of_day * TELEMETRY_INTERVAL.as_secs()) as f64 / 3600.0;
         let phase = 2.0 * std::f64::consts::PI * (hour - self.peak_hour) / 24.0;
-        let diurnal = 1.0 + self.diurnal_amplitude * phase.cos();
+        1.0 + self.diurnal_amplitude * phase.cos()
+    }
 
+    /// [`UtilParams::diurnal`] hoisted out of a run of readings: the
+    /// multiplier of every slot of the day. The term depends on the slot
+    /// only through its slot of the day, so a run needs at most
+    /// [`SLOTS_PER_DAY`] cosines however long it is; and at amplitude zero
+    /// — most VMs — it is `1.0 + 0.0 * cos(..)`, the same value at every
+    /// slot, so one evaluation stands for all of them.
+    fn diurnal_cycle(&self) -> [f64; SLOTS_PER_DAY as usize] {
+        if self.diurnal_amplitude == 0.0 {
+            [self.diurnal(0); SLOTS_PER_DAY as usize]
+        } else {
+            std::array::from_fn(|slot_of_day| self.diurnal(slot_of_day as u64))
+        }
+    }
+
+    /// The average reading of `slot`, given its diurnal multiplier.
+    fn avg_at(&self, slot: u64, diurnal: f64) -> f64 {
         let noise = self.noise * hash_normal(self.seed, slot.wrapping_mul(3) + 1);
-        let avg = (self.base * diurnal + noise).clamp(0.0, 1.0);
+        (self.base * diurnal + noise).clamp(0.0, 1.0)
+    }
 
-        // Interactive VMs burst slightly more while busy (daytime); flat
-        // VMs burst uniformly. The burst stream is shared across the
-        // subscription so sibling VMs exceed their P95 together; the
-        // per-VM roll decides whether this VM joins the burst.
+    /// The maximum reading of `slot`, given its diurnal multiplier and
+    /// average.
+    ///
+    /// Interactive VMs burst slightly more while busy (daytime); flat VMs
+    /// burst uniformly. The burst stream is shared across the
+    /// subscription so sibling VMs exceed their P95 together; the per-VM
+    /// roll decides whether this VM joins the burst.
+    fn max_at(&self, slot: u64, diurnal: f64, avg: f64) -> f64 {
         let burst_bias = if self.diurnal_amplitude > 0.0 { (diurnal - 1.0) * 0.08 } else { 0.0 };
         let window = slot / BURST_WINDOW_SLOTS;
         let bursting = hash_unit(self.burst_seed, window) < BURST_WINDOW_PROBABILITY + burst_bias;
@@ -128,8 +146,17 @@ impl UtilParams {
         } else {
             1.0 - MAX_BELOW_P95_SPREAD * (1.0 - shape)
         };
-        let max = (self.p95_level * factor).clamp(avg, 1.0);
+        (self.p95_level * factor).clamp(avg, 1.0)
+    }
 
+    /// The telemetry reading for a global 5-minute slot index.
+    ///
+    /// Pure: the same `(params, slot)` always yields the same reading.
+    pub fn reading(&self, slot: u64) -> UtilReading {
+        let ts = Timestamp::from_secs(slot * TELEMETRY_INTERVAL.as_secs());
+        let diurnal = self.diurnal(slot % SLOTS_PER_DAY);
+        let avg = self.avg_at(slot, diurnal);
+        let max = self.max_at(slot, diurnal, avg);
         let min = avg * (0.35 + 0.4 * hash_unit(self.seed, slot.wrapping_mul(3) + 4));
         UtilReading::new(ts, min, avg, max)
     }
@@ -142,34 +169,59 @@ impl UtilParams {
     /// targets are the best available estimate for a VM too short to have
     /// produced a reading.
     pub fn summarize(&self, first_slot: u64, last_slot: u64, max_samples: usize) -> (f64, f64) {
+        self.summarize_with(first_slot, last_slot, max_samples, &mut Vec::new())
+    }
+
+    /// [`UtilParams::summarize`] with the sampled maxima held in a buffer
+    /// of the caller's, for callers that summarize one VM after another.
+    /// Each sample costs what its `avg` and `max` cost and nothing else:
+    /// no `min`, no [`UtilReading`], no cosine.
+    pub fn summarize_with(
+        &self,
+        first_slot: u64,
+        last_slot: u64,
+        max_samples: usize,
+        maxes: &mut Vec<f64>,
+    ) -> (f64, f64) {
         if last_slot <= first_slot || max_samples == 0 {
             return (self.base, self.p95_level);
         }
-        let n_slots = last_slot - first_slot;
-        let stride = (n_slots as usize).div_ceil(max_samples).max(1) as u64;
-        let mut maxes: Vec<f64> = Vec::with_capacity((n_slots / stride + 1) as usize);
+        let n_slots = (last_slot - first_slot) as usize;
+        let stride = n_slots.div_ceil(max_samples).max(1);
+        let cycle = self.diurnal_cycle();
+        maxes.clear();
         let mut sum_avg = 0.0;
-        let mut n = 0usize;
-        let mut slot = first_slot;
-        while slot < last_slot {
-            let r = self.reading(slot);
-            sum_avg += r.avg;
-            maxes.push(r.max);
-            n += 1;
-            slot += stride;
+        for slot in (first_slot..last_slot).step_by(stride) {
+            let diurnal = cycle[(slot % SLOTS_PER_DAY) as usize];
+            let avg = self.avg_at(slot, diurnal);
+            sum_avg += avg;
+            maxes.push(self.max_at(slot, diurnal, avg));
         }
-        maxes.sort_by(|a, b| a.partial_cmp(b).expect("finite utils"));
-        let p95_idx = ((maxes.len() as f64) * 0.95).floor() as usize;
-        let p95 = maxes[p95_idx.min(maxes.len() - 1)];
-        (sum_avg / n as f64, p95)
+        let n = maxes.len();
+        // Only the element of rank `p95_idx` is read, so it is selected
+        // rather than sorted into place along with the others.
+        let p95_idx = ((n as f64 * 0.95).floor() as usize).min(n - 1);
+        let (_, p95, _) =
+            maxes.select_nth_unstable_by(p95_idx, |a, b| a.partial_cmp(b).expect("finite utils"));
+        (sum_avg / n as f64, *p95)
     }
 
-    /// The average-utilization time series over a slot range, one value per
-    /// slot — the input to the FFT workload classifier.
-    pub fn avg_series(&self, first_slot: u64, last_slot: u64) -> Vec<f64> {
-        (first_slot..last_slot).map(|s| self.reading(s).avg).collect()
+    /// Replaces the contents of `out` with the average-utilization time
+    /// series over a slot range, one value per slot — the input to the FFT
+    /// workload classifier. Each value is `reading(slot).avg` at the cost
+    /// of its Box–Muller draw.
+    pub fn avg_series_into(&self, first_slot: u64, last_slot: u64, out: &mut Vec<f64>) {
+        let cycle = self.diurnal_cycle();
+        out.clear();
+        out.extend(
+            (first_slot..last_slot)
+                .map(|slot| self.avg_at(slot, cycle[(slot % SLOTS_PER_DAY) as usize])),
+        );
     }
 }
+
+/// Telemetry slots per day: the period of the diurnal term.
+const SLOTS_PER_DAY: u64 = 86_400 / TELEMETRY_INTERVAL.as_secs();
 
 #[cfg(test)]
 mod tests {
@@ -277,10 +329,86 @@ mod tests {
     #[test]
     fn avg_series_matches_readings() {
         let p = flat(0.2, 0.5);
-        let series = p.avg_series(100, 130);
+        let mut series = vec![9.0; 3];
+        p.avg_series_into(100, 130, &mut series);
         assert_eq!(series.len(), 30);
         for (i, &v) in series.iter().enumerate() {
             assert_eq!(v, p.reading(100 + i as u64).avg);
+        }
+    }
+
+    /// `summarize` as it was written on top of `reading`: every sample a
+    /// full reading, the maxima sorted.
+    fn summarize_by_readings(p: &UtilParams, first: u64, last: u64, max: usize) -> (f64, f64) {
+        if last <= first || max == 0 {
+            return (p.base, p.p95_level);
+        }
+        let stride = ((last - first) as usize).div_ceil(max).max(1) as u64;
+        let mut maxes = Vec::new();
+        let mut sum_avg = 0.0;
+        let mut slot = first;
+        while slot < last {
+            let r = p.reading(slot);
+            sum_avg += r.avg;
+            maxes.push(r.max);
+            slot += stride;
+        }
+        maxes.sort_by(|a, b| a.partial_cmp(b).expect("finite utils"));
+        let p95_idx = ((maxes.len() as f64) * 0.95).floor() as usize;
+        (sum_avg / maxes.len() as f64, maxes[p95_idx.min(maxes.len() - 1)])
+    }
+
+    #[test]
+    fn kernels_equal_reading_based_references_bit_for_bit() {
+        use crate::sampler::hash_unit;
+        let mut maxes = Vec::new();
+        let mut series = Vec::new();
+        for case in 0..300u64 {
+            let u = |stream: u64| hash_unit(0xC0DE + case, stream);
+            // A third of the cases flat, the rest swinging; parameters
+            // both inside and (unsanitized) outside their valid ranges;
+            // peak hours fractional and past either end of the day.
+            let p = UtilParams {
+                seed: case.wrapping_mul(0x9E37_79B9),
+                burst_seed: case / 3,
+                base: u(1) * 1.2 - 0.1,
+                p95_level: u(2) * 1.2,
+                diurnal_amplitude: if case % 3 == 0 { 0.0 } else { u(3) * 1.1 },
+                peak_hour: u(4) * 30.0 - 3.0,
+                noise: u(5) * 0.3,
+            };
+            // Starts anywhere in the day, so runs of more than a few
+            // hours cross midnight; lengths from nothing to a week.
+            let first = (u(6) * 5_000.0) as u64;
+            let len = match case % 5 {
+                0 => 0,
+                1 => 1 + (u(7) * 10.0) as u64,
+                _ => (u(7) * 2_016.0) as u64,
+            };
+            let last = first + len;
+
+            p.avg_series_into(first, last, &mut series);
+            let by_readings: Vec<f64> = (first..last).map(|s| p.reading(s).avg).collect();
+            assert_eq!(
+                series.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                by_readings.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "case {case}: {p:?} over {first}..{last}"
+            );
+
+            // Stride 1 (every slot), strides above 1, and no samples.
+            for max_samples in [usize::MAX, 120, 7, 1, 0] {
+                let want = summarize_by_readings(&p, first, last, max_samples);
+                let got = p.summarize_with(first, last, max_samples, &mut maxes);
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits()),
+                    (want.0.to_bits(), want.1.to_bits()),
+                    "case {case} max_samples {max_samples}: {p:?} over {first}..{last}"
+                );
+                assert_eq!(p.summarize(first, last, max_samples), got);
+                if len == 0 {
+                    assert_eq!(got, (p.base, p.p95_level), "empty range gives the targets");
+                }
+            }
         }
     }
 }

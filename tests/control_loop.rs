@@ -17,7 +17,9 @@
 //!     monitor trips ticks before the label-based drift monitor can;
 //! (f) the widened chaos plan — correlated brownout, clock skew,
 //!     degrading telemetry, a racing manual publish — journals every
-//!     fault, bounds the damage, and never wedges the loop.
+//!     fault, bounds the damage, and never wedges the loop;
+//! (g) a fixed-seed soak through every transition reproduces a recorded
+//!     `LoopSummary` byte for byte.
 //!
 //! Tests that script the *label* pathway pin `leading_observe_only` so
 //! the leading monitor (which otherwise reacts first, by design) records
@@ -400,4 +402,51 @@ fn widened_chaos_plan_journals_every_fault_and_never_wedges() {
     assert_eq!(journal, journal2, "same seed must replay the same chaos journal");
     assert_eq!(summary.journal_digest, summary2.journal_digest);
     assert_eq!(summary.store_fingerprint, summary2.store_fingerprint);
+}
+
+/// (g) A soak through bootstrap, cadence and drift retrains, promotions
+/// and a rollback ends in exactly the summary recorded before label
+/// extraction was made lazy and the FFT and utilization kernels were
+/// replaced: every counter, every accuracy to the last bit, the journal
+/// digest (which hashes the quarantined model bytes' digest) and the
+/// store fingerprint. A change to labelling, training or serving that
+/// moves any of them has to re-record this line on purpose.
+#[test]
+fn fixed_seed_soak_reproduces_the_recorded_summary() {
+    let anomaly = WorkloadShift {
+        from_tick: 8,
+        until_tick: 9,
+        base_mul: 0.35,
+        base_add: 0.05,
+        p95_mul: 0.4,
+        p95_add: 0.08,
+        ramp_ticks: 0,
+    };
+    let config = LoopConfig {
+        seed: 19,
+        ticks: 12,
+        retrain_every: 3,
+        watch_ticks: 2,
+        shifts: vec![WorkloadShift::surge(5), anomaly],
+        chaos: ChaosPlan { degrade_candidate_at: vec![6], ..ChaosPlan::default() },
+        ..LoopConfig::default()
+    };
+    let summary = LoopController::new(config).run();
+    assert_eq!(summary.rollbacks, 1, "the soak is meant to cross a rollback");
+    let recorded = concat!(
+        r#"{"seed":19,"ticks":12,"windows_ingested":12,"retrains":5,"retrain_failures":0,"#,
+        r#""shadow_evals":5,"shadow_rejections":0,"promotions":5,"rollbacks":1,"#,
+        r#""quarantine_blocked":0,"degraded_ticks":0,"leading_trips":6,"publish_races":0,"#,
+        r#""chaos_injected":0,"final_version":4,"live_accuracy":0.7653769841269841,"#,
+        r#""frozen_accuracy":0.7280844155844156,"per_metric":["#,
+        r#"{"metric":"VM_AVGUTIL","live":0.5870454545454545,"frozen":0.385},"#,
+        r#"{"metric":"VM_P95UTIL","live":0.6363636363636364,"frozen":0.6395454545454545},"#,
+        r#"{"metric":"DEP_SIZE_VMS","live":0.9025,"frozen":0.9025},"#,
+        r#"{"metric":"DEP_SIZE_CORES","live":0.7875,"frozen":0.7875},"#,
+        r#"{"metric":"VM_LIFETIME","live":0.9040909090909091,"frozen":0.915},"#,
+        r#"{"metric":"VM_CLASS","live":1,"frozen":1}],"#,
+        r#""journal_digest":13448388982521312374,"store_fingerprint":7245373548205799401}"#,
+    );
+    let got = String::from_utf8(serde_json::to_vec(&summary).expect("finite")).expect("utf-8");
+    assert_eq!(got, recorded);
 }

@@ -351,6 +351,57 @@ fn pipeline_models_predict_identically_through_stack_vec_and_wire() {
     }
 }
 
+/// The planned real-input detector against the spectrum path it replaced
+/// (`common::old_spectrum`), on every VM of two loop-sized windows that
+/// is observed long enough to be classified: the same `periodic` and
+/// `enough_data`, and a `power_ratio` that differs only by rounding. The
+/// detector is shared across each window, as `labels` shares it, so
+/// series of both padded lengths meet one plan in trace order.
+#[test]
+fn periodicity_detector_agrees_with_the_spectrum_path_it_replaced() {
+    use rc_ml::fft::{PeriodicityConfig, PeriodicityDetector};
+    use rc_trace::{Trace, TraceConfig, CLASSIFY_MAX_DAYS, CLASSIFY_MIN_DAYS};
+
+    let config = PeriodicityConfig::default();
+    let (mut compared, mut periodic, mut worst, mut closest) = (0usize, 0usize, 0.0f64, 1.0f64);
+    for seed in [19, 1546] {
+        let trace = Trace::generate(&TraceConfig {
+            seed,
+            days: 18,
+            n_subscriptions: 100,
+            target_vms: 2_600,
+            n_regions: 2,
+        });
+        let mut detector = PeriodicityDetector::new(config.clone());
+        for id in trace.vm_ids() {
+            let (first, last) = trace.vm_slots(id);
+            let last = last.min(first + (CLASSIFY_MAX_DAYS * 288.0) as u64);
+            let series: Vec<f64> =
+                (first..last).map(|slot| trace.util_params(id).reading(slot).avg).collect();
+            let old = common::old_spectrum::detect_diurnal_periodicity(&series, &config);
+            let new = detector.detect(&series);
+            assert_eq!((new.periodic, new.enough_data), (old.periodic, old.enough_data));
+            // And the trace's own rule is this detector on this series.
+            let class = trace.workload_class(id, &mut detector);
+            assert_eq!(class, old.enough_data.then_some(old.periodic), "seed {seed} {id:?}");
+            if old.enough_data {
+                assert!(series.len() as f64 >= CLASSIFY_MIN_DAYS * 288.0);
+                let relative = ((new.power_ratio - old.power_ratio) / old.power_ratio).abs();
+                assert!(relative <= 1e-9, "seed {seed} {id:?}: {new:?} vs {old:?}");
+                worst = worst.max(relative);
+                let threshold = config.power_ratio_threshold;
+                closest = closest.min(((old.power_ratio - threshold) / threshold).abs());
+                compared += 1;
+                periodic += usize::from(old.periodic);
+            }
+        }
+    }
+    assert!(compared >= 200 && periodic >= 20 && periodic < compared, "{periodic}/{compared}");
+    // The margin the rounding difference would have to cross to flip a label.
+    assert!(closest > 1e3 * worst, "closest approach {closest:e} vs difference {worst:e}");
+    println!("{compared} series, {periodic} periodic, worst relative difference {worst:e}, closest approach to the threshold {closest:e}");
+}
+
 /// Scheduler bookkeeping: place/complete sequences never drive a server's
 /// accounting negative, and a fully drained server is exactly empty.
 #[test]
