@@ -144,6 +144,9 @@ fn describe(event: &LoopEvent) -> String {
             format!("rolled back to v{to_version}, quarantined digest {quarantined_digest:#018x}")
         }
         LoopEvent::RollbackUnavailable => "rollback unavailable: no earlier good version".into(),
+        LoopEvent::ServeReloadIncomplete { expected, serving } => {
+            format!("serve reload incomplete: expected manifest v{expected}, serving v{serving}")
+        }
         LoopEvent::LeadingDriftDetected { feature, psi } => {
             format!("leading drift detected: {feature} (psi {psi:.3})")
         }

@@ -323,6 +323,7 @@ struct Shared {
     stale_serves: AtomicU64,
     retries: AtomicU64,
     corrupt_payloads: AtomicU64,
+    unfetched_payloads: AtomicU64,
     /// First observed degradation since the last all-clear.
     degraded: Mutex<Option<(SystemTime, DegradedReason)>>,
     breakers: CircuitBreakers,
@@ -410,6 +411,7 @@ impl RcClient {
             stale_serves: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             corrupt_payloads: AtomicU64::new(0),
+            unfetched_payloads: AtomicU64::new(0),
             degraded: Mutex::new(None),
             breakers,
             jitter,
@@ -496,7 +498,8 @@ fn load_from_store_shared(shared: &Shared) -> bool {
         if let Some(m) = &manifest {
             for entry in &m.models {
                 let name = entry.key.trim_start_matches("model/").to_string();
-                let fetched = store.get_latest(&m.versioned_key(&entry.key)).ok().and_then(|rec| {
+                let fetched = store.get_latest(&m.versioned_key(&entry.key));
+                let fetched = fetched.map_err(|_| note_unfetched(shared)).ok().and_then(|rec| {
                     match validate_model_payload(&rec.data, entry, &name) {
                         Some(model) => {
                             if write_through {
@@ -547,17 +550,19 @@ fn load_from_store_shared(shared: &Shared) -> bool {
             if let Some(m) = &manifest {
                 version = m.version;
                 for entry in &m.features {
-                    if let Ok(rec) = store.get_latest(&m.versioned_key(&entry.key)) {
-                        if checksum(&rec.data) != entry.checksum {
-                            note_corrupt(shared);
-                            continue;
+                    let Ok(rec) = store.get_latest(&m.versioned_key(&entry.key)) else {
+                        note_unfetched(shared);
+                        continue;
+                    };
+                    if checksum(&rec.data) != entry.checksum {
+                        note_corrupt(shared);
+                        continue;
+                    }
+                    match serde_json::from_slice::<SubscriptionFeatures>(&rec.data) {
+                        Ok(f) => {
+                            features.insert(f.subscription, Arc::new(f));
                         }
-                        match serde_json::from_slice::<SubscriptionFeatures>(&rec.data) {
-                            Ok(f) => {
-                                features.insert(f.subscription, Arc::new(f));
-                            }
-                            Err(_) => note_corrupt(shared),
-                        }
+                        Err(_) => note_corrupt(shared),
                     }
                 }
             } else {
@@ -658,6 +663,11 @@ fn note_rejected(shared: &Shared, model_name: &str) {
 fn note_corrupt(shared: &Shared) {
     shared.corrupt_payloads.fetch_add(1, Ordering::Relaxed);
     shared.metrics.corrupt_payloads.increment();
+}
+
+/// Records one manifest-named payload the store did not return.
+fn note_unfetched(shared: &Shared) {
+    shared.unfetched_payloads.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Marks the client degraded (first cause wins until the next all-clear).
@@ -1125,10 +1135,24 @@ impl RcClient {
         Some(Executed { prediction: model.predict_for(inputs, &sub), generation, stale })
     }
 
+    /// Executes `model_name` on the resident model and feature record,
+    /// bypassing the result cache: neither read nor written, and not
+    /// counted as a lookup. The cache key buckets the deployment time by
+    /// day and the size hint by power of two, so a hit may answer with
+    /// the prediction for a neighbouring request; a caller that scores
+    /// predictions against labels needs the exact one. Never fetches:
+    /// `None` when the model or the subscription's feature record is not
+    /// resident.
+    pub fn predict_uncached(&self, model_name: &str, inputs: &ClientInputs) -> Option<Prediction> {
+        self.execute(model_name, inputs).map(|executed| executed.prediction)
+    }
+
     /// Shadow-evaluates a candidate model side-by-side with the serving
-    /// one — the control loop's pre-promotion check. Both models see the
-    /// feature vector assembled from the *same* pinned serve snapshot, so
-    /// a concurrent publish can never make the comparison lopsided.
+    /// one. Both models see the feature vector assembled from the *same*
+    /// pinned serve snapshot, so a concurrent publish can never make the
+    /// comparison lopsided. No production path calls it: the control loop
+    /// scores candidates against their own feature records offline. It
+    /// stays for the benchmark's layer suite, which times it.
     ///
     /// This path is deliberately invisible to clients: no counter moves,
     /// no cache is read or written, no degradation is noted. The serving
@@ -1248,6 +1272,14 @@ impl RcClient {
     /// Each rejection left the previously resident model serving.
     pub fn model_rejected_count(&self) -> u64 {
         self.shared.model_rejected.load(Ordering::Relaxed)
+    }
+
+    /// Payloads a manifest load named but the store did not return. A
+    /// missing model left the previously resident one serving; a missing
+    /// feature record left its subscription without data until the next
+    /// load.
+    pub fn unfetched_payload_count(&self) -> u64 {
+        self.shared.unfetched_payloads.load(Ordering::Relaxed)
     }
 
     /// The manifest version the resident caches were loaded through, when

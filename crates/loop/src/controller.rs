@@ -9,6 +9,11 @@
 //! [`PredictionMetric::ALL`] order, and training runs single-threaded.
 //! Two soaks with the same [`LoopConfig`] produce bit-identical event
 //! journals and summaries.
+//!
+//! Live predictions go through [`RcClient`], the same library every other
+//! consumer uses: the loop serves, reloads on a flip, and keeps its
+//! frozen baseline through push-mode clients over its own store. It
+//! scores their exact answers, past the result cache.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,8 +21,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use rc_core::labels::labels;
 use rc_core::{
-    cleanup, label_deployments, run_pipeline, ClientInputs, LabeledDeployment, LabeledVm,
-    PipelineConfig, PublishGate, SubscriptionFeatures, TrainedModel,
+    cleanup, label_deployments, run_pipeline, CacheMode, ClientConfig, ClientInputs,
+    LabeledDeployment, LabeledVm, PipelineConfig, PublishGate, RcClient, SubscriptionFeatures,
+    TrainedModel,
 };
 use rc_obs::{
     acc_gauge_name, counts_psi, AccuracyTracker, Counter, DriftConfig, DriftSignal,
@@ -241,6 +247,12 @@ pub enum LoopEvent {
     /// A rollback was needed but no earlier good version exists; the
     /// loop degrades the tick and keeps serving.
     RollbackUnavailable,
+    /// A serving-client reload onto version `expected` (after a flip, or
+    /// its retry on a later tick) rejected a payload, could not fetch
+    /// one, or landed on manifest `serving` instead. The previous
+    /// resident model keeps answering for every slot the reload could not
+    /// fill; the tick degrades and the next tick retries.
+    ServeReloadIncomplete { expected: u64, serving: u64 },
     /// The leading monitor flipped `Stable -> Drifting` for a feature:
     /// the ingested window's distribution has walked away from the
     /// serving model's training baseline.
@@ -324,25 +336,10 @@ pub struct LoopSummary {
     pub store_fingerprint: u64,
 }
 
-/// One resident model/feature set, decoded out of a published version.
-struct ModelSet {
-    /// In manifest order.
-    models: Vec<TrainedModel>,
-    features: HashMap<SubscriptionId, SubscriptionFeatures>,
-    version: u64,
-    digest: u64,
-}
-
-impl ModelSet {
-    fn predictor(&self) -> Predictor<'_> {
-        Predictor::new(&self.models, &self.features)
-    }
-}
-
-/// Models and the feature records they read, borrowed from wherever they
-/// live (a resident [`ModelSet`], a pipeline's output) with each metric's
-/// model looked up once instead of once per prediction.
-#[derive(Clone, Copy)]
+/// A candidate's models and the feature records they read, borrowed from
+/// its pipeline output, with each metric's model looked up once instead
+/// of once per prediction. The candidate is not published yet, so no
+/// client can serve it.
 struct Predictor<'a> {
     /// By [`PredictionMetric::index`].
     models: [Option<&'a TrainedModel>; 6],
@@ -459,15 +456,23 @@ impl Tally {
 /// tests do, to inspect mid-soak state).
 pub struct LoopController {
     config: LoopConfig,
-    store: ChaosStore,
+    store: Arc<ChaosStore>,
     registry: Registry,
     tracker: AccuracyTracker,
     /// Input-distribution monitor; baseline installed at promotion.
     leading: LeadingDriftMonitor,
     counters: LoopCounters,
-    serving: Option<Arc<ModelSet>>,
-    /// The first promoted set, frozen, for the no-retrain baseline.
-    frozen: Option<Arc<ModelSet>>,
+    /// Answers every live prediction; reloaded on each promotion and
+    /// rollback, and empty (no prediction) before the first.
+    serving: RcClient,
+    /// The version a flip's serving reload fell short of, retried every
+    /// tick until a reload completes or the next flip.
+    reload_pending: Option<u64>,
+    /// Loaded at the first promotion and never reloaded: the no-retrain
+    /// baseline. A push-mode predict never reads the store, so this
+    /// client keeps serving the bootstrap version's models and feature
+    /// records.
+    frozen: Option<RcClient>,
     quarantine: QuarantineSet,
     phase: Phase,
     tick: u32,
@@ -493,14 +498,17 @@ impl LoopController {
         let tracker = AccuracyTracker::with_registry(registry.clone(), config.drift.clone());
         let leading = LeadingDriftMonitor::with_registry(registry.clone(), config.leading.clone());
         let counters = LoopCounters::new(&registry);
+        let store = Arc::new(ChaosStore::new(store));
+        let serving = loop_client(&store);
         LoopController {
             config,
-            store: ChaosStore::new(store),
+            store,
             registry,
             tracker,
             leading,
             counters,
-            serving: None,
+            serving,
+            reload_pending: None,
             frozen: None,
             quarantine: QuarantineSet::default(),
             phase: Phase::Steady,
@@ -540,7 +548,7 @@ impl LoopController {
 
     /// Manifest version currently serving (`0` before bootstrap).
     pub fn serving_version(&self) -> u64 {
-        self.serving.as_ref().map_or(0, |s| s.version)
+        self.serving.manifest_version().unwrap_or(0)
     }
 
     /// Content digests quarantined from re-promotion.
@@ -564,7 +572,8 @@ impl LoopController {
         let mut degraded = false;
 
         // 0. Arm scheduled store-level chaos for the tick (healed at
-        // tick end — nothing here can outlive the tick).
+        // tick end — nothing here can outlive the tick), then retry a
+        // serving reload a flip left incomplete.
         if let Some(shard) = self.config.chaos.brownout_shard(tick) {
             self.store.arm_brownout(shard);
             self.journal_chaos(tick, format!("brownout:shard{shard}"));
@@ -572,6 +581,9 @@ impl LoopController {
         if self.config.chaos.manual_publish(tick) {
             self.store.arm_manifest_race();
             self.journal_chaos(tick, "manual_publish".to_string());
+        }
+        if let Some(expected) = self.reload_pending {
+            self.load_serving(tick, expected, &mut degraded);
         }
 
         // 1. Ingest the next rolling window, sketch its feature
@@ -688,7 +700,7 @@ impl LoopController {
             frozen_accuracy: self.frozen_tally.accuracy(),
             per_metric,
             journal_digest: journal_digest(&self.journal),
-            store_fingerprint: rc_store::fingerprint(&self.store),
+            store_fingerprint: rc_store::fingerprint(self.store()),
         }
     }
 
@@ -758,36 +770,24 @@ impl LoopController {
         cleaned
     }
 
-    /// Replays the evaluation slice through the serving and frozen sets,
-    /// feeding the drift monitor with the serving side's outcomes.
+    /// Replays the evaluation slice through the serving and frozen
+    /// clients, feeding the drift monitor with the serving side's
+    /// outcomes. Before the first promotion nothing is resident and
+    /// nothing is scored.
     fn evaluate_live(&mut self, tick: u32, vms: &[LabeledVm], deployments: &[LabeledDeployment]) {
-        let Some(serving) = &self.serving else { return };
-        let serving = serving.predictor();
-        let frozen = self.frozen.as_deref().map(ModelSet::predictor);
         let mut next_id = (tick as u64) << 32;
-        let mut score = |metric: PredictionMetric, inputs: &ClientInputs, truth: usize| {
-            if let Some(predicted) = serving.predict(metric, inputs) {
-                let id = next_id;
-                next_id += 1;
-                self.tracker.record_prediction(metric.model_name(), id, predicted);
-                self.tracker.record_outcome(metric.model_name(), id, truth);
-                self.live.record(metric, predicted == truth);
-            }
-            if let Some(predicted) = frozen.and_then(|f| f.predict(metric, inputs)) {
-                self.frozen_tally.record(metric, predicted == truth);
-            }
-        };
-        for vm in vms {
-            for metric in vm_metrics() {
-                if let Some(truth) = vm_truth(metric, vm) {
-                    score(metric, &vm.inputs, truth);
+        for metric in PredictionMetric::ALL {
+            let name = metric.model_name();
+            for (inputs, truth) in examples(metric, vms, deployments) {
+                if let Some(predicted) = predict(&self.serving, metric, inputs) {
+                    self.tracker.record_prediction(name, next_id, predicted);
+                    self.tracker.record_outcome(name, next_id, truth);
+                    next_id += 1;
+                    self.live.record(metric, predicted == truth);
                 }
-            }
-        }
-        for dep in deployments {
-            for metric in deployment_metrics() {
-                if let Some(truth) = deployment_truth(metric, dep) {
-                    score(metric, &dep.inputs, truth);
+                let frozen = self.frozen.as_ref().and_then(|f| predict(f, metric, inputs));
+                if let Some(predicted) = frozen {
+                    self.frozen_tally.record(metric, predicted == truth);
                 }
             }
         }
@@ -795,19 +795,18 @@ impl LoopController {
 
     /// Serving metrics whose drift signal currently reads `Drifting`.
     fn drifting_metrics(&self) -> Vec<String> {
-        let Some(serving) = &self.serving else { return Vec::new() };
-        let serving = serving.predictor();
+        let serving = self.serving.get_available_models();
         PredictionMetric::ALL
             .iter()
-            .filter(|&&metric| serving.has_model(metric))
             .map(|metric| metric.model_name())
+            .filter(|name| serving.iter().any(|s| s == name))
             .filter(|name| self.tracker.drift(name) == DriftSignal::Drifting)
             .map(str::to_string)
             .collect()
     }
 
     fn retrain_reason(&self, tick: u32, drifting: &[String]) -> Option<RetrainReason> {
-        if self.serving.is_none() {
+        if self.counters.promotions.get() == 0 {
             return Some(RetrainReason::Bootstrap);
         }
         if !drifting.is_empty() {
@@ -892,11 +891,11 @@ impl LoopController {
             });
         }
 
-        // Shadow-evaluate the candidate against the serving set on the
+        // Shadow-evaluate the candidate against the serving client on the
         // replay slice. No store write, no tracker write: invisible.
         self.counters.shadow_evals.increment();
         let comparison = shadow_compare(
-            self.serving.as_deref().map(ModelSet::predictor),
+            &self.serving,
             Predictor::new(&output.models, &output.feature_data),
             &eval_vms[..eval_vms.len().min(self.config.shadow_slice)],
             &eval_deps[..eval_deps.len().min(self.config.shadow_slice)],
@@ -916,7 +915,7 @@ impl LoopController {
                 candidate_mean: comparison.candidate_mean,
             },
         });
-        if self.serving.is_some() {
+        if self.serving_version() > 0 {
             if let Some(reason) = comparison.rejection(&self.config) {
                 self.counters.shadow_rejections.increment();
                 self.journal.push(TickEvent { tick, event: LoopEvent::ShadowRejected { reason } });
@@ -941,11 +940,11 @@ impl LoopController {
         if let Some(budget) = self.config.chaos.outage_budget(tick) {
             self.store.arm_put_outage(budget);
         }
-        match output.publish_gated(&self.store, self.config.gate) {
+        match output.publish_gated(self.store(), self.config.gate) {
             Ok(version) => {
                 self.counters.promotions.increment();
                 self.journal.push(TickEvent { tick, event: LoopEvent::Promoted { version } });
-                self.reload_serving();
+                self.load_serving(tick, version, degraded);
                 // The promoted models trained on this window, so its
                 // sketch becomes the leading monitor's new reference
                 // frame — persisted next to the version so a rollback
@@ -966,7 +965,14 @@ impl LoopController {
                 self.reset_tracker(&baselines);
                 self.promoted_baselines.insert(version, baselines);
                 if self.frozen.is_none() {
-                    self.frozen = self.serving.clone();
+                    // Left unset if this load falls short; the next
+                    // promotion tries again.
+                    let frozen = loop_client(&self.store);
+                    if reload(&frozen, version) {
+                        self.frozen = Some(frozen);
+                    } else {
+                        *degraded = true;
+                    }
                 }
                 self.phase = Phase::Watching { remaining: self.config.watch_ticks };
             }
@@ -996,12 +1002,12 @@ impl LoopController {
         }
     }
 
-    /// Post-flip regression: quarantine the serving content digest, then
-    /// roll the manifest pointer back to `last_good`.
+    /// Post-flip regression: quarantine the content digest the manifest
+    /// pointer names (the version just promoted), then roll the pointer
+    /// back to `last_good`.
     fn do_rollback(&mut self, tick: u32, degraded: &mut bool) {
         self.phase = Phase::Steady;
-        let Some(serving) = self.serving.clone() else { return };
-        let manifest = match Manifest::read_current(&self.store) {
+        let manifest = match Manifest::read_current(self.store()) {
             Ok(Some(m)) => m,
             _ => {
                 *degraded = true;
@@ -1015,18 +1021,19 @@ impl LoopController {
             *degraded = true;
             return;
         }
-        self.quarantine.insert(serving.version, serving.digest);
-        if self.quarantine.save(&self.store).is_err() {
+        let digest = manifest_models_digest(&manifest);
+        self.quarantine.insert(manifest.version, digest);
+        if self.quarantine.save(self.store()).is_err() {
             *degraded = true;
         }
-        match rollback(&self.store) {
+        match rollback(self.store()) {
             Ok(to_version) => {
                 self.counters.rollbacks.increment();
                 self.journal.push(TickEvent {
                     tick,
-                    event: LoopEvent::RolledBack { to_version, quarantined_digest: serving.digest },
+                    event: LoopEvent::RolledBack { to_version, quarantined_digest: digest },
                 });
-                self.reload_serving();
+                self.load_serving(tick, to_version, degraded);
                 // Same reasoning as promotion: the bad model's outcomes
                 // must not be held against the restored one. Fresh
                 // monitor, restored version's own expectations.
@@ -1053,10 +1060,19 @@ impl LoopController {
         }
     }
 
-    /// Re-decodes the serving set from the store's current manifest.
-    fn reload_serving(&mut self) {
-        self.serving = load_model_set(&self.store);
-        self.registry.gauge(rc_obs::LOOP_SERVING_VERSION).set(self.serving_version() as f64);
+    /// Reloads the serving client onto version `expected`: after a flip,
+    /// and on every later tick until a reload completes. An incomplete
+    /// one is journaled and degrades the tick.
+    fn load_serving(&mut self, tick: u32, expected: u64, degraded: &mut bool) {
+        if reload(&self.serving, expected) {
+            self.reload_pending = None;
+        } else {
+            let event =
+                LoopEvent::ServeReloadIncomplete { expected, serving: self.serving_version() };
+            self.journal.push(TickEvent { tick, event });
+            self.reload_pending = Some(expected);
+            *degraded = true;
+        }
     }
 
     /// Replaces the drift monitor with a fresh one carrying the given
@@ -1118,10 +1134,12 @@ impl ShadowComparison {
     }
 }
 
-/// Scores both sets on the replay slice. Metrics are compared only where
-/// the candidate has a model and at least one example scored.
+/// Scores the serving client and the candidate on the replay slice.
+/// Metrics are compared only where the candidate has a model and at least
+/// one example scored; before the first promotion the serving client
+/// answers no prediction and scores nothing.
 fn shadow_compare(
-    serving: Option<Predictor<'_>>,
+    serving: &RcClient,
     candidate: Predictor<'_>,
     vms: &[LabeledVm],
     deployments: &[LabeledDeployment],
@@ -1139,34 +1157,18 @@ fn shadow_compare(
             }
             counts[bucket] += 1;
         };
-        let mut score = |inputs: &ClientInputs, truth: usize| {
-            let Some(c) = candidate.predict(metric, inputs) else { return };
+        for (inputs, truth) in examples(metric, vms, deployments) {
+            let Some(c) = candidate.predict(metric, inputs) else { continue };
             n += 1;
             if c == truth {
                 c_correct += 1;
             }
             bump(&mut c_counts, c);
-            if let Some(s) = serving.and_then(|s| s.predict(metric, inputs)) {
+            if let Some(s) = predict(serving, metric, inputs) {
                 if s == truth {
                     s_correct += 1;
                 }
                 bump(&mut s_counts, s);
-            }
-        };
-        match metric {
-            PredictionMetric::DeploymentSizeVms | PredictionMetric::DeploymentSizeCores => {
-                for dep in deployments {
-                    if let Some(truth) = deployment_truth(metric, dep) {
-                        score(&dep.inputs, truth);
-                    }
-                }
-            }
-            _ => {
-                for vm in vms {
-                    if let Some(truth) = vm_truth(metric, vm) {
-                        score(&vm.inputs, truth);
-                    }
-                }
             }
         }
         if n > 0 {
@@ -1196,17 +1198,17 @@ fn shadow_compare(
 
 // --- Helpers ---
 
-fn vm_metrics() -> [PredictionMetric; 4] {
-    [
-        PredictionMetric::AvgCpuUtil,
-        PredictionMetric::P95MaxCpuUtil,
-        PredictionMetric::Lifetime,
-        PredictionMetric::WorkloadClass,
-    ]
-}
-
-fn deployment_metrics() -> [PredictionMetric; 2] {
-    [PredictionMetric::DeploymentSizeVms, PredictionMetric::DeploymentSizeCores]
+/// The examples a tick scores for `metric`: every VM or deployment of
+/// the slice with a label for it, as its inputs and true bucket.
+fn examples<'a>(
+    metric: PredictionMetric,
+    vms: &'a [LabeledVm],
+    deployments: &'a [LabeledDeployment],
+) -> impl Iterator<Item = (&'a ClientInputs, usize)> {
+    let vms = vms.iter().filter_map(move |vm| Some((&vm.inputs, vm_truth(metric, vm)?)));
+    let deps =
+        deployments.iter().filter_map(move |d| Some((&d.inputs, deployment_truth(metric, d)?)));
+    vms.chain(deps)
 }
 
 fn vm_truth(metric: PredictionMetric, vm: &LabeledVm) -> Option<usize> {
@@ -1274,32 +1276,43 @@ fn garble(trace: &Trace) -> Trace {
     garbled
 }
 
-/// Decodes the store's current manifest into a resident [`ModelSet`].
-/// Any missing or checksum-mismatched payload voids the load — a
-/// half-published version must never partially serve.
-fn load_model_set<B: StoreBackend + ?Sized>(store: &B) -> Option<Arc<ModelSet>> {
-    let manifest = Manifest::read_current(store).ok()??;
-    let prefix = Manifest::version_prefix(manifest.version);
-    let mut models = Vec::with_capacity(manifest.models.len());
-    for entry in &manifest.models {
-        let record = store.get_latest(&format!("{prefix}{}", entry.key)).ok()?;
-        if checksum(&record.data) != entry.checksum {
-            return None;
-        }
-        models.push(rc_ml::from_bytes(&record.data).ok()?);
-    }
-    let mut features = HashMap::with_capacity(manifest.features.len());
-    for entry in &manifest.features {
-        let record = store.get_latest(&format!("{prefix}{}", entry.key)).ok()?;
-        if checksum(&record.data) != entry.checksum {
-            return None;
-        }
-        let sub: u32 = entry.key.strip_prefix("features/")?.parse().ok()?;
-        let decoded: SubscriptionFeatures = serde_json::from_slice(&record.data).ok()?;
-        features.insert(SubscriptionId(sub), decoded);
-    }
-    let digest = manifest_models_digest(&manifest);
-    Some(Arc::new(ModelSet { models, features, version: manifest.version, digest }))
+/// A push-mode client over the loop's store: no disk cache, no watcher.
+/// The loop only predicts through [`predict`], which bypasses the result
+/// cache, so it gets the smallest one the client accepts.
+fn loop_client(store: &Arc<ChaosStore>) -> RcClient {
+    RcClient::with_backend(
+        store.clone(),
+        ClientConfig {
+            mode: CacheMode::Push,
+            result_cache_capacity: 1,
+            result_cache_shards: 1,
+            disk_cache_dir: None,
+            auto_refresh_interval: None,
+            ..ClientConfig::default()
+        },
+    )
+}
+
+/// Reloads `client` from the store's current manifest. `true` when it
+/// landed on version `expected` and every payload the manifest names was
+/// fetched and accepted; otherwise the previous resident model keeps
+/// answering for each slot the load could not fill (and a feature record
+/// it could not fill is gone).
+fn reload(client: &RcClient, expected: u64) -> bool {
+    let skipped = |c: &RcClient| {
+        c.model_rejected_count() + c.corrupt_payload_count() + c.unfetched_payload_count()
+    };
+    let before = skipped(client);
+    client.force_reload_cache();
+    skipped(client) == before && client.manifest_version() == Some(expected)
+}
+
+/// The bucket `client` predicts for `metric` from its resident models
+/// and feature records; `None` for no prediction. Scored predictions must
+/// be exact, so this never answers from the result cache, whose key
+/// buckets deployment time by day.
+fn predict(client: &RcClient, metric: PredictionMetric, inputs: &ClientInputs) -> Option<usize> {
+    client.predict_uncached(metric.model_name(), inputs).map(|p| p.value)
 }
 
 /// FNV-1a over the serialized journal: the reproducibility witness.
@@ -1353,6 +1366,58 @@ mod tests {
         assert_eq!(serde_json::to_vec(&a).unwrap(), serde_json::to_vec(&b).unwrap());
         let c = LoopController::new(tiny_config(8, 4)).run();
         assert_ne!(a.journal_digest, c.journal_digest, "different seed, different soak");
+    }
+
+    /// Over the recorded seed-19 soak (five promotions, one rollback):
+    /// the serving client is on the version the store's manifest pointer
+    /// names and the loop reports, the frozen client never leaves version
+    /// 1, and neither client's result cache is ever read or filled, so no
+    /// prediction after a flip is answered from the previous version's
+    /// entries.
+    #[test]
+    fn flips_reload_the_serving_client_and_the_frozen_client_stays_on_v1() {
+        let anomaly = WorkloadShift {
+            from_tick: 8,
+            until_tick: 9,
+            base_mul: 0.35,
+            base_add: 0.05,
+            p95_mul: 0.4,
+            p95_add: 0.08,
+            ramp_ticks: 0,
+        };
+        let mut controller = LoopController::new(LoopConfig {
+            seed: 19,
+            ticks: 12,
+            retrain_every: 3,
+            watch_ticks: 2,
+            shifts: vec![WorkloadShift::surge(5), anomaly],
+            chaos: ChaosPlan { degrade_candidate_at: vec![6], ..ChaosPlan::default() },
+            ..LoopConfig::default()
+        });
+        let mut execs = 0;
+        for tick in 0..12 {
+            controller.run_tick();
+            let pointer = Manifest::read_current(controller.store()).unwrap().expect("published");
+            assert_eq!(controller.serving.manifest_version(), Some(pointer.version));
+            assert_eq!(controller.serving_version(), pointer.version);
+            let frozen = controller.frozen.as_ref().expect("loaded on the bootstrap tick");
+            assert_eq!(frozen.manifest_version(), Some(1), "the frozen client never reloads");
+
+            for client in [&controller.serving, frozen] {
+                assert_eq!(client.lookup_count(), 0, "scored past the result cache");
+                assert_eq!(client.result_cache_len(), 0);
+            }
+            // Nothing was resident while the bootstrap tick evaluated.
+            let answered = controller.serving.model_exec_count() > execs;
+            assert_eq!(answered, tick > 0, "the serving client answers");
+            execs = controller.serving.model_exec_count();
+        }
+        let summary = controller.summary();
+        assert_eq!((summary.promotions, summary.rollbacks), (5, 1));
+        assert!(!controller
+            .journal
+            .iter()
+            .any(|e| matches!(e.event, LoopEvent::ServeReloadIncomplete { .. })));
     }
 
     #[test]

@@ -59,6 +59,48 @@ pub enum DriftSignal {
     Drifting,
 }
 
+/// The trip/clear state machine both drift monitors run: the signal
+/// flips to drifting after `trip_ticks` consecutive breaching verdicts
+/// and back after `clear_ticks` consecutive recovered ones. A verdict
+/// that is neither (inside the band between the two thresholds) resets
+/// both streaks and holds the signal. Each monitor decides what a breach
+/// and a recovery are.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Hysteresis {
+    breach_ticks: u32,
+    ok_ticks: u32,
+    drifting: bool,
+}
+
+impl Hysteresis {
+    /// Feeds one verdict (`breach` wins when both are set) and returns
+    /// whether the signal flipped.
+    pub(crate) fn update(
+        &mut self,
+        breach: bool,
+        ok: bool,
+        trip_ticks: u32,
+        clear_ticks: u32,
+    ) -> bool {
+        (self.breach_ticks, self.ok_ticks) = match (breach, ok) {
+            (true, _) => (self.breach_ticks + 1, 0),
+            (false, true) => (0, self.ok_ticks + 1),
+            (false, false) => (0, 0),
+        };
+        let flip = if self.drifting {
+            self.ok_ticks >= clear_ticks
+        } else {
+            self.breach_ticks >= trip_ticks
+        };
+        self.drifting ^= flip;
+        flip
+    }
+
+    pub(crate) fn drifting(&self) -> bool {
+        self.drifting
+    }
+}
+
 /// Hysteresis parameters for [`DriftSignal`] evaluation.
 #[derive(Debug, Clone)]
 pub struct DriftConfig {
@@ -127,9 +169,7 @@ struct MetricState {
     dropped_pending: u64,
     win_correct: WindowedCounter,
     win_outcomes: WindowedCounter,
-    breach_ticks: u32,
-    ok_ticks: u32,
-    signal: DriftSignal,
+    drift: Hysteresis,
     /// Signal flips in either direction since this state was created.
     transitions: u64,
     g_rolling: Gauge,
@@ -151,9 +191,7 @@ impl MetricState {
             dropped_pending: 0,
             win_correct: WindowedCounter::new(config.window),
             win_outcomes: WindowedCounter::new(config.window),
-            breach_ticks: 0,
-            ok_ticks: 0,
-            signal: DriftSignal::Stable,
+            drift: Hysteresis::default(),
             transitions: 0,
             g_rolling: registry.gauge(&acc_gauge_name(ACC_ROLLING, metric)),
             g_cumulative: registry.gauge(&acc_gauge_name(ACC_CUMULATIVE, metric)),
@@ -299,44 +337,25 @@ impl AccuracyTracker {
             state.win_correct.tick();
             state.win_outcomes.tick();
             let window_outcomes = state.win_outcomes.window_sum();
-            let rolling = state.rolling();
-            if let Some(r) = rolling {
-                state.g_rolling.set(r);
-            }
-            if let Some(rolling) = rolling {
+            if let Some(rolling) = state.rolling() {
+                state.g_rolling.set(rolling);
                 // A metric never seeded from a manifest still gets a
                 // verdict, against [`DEFAULT_BASELINE`] — "no baseline"
                 // must not mean "can never trip".
                 let baseline = state.baseline.unwrap_or(DEFAULT_BASELINE);
-                if window_outcomes >= self.config.min_samples {
-                    if rolling < baseline - self.config.tolerance {
-                        state.breach_ticks += 1;
-                        state.ok_ticks = 0;
-                    } else if rolling >= baseline - self.config.clear_margin {
-                        state.ok_ticks += 1;
-                        state.breach_ticks = 0;
-                    } else {
-                        // Inside the hysteresis band: hold the signal.
-                        state.breach_ticks = 0;
-                        state.ok_ticks = 0;
-                    }
-                    let next = match state.signal {
-                        DriftSignal::Stable if state.breach_ticks >= self.config.trip_ticks => {
-                            DriftSignal::Drifting
-                        }
-                        DriftSignal::Drifting if state.ok_ticks >= self.config.clear_ticks => {
-                            DriftSignal::Stable
-                        }
-                        same => same,
-                    };
-                    if next != state.signal {
-                        state.signal = next;
-                        state.transitions += 1;
-                        self.c_transitions.increment();
-                    }
+                if window_outcomes >= self.config.min_samples
+                    && state.drift.update(
+                        rolling < baseline - self.config.tolerance,
+                        rolling >= baseline - self.config.clear_margin,
+                        self.config.trip_ticks,
+                        self.config.clear_ticks,
+                    )
+                {
+                    state.transitions += 1;
+                    self.c_transitions.increment();
                 }
             }
-            state.g_drift.set(if state.signal == DriftSignal::Drifting { 1.0 } else { 0.0 });
+            state.g_drift.set(if state.drift.drifting() { 1.0 } else { 0.0 });
         }
     }
 
@@ -353,7 +372,7 @@ impl AccuracyTracker {
             .lock()
             .expect("accuracy lock")
             .get(metric)
-            .map(|s| s.signal)
+            .map(|s| if s.drift.drifting() { DriftSignal::Drifting } else { DriftSignal::Stable })
             .unwrap_or_default()
     }
 
@@ -462,11 +481,7 @@ impl AccuracyTracker {
                     (
                         "drift".to_string(),
                         Value::Str(
-                            match state.signal {
-                                DriftSignal::Stable => "stable",
-                                DriftSignal::Drifting => "drifting",
-                            }
-                            .to_string(),
+                            if state.drift.drifting() { "drifting" } else { "stable" }.to_string(),
                         ),
                     ),
                     ("confusion".to_string(), confusion),
@@ -522,52 +537,46 @@ mod tests {
         assert_eq!(rows[1].hit_rate, 1.0);
     }
 
+    /// The trip/clear state machine both monitors share, one row per
+    /// boundary. Verdicts are `b` (breach), `o` (recovered) and `-`
+    /// (inside the band); the expected string is the signal after each
+    /// verdict, `S`table or `D`rifting.
     #[test]
-    fn drift_trips_after_consecutive_breaches_and_clears_with_hysteresis() {
-        let config = DriftConfig {
-            window: 4,
-            tolerance: 0.2,
-            clear_margin: 0.05,
-            trip_ticks: 2,
-            clear_ticks: 2,
-            min_samples: 5,
-        };
-        let t = AccuracyTracker::new(config);
-        t.set_baseline("m", 0.9);
-        let mut id = 0u64;
-        let mut feed = |hits: usize, misses: usize, t: &AccuracyTracker| {
-            for _ in 0..hits {
-                t.record_prediction("m", id, 1);
-                t.record_outcome("m", id, 1);
-                id += 1;
-            }
-            for _ in 0..misses {
-                t.record_prediction("m", id, 1);
-                t.record_outcome("m", id, 2);
-                id += 1;
-            }
-        };
-        // Healthy epochs: rolling 1.0 — stable.
-        feed(10, 0, &t);
-        t.tick();
-        assert_eq!(t.drift("m"), DriftSignal::Stable);
-        // One bad epoch is not enough (trip_ticks = 2).
-        feed(0, 30, &t);
-        t.tick();
-        assert_eq!(t.drift("m"), DriftSignal::Stable);
-        feed(0, 30, &t);
-        t.tick();
-        assert_eq!(t.drift("m"), DriftSignal::Drifting);
-        // Recovery must also persist for clear_ticks epochs, and the old
-        // bad epochs must leave the window first.
-        feed(40, 0, &t);
-        t.tick();
-        assert_eq!(t.drift("m"), DriftSignal::Drifting);
-        for _ in 0..4 {
-            feed(40, 0, &t);
-            t.tick();
+    fn hysteresis_boundaries() {
+        let table = [
+            // One-tick trip, one-tick clear.
+            (1, 1, "bo", "DS"),
+            // Consecutive breaches trip; consecutive recoveries clear.
+            (2, 2, "bbboo", "SDDDS"),
+            // Flapping never builds a streak.
+            (2, 2, "bobobobo", "SSSSSSSS"),
+            // The band resets a breach streak...
+            (2, 2, "b-b-b", "SSSSS"),
+            // ...and a recovery streak, holding a drifting signal.
+            (2, 2, "bb-o-o-oo", "SDDDDDDDS"),
+            // A sustained breach flips once, a sustained recovery once.
+            (2, 2, "bbbbbboooooo", "SDDDDDDSSSSS"),
+            // Uneven streak lengths.
+            (3, 1, "bb-bbbo", "SSSSSDS"),
+            (1, 3, "booo", "DDDS"),
+        ];
+        for (trip_ticks, clear_ticks, verdicts, expected) in table {
+            let mut h = Hysteresis::default();
+            let signals: String = verdicts
+                .chars()
+                .map(|v| {
+                    let was = h.drifting();
+                    let flipped = h.update(v == 'b', v == 'o', trip_ticks, clear_ticks);
+                    assert_eq!(flipped, h.drifting() != was, "a flip is reported exactly");
+                    if h.drifting() {
+                        'D'
+                    } else {
+                        'S'
+                    }
+                })
+                .collect();
+            assert_eq!(signals, expected, "trip {trip_ticks}, clear {clear_ticks}: {verdicts}");
         }
-        assert_eq!(t.drift("m"), DriftSignal::Stable);
     }
 
     /// Window 2 makes the rolling view exactly the previous epoch's
@@ -618,10 +627,11 @@ mod tests {
         assert_eq!(t.drift("m"), DriftSignal::Stable);
     }
 
-    /// Boundary: `trip_ticks = 1` trips on the very first breaching
-    /// epoch and clears on the very first recovered one.
+    /// The label monitor's threshold direction: a breach is rolling
+    /// accuracy strictly below `baseline - tolerance`, a recovery is at
+    /// or above `baseline - clear_margin`.
     #[test]
-    fn trip_after_one_tick_boundary() {
+    fn accuracy_trips_strictly_below_and_clears_inclusively() {
         let t = AccuracyTracker::new(boundary_config(1, 1));
         t.set_baseline("m", 0.75);
         let mut id = 0;
@@ -636,42 +646,6 @@ mod tests {
         // At the clear threshold (rolling 0.625 = baseline -
         // clear_margin, inclusive): one epoch clears.
         feed_epoch(&t, &mut id, 5, 3);
-        assert_eq!(t.drift("m"), DriftSignal::Stable);
-        assert_eq!(t.drift_transitions("m"), 2);
-    }
-
-    /// Boundary: accuracy flapping around the threshold — alternating
-    /// breach/recover epochs, and epochs sitting exactly on the trip
-    /// threshold — never accumulates enough consecutive ticks to flip
-    /// the signal, so the transition count stays zero; a sustained
-    /// breach then counts exactly one transition however long it lasts.
-    #[test]
-    fn flapping_at_the_threshold_never_double_counts_transitions() {
-        let t = AccuracyTracker::new(boundary_config(2, 2));
-        t.set_baseline("m", 0.75);
-        let mut id = 0;
-        for _ in 0..10 {
-            feed_epoch(&t, &mut id, 4, 6); // 0.4: breach (1 tick)
-            feed_epoch(&t, &mut id, 8, 2); // 0.8: recovered (resets)
-        }
-        assert_eq!(t.drift("m"), DriftSignal::Stable);
-        assert_eq!(t.drift_transitions("m"), 0, "flapping must not flip the signal");
-        for _ in 0..10 {
-            feed_epoch(&t, &mut id, 5, 5); // exactly baseline - tolerance
-        }
-        assert_eq!(t.drift("m"), DriftSignal::Stable);
-        assert_eq!(t.drift_transitions("m"), 0, "the threshold itself is not a breach");
-        // Sustained breach: one Stable→Drifting transition, not one per
-        // breaching epoch.
-        for _ in 0..10 {
-            feed_epoch(&t, &mut id, 0, 10);
-        }
-        assert_eq!(t.drift("m"), DriftSignal::Drifting);
-        assert_eq!(t.drift_transitions("m"), 1);
-        // Sustained recovery: exactly one more.
-        for _ in 0..10 {
-            feed_epoch(&t, &mut id, 10, 0);
-        }
         assert_eq!(t.drift("m"), DriftSignal::Stable);
         assert_eq!(t.drift_transitions("m"), 2);
     }

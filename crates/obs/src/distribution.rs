@@ -17,9 +17,9 @@
 //! - [`LeadingDriftMonitor`]: compares each ingested window's sketch
 //!   against a baseline sketch captured from the serving model's
 //!   training window, and maintains a typed [`LeadingDrift`] signal per
-//!   feature with the same trip/clear hysteresis shape as the label
-//!   tracker — so one noisy window doesn't flap the signal, but a
-//!   sustained shift trips it ticks before accuracy falls.
+//!   feature through the label tracker's own trip/clear hysteresis — so
+//!   one noisy window doesn't flap the signal, but a sustained shift
+//!   trips it ticks before accuracy falls.
 //!
 //! Gauges land in a [`Registry`] as `rc_loop_leading_psi{feature=...}` /
 //! `rc_loop_leading_drift{feature=...}`, next to the label-based
@@ -29,6 +29,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::accuracy::Hysteresis;
 use crate::metrics::{Counter, Gauge, Registry};
 use crate::names::{LOOP_LEADING_DRIFT, LOOP_LEADING_PSI, LOOP_LEADING_TRIPS};
 
@@ -260,9 +261,7 @@ pub struct LeadingObservation {
 }
 
 struct FeatureState {
-    breach_ticks: u32,
-    ok_ticks: u32,
-    signal: LeadingDrift,
+    drift: Hysteresis,
     g_psi: Gauge,
     g_drift: Gauge,
 }
@@ -297,9 +296,7 @@ impl LeadingDriftMonitor {
     pub fn set_baseline(&mut self, baseline: Option<WindowSketch>) {
         self.baseline = baseline;
         for state in self.features.values_mut() {
-            state.breach_ticks = 0;
-            state.ok_ticks = 0;
-            state.signal = LeadingDrift::Stable;
+            state.drift = Hysteresis::default();
             state.g_drift.set(0.0);
         }
     }
@@ -323,52 +320,42 @@ impl LeadingDriftMonitor {
         let mut out = Vec::new();
         for (feature, psi) in window.psi_vs(baseline) {
             let state = self.features.entry(feature.clone()).or_insert_with(|| FeatureState {
-                breach_ticks: 0,
-                ok_ticks: 0,
-                signal: LeadingDrift::Stable,
+                drift: Hysteresis::default(),
                 g_psi: self.registry.gauge(&feature_gauge_name(LOOP_LEADING_PSI, &feature)),
                 g_drift: self.registry.gauge(&feature_gauge_name(LOOP_LEADING_DRIFT, &feature)),
             });
             state.g_psi.set(psi);
-            if psi > self.config.psi_trip {
-                state.breach_ticks += 1;
-                state.ok_ticks = 0;
-            } else if psi <= self.config.psi_clear {
-                state.ok_ticks += 1;
-                state.breach_ticks = 0;
-            } else {
-                // Inside the hysteresis band: hold the signal.
-                state.breach_ticks = 0;
-                state.ok_ticks = 0;
+            let flipped = state.drift.update(
+                psi > self.config.psi_trip,
+                psi <= self.config.psi_clear,
+                self.config.trip_ticks,
+                self.config.clear_ticks,
+            );
+            let drifting = state.drift.drifting();
+            let signal = if drifting { LeadingDrift::Drifting } else { LeadingDrift::Stable };
+            let tripped = flipped && drifting;
+            if tripped {
+                self.c_trips.increment();
             }
-            let mut tripped = false;
-            match state.signal {
-                LeadingDrift::Stable if state.breach_ticks >= self.config.trip_ticks => {
-                    state.signal = LeadingDrift::Drifting;
-                    tripped = true;
-                    self.c_trips.increment();
-                }
-                LeadingDrift::Drifting if state.ok_ticks >= self.config.clear_ticks => {
-                    state.signal = LeadingDrift::Stable;
-                }
-                _ => {}
-            }
-            state.g_drift.set(if state.signal == LeadingDrift::Drifting { 1.0 } else { 0.0 });
-            out.push(LeadingObservation { feature, psi, signal: state.signal, tripped });
+            state.g_drift.set(if drifting { 1.0 } else { 0.0 });
+            out.push(LeadingObservation { feature, psi, signal, tripped });
         }
         out
     }
 
     /// The current verdict for `feature` (`Stable` when unknown).
     pub fn signal(&self, feature: &str) -> LeadingDrift {
-        self.features.get(feature).map(|s| s.signal).unwrap_or_default()
+        self.features
+            .get(feature)
+            .map(|s| if s.drift.drifting() { LeadingDrift::Drifting } else { LeadingDrift::Stable })
+            .unwrap_or_default()
     }
 
     /// Features currently `Drifting`, ascending by name.
     pub fn drifting_features(&self) -> Vec<String> {
         self.features
             .iter()
-            .filter(|(_, s)| s.signal == LeadingDrift::Drifting)
+            .filter(|(_, s)| s.drift.drifting())
             .map(|(name, _)| name.clone())
             .collect()
     }
@@ -456,42 +443,41 @@ mod tests {
         s
     }
 
+    /// The leading monitor's threshold direction: a breach is PSI
+    /// strictly above `psi_trip`, a recovery is PSI at or below
+    /// `psi_clear`. (The streak logic is the shared hysteresis, tested
+    /// by its table in `accuracy.rs`.)
     #[test]
-    fn monitor_trips_with_hysteresis_and_clears_on_recovery() {
-        let config = LeadingDriftConfig {
-            psi_trip: 0.25,
-            psi_clear: 0.10,
-            trip_ticks: 2,
-            clear_ticks: 2,
+    fn psi_trips_strictly_above_and_clears_inclusively() {
+        let config = |psi_trip| LeadingDriftConfig {
+            psi_trip,
+            psi_clear: 0.0,
+            trip_ticks: 1,
+            clear_ticks: 1,
             min_samples: 100,
         };
-        let mut monitor = LeadingDriftMonitor::new(config);
-        // No baseline: observation is a no-op.
-        assert!(monitor.observe(&sketch_around(0.5, 500)).is_empty());
-        monitor.set_baseline(Some(sketch_around(0.3, 500)));
+        let baseline = sketch_around(0.3, 500);
+        let shifted = sketch_around(0.7, 500);
+        let psi = shifted.psi_vs(&baseline)[0].1;
+        assert!(LeadingDriftMonitor::new(config(psi)).observe(&shifted).is_empty(), "no baseline");
 
-        // Matching window: stable.
-        let obs = monitor.observe(&sketch_around(0.3, 500));
-        assert_eq!(obs.len(), 1);
-        assert!(obs[0].psi < 0.10);
-        assert_eq!(monitor.signal("f"), LeadingDrift::Stable);
+        // PSI exactly at the trip threshold is not a breach.
+        let mut at_trip = LeadingDriftMonitor::new(config(psi));
+        at_trip.set_baseline(Some(baseline.clone()));
+        assert_eq!(at_trip.observe(&shifted)[0].signal, LeadingDrift::Stable);
 
-        // One shifted window is not enough (trip_ticks = 2)...
-        monitor.observe(&sketch_around(0.7, 500));
-        assert_eq!(monitor.signal("f"), LeadingDrift::Stable);
-        // ...the second trips, and reports the transition exactly once.
-        let obs = monitor.observe(&sketch_around(0.7, 500));
-        assert!(obs[0].tripped);
-        assert_eq!(monitor.signal("f"), LeadingDrift::Drifting);
+        // Above it trips, and reports the trip once.
+        let mut monitor = LeadingDriftMonitor::new(config(psi / 2.0));
+        monitor.set_baseline(Some(baseline.clone()));
+        assert!(monitor.observe(&shifted)[0].tripped);
+        assert!(!monitor.observe(&shifted)[0].tripped, "a drifting feature must not re-trip");
         assert_eq!(monitor.drifting_features(), vec!["f".to_string()]);
-        let obs = monitor.observe(&sketch_around(0.7, 500));
-        assert!(!obs[0].tripped, "an already-drifting feature must not re-trip");
 
-        // Recovery needs clear_ticks consecutive quiet windows.
-        monitor.observe(&sketch_around(0.3, 500));
-        assert_eq!(monitor.signal("f"), LeadingDrift::Drifting);
-        monitor.observe(&sketch_around(0.3, 500));
-        assert_eq!(monitor.signal("f"), LeadingDrift::Stable);
+        // PSI exactly at the clear threshold (0, the baseline itself)
+        // is a recovery.
+        let obs = monitor.observe(&baseline);
+        assert_eq!(obs[0].psi, 0.0);
+        assert_eq!(obs[0].signal, LeadingDrift::Stable);
     }
 
     #[test]

@@ -19,17 +19,22 @@
 //!     degrading telemetry, a racing manual publish — journals every
 //!     fault, bounds the damage, and never wedges the loop;
 //! (g) a fixed-seed soak through every transition reproduces a recorded
-//!     `LoopSummary` byte for byte.
+//!     `LoopSummary` byte for byte;
+//! (h) a rollback whose target payload is corrupt, or browned out, keeps
+//!     the loop serving and evaluating: the incomplete reload is
+//!     journaled, degrades the tick and is retried on the next one, and
+//!     no bootstrap retrain is ever scheduled.
 //!
 //! Tests that script the *label* pathway pin `leading_observe_only` so
 //! the leading monitor (which otherwise reacts first, by design) records
 //! but does not preempt the episode.
 
 use resource_central::lifecycle::{
-    ChaosPlan, LoopConfig, LoopController, LoopEvent, RetrainReason, TickEvent, WorkloadShift,
+    brownout_shard_of, ChaosPlan, LoopConfig, LoopController, LoopEvent, RetrainReason, TickEvent,
+    WorkloadShift,
 };
 use resource_central::prelude::*;
-use resource_central::store::fingerprint;
+use resource_central::store::{fingerprint, MANIFEST_KEY, QUARANTINE_KEY};
 
 /// The soak shape shrunk to integration-test size: drift-only retrains
 /// (no cadence) unless a test opts back in, and windows just big enough
@@ -449,4 +454,132 @@ fn fixed_seed_soak_reproduces_the_recorded_summary() {
     );
     let got = String::from_utf8(serde_json::to_vec(&summary).expect("finite")).expect("utf-8");
     assert_eq!(got, recorded);
+}
+
+/// Test (c)'s scenario — one promotion regresses and is rolled back —
+/// stepped up to its rollback tick: the controller about to run that
+/// tick, the tick, and the version it restores.
+fn before_rollback() -> (LoopController, u32, u64) {
+    let config = || {
+        let mut c = base_config(7, 14);
+        c.leading_observe_only = true;
+        c.shifts = vec![episode(4, 6), episode(12, 14)];
+        c
+    };
+    let (rollback_tick, to_version) = {
+        let mut reference = LoopController::new(config());
+        let mut found = None;
+        while found.is_none() {
+            reference.run_tick();
+            found = reference.journal().iter().find_map(|e| match e.event {
+                LoopEvent::RolledBack { to_version, .. } => Some((e.tick, to_version)),
+                _ => None,
+            });
+        }
+        found.expect("test (c)'s scenario rolls back")
+    };
+    let mut controller = LoopController::new(config());
+    for _ in 0..rollback_tick {
+        controller.run_tick();
+    }
+    let manifest = Manifest::read_current(controller.store()).unwrap().expect("published");
+    assert!(manifest.version > to_version, "the regressing version is serving");
+    (controller, rollback_tick, to_version)
+}
+
+/// Every `ServeReloadIncomplete` so far, as `(tick, expected, serving)`.
+fn incomplete_reloads(controller: &LoopController) -> Vec<(u32, u64, u64)> {
+    let journal = controller.journal().iter();
+    journal
+        .filter_map(|e| match e.event {
+            LoopEvent::ServeReloadIncomplete { expected, serving } => {
+                Some((e.tick, expected, serving))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// (h) The rollback target's model payload is corrupted before the
+/// rollback tick. The serving client rejects it and keeps the previous
+/// model answering for that slot; the loop journals the incomplete
+/// reload, degrades the tick, and goes on serving — it never forgets a
+/// version is published.
+#[test]
+fn corrupt_rollback_target_is_journaled_and_the_loop_keeps_serving() {
+    let (mut controller, rollback_tick, to_version) = before_rollback();
+    let manifest = Manifest::read_current(controller.store()).unwrap().expect("published");
+    let slot = format!("v{to_version}/{}", manifest.models[0].key);
+    controller.store().inner().put(&slot, b"not a model".to_vec().into()).unwrap();
+
+    controller.run_tick();
+    assert_eq!(
+        incomplete_reloads(&controller),
+        [(rollback_tick, to_version, to_version)],
+        "the rejected payload must be journaled on the rollback tick: {:?}",
+        events(controller.journal())
+    );
+    assert!(controller.serving_version() >= to_version, "a published version keeps serving");
+    assert!(controller.summary().degraded_ticks >= 1, "the incomplete reload degrades the tick");
+
+    // The next tick still evaluates live predictions and never mistakes
+    // the loop for an unbootstrapped one.
+    let avg = rc_types::PredictionMetric::AvgCpuUtil.model_name();
+    let before = controller.tracker().predictions(avg);
+    controller.run_tick();
+    assert!(controller.tracker().predictions(avg) > before, "live evaluation continues");
+    assert!(
+        !controller.journal().iter().any(|e| e.tick > 0
+            && matches!(e.event, LoopEvent::RetrainScheduled { reason: RetrainReason::Bootstrap })),
+        "no bootstrap retrain after the first promotion"
+    );
+}
+
+/// (h) A brownout on the rollback tick, and on the one after, takes out
+/// a key shard holding one of the rollback target's model payloads (but
+/// not the manifest or the quarantine set, so the rollback itself goes
+/// through). The reload cannot fetch that payload: the loop journals it
+/// and degrades the tick, retries on the next tick (which fails and is
+/// journaled again), and completes on the first tick with the shard back.
+#[test]
+fn browned_out_rollback_target_is_reloaded_once_the_shard_is_back() {
+    let (mut controller, rollback_tick, to_version) = before_rollback();
+    let manifest = Manifest::read_current(controller.store()).unwrap().expect("published");
+    let spared = [MANIFEST_KEY, QUARANTINE_KEY].map(brownout_shard_of);
+    let shard = manifest
+        .models
+        .iter()
+        .map(|e| brownout_shard_of(&format!("v{to_version}/{}", e.key)))
+        .find(|s| !spared.contains(s))
+        .expect("some model payload shares no shard with the manifest or quarantine set");
+
+    controller.store().arm_brownout(shard);
+    controller.run_tick();
+    let journal = events(controller.journal());
+    assert!(
+        journal.iter().any(|(t, e)| *t == rollback_tick
+            && matches!(e, LoopEvent::RolledBack { to_version: v, .. } if *v == to_version)),
+        "the rollback itself goes through: {journal:?}"
+    );
+    assert_eq!(incomplete_reloads(&controller), [(rollback_tick, to_version, to_version)]);
+    let degraded = controller.summary().degraded_ticks;
+    assert!(degraded >= 1, "the incomplete reload degrades the tick");
+
+    // No flip follows (the brownout also fails any publish), so only the
+    // retry can reload the client.
+    controller.store().arm_brownout(shard);
+    controller.run_tick();
+    controller.run_tick();
+    let journal = events(controller.journal());
+    assert!(
+        !journal.iter().any(|(t, e)| *t > rollback_tick
+            && matches!(e, LoopEvent::Promoted { .. } | LoopEvent::RolledBack { .. })),
+        "{journal:?}"
+    );
+    assert_eq!(
+        incomplete_reloads(&controller),
+        [(rollback_tick, to_version, to_version), (rollback_tick + 1, to_version, to_version)],
+        "retried under the brownout, completed once it healed"
+    );
+    assert_eq!(controller.serving_version(), to_version);
 }
