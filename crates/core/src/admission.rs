@@ -1,34 +1,23 @@
 //! Batch admission for pull-mode refreshes.
 //!
 //! A pull-mode result-cache miss answers no-prediction immediately and
-//! hands the key to a background worker to fill. The old path funneled
-//! every miss through `in_flight: Mutex<HashSet<u64>>` — a global lock
-//! acquired on the predict path, exactly the thundering-herd shape it
-//! was trying to dedup. This module replaces it with two lock-free
-//! pieces:
+//! hands the key to a background worker to fill (§4.2). Producers and the
+//! worker share one mutex over the queued requests, the keys in flight,
+//! and a closed flag:
 //!
-//! - an [`InFlightTable`]: a fixed array of atomic slots keyed by the
-//!   cache key. Claiming is a bounded linear probe with one CAS; a key
-//!   already present means another caller got there first and the miss
-//!   *coalesces* (no second enqueue). On probe-window overflow the key is
-//!   admitted anyway — the worst case is one duplicate model execution
-//!   writing the same cache entry twice, which is benign, whereas
-//!   refusing admission could strand a key unfilled forever.
-//! - a bounded MPMC [`ArrayQueue`] carrying the refresh requests, whose
-//!   `push` failure *is* the backpressure signal: when producers outrun
-//!   the worker the excess misses are rejected (counted, and the caller
-//!   already has its default answer) instead of growing an unbounded
-//!   channel.
+//! - a key already in flight *coalesces*: no second enqueue, and the
+//!   pending refresh fills the cache for every caller that missed on it;
+//! - a full queue *rejects* the refresh (backpressure): the caller already
+//!   has its default answer, and the queue never grows past its capacity;
+//! - anything else is enqueued and wakes the worker.
 //!
-//! The worker parks on a condvar only when the queue runs dry; producers
-//! touch that mutex only when the worker is actually parked, so the
-//! steady-state submit path is CAS + push + one atomic flag load.
+//! The worker blocks on a condvar until work arrives or the queue closes,
+//! and drains every admitted request before it exits. No workload
+//! exercises pull mode under contention, so a plain lock is all the
+//! admission path needs.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
-
-use crossbeam::queue::ArrayQueue;
+use std::collections::{HashSet, VecDeque};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::inputs::ClientInputs;
 
@@ -47,114 +36,41 @@ pub(crate) enum SubmitOutcome {
     Rejected,
 }
 
-/// Slot value: no key claimed, ever.
-const EMPTY: u64 = 0;
-/// Slot value: a key was claimed here and has since been released.
-/// Distinct from [`EMPTY`] so probes for a *different* key that passed
-/// through this slot keep probing instead of stopping early.
-const TOMBSTONE: u64 = 1;
-/// Slots probed before giving up and admitting the key anyway.
-const PROBE_WINDOW: usize = 16;
-
-/// A fixed-size, lock-free membership table for in-flight cache keys.
-struct InFlightTable {
-    slots: Box<[AtomicU64]>,
-    mask: u64,
-}
-
-impl InFlightTable {
-    fn new(capacity: usize) -> InFlightTable {
-        let n = capacity.next_power_of_two().max(64);
-        InFlightTable {
-            slots: (0..n).map(|_| AtomicU64::new(EMPTY)).collect(),
-            mask: (n - 1) as u64,
-        }
-    }
-
-    /// Cache keys are FNV hashes, so 0 and 1 are vanishingly rare; remap
-    /// them off the sentinel values (two remapped keys may alias two
-    /// real keys — the cost is one spurious coalesce, which only delays
-    /// a cache fill, never corrupts one).
-    fn encode(key: u64) -> u64 {
-        if key <= TOMBSTONE {
-            key.wrapping_add(2)
-        } else {
-            key
-        }
-    }
-
-    /// Attempts to claim `key`. `false` means it is already in flight
-    /// (coalesce). On probe-window overflow the claim "succeeds" without
-    /// recording — see the module docs for why duplicates are benign.
-    fn claim(&self, key: u64) -> bool {
-        let key = Self::encode(key);
-        let mut at = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) & self.mask;
-        for _ in 0..PROBE_WINDOW {
-            let slot = &self.slots[at as usize];
-            loop {
-                match slot.load(Ordering::Acquire) {
-                    cur if cur == key => return false,
-                    cur if cur == EMPTY || cur == TOMBSTONE => {
-                        match slot.compare_exchange(cur, key, Ordering::AcqRel, Ordering::Acquire) {
-                            Ok(_) => return true,
-                            // Someone raced us into this slot; re-examine
-                            // it (it might now hold our key).
-                            Err(_) => continue,
-                        }
-                    }
-                    _ => break,
-                }
-            }
-            at = (at + 1) & self.mask;
-        }
-        true
-    }
-
-    /// Releases a previously claimed key (no-op for overflow-admitted
-    /// keys that were never recorded).
-    fn release(&self, key: u64) {
-        let key = Self::encode(key);
-        let mut at = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) & self.mask;
-        for _ in 0..PROBE_WINDOW {
-            let slot = &self.slots[at as usize];
-            if slot.compare_exchange(key, TOMBSTONE, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-                return;
-            }
-            at = (at + 1) & self.mask;
-        }
-    }
+struct State {
+    queue: VecDeque<RefreshRequest>,
+    /// Keys admitted and not yet completed: queued or in the worker's
+    /// hands.
+    in_flight: HashSet<u64>,
+    closed: bool,
 }
 
 /// The bounded admission queue between predict-path producers and the
 /// pull worker.
 pub(crate) struct AdmissionQueue {
-    queue: ArrayQueue<RefreshRequest>,
-    in_flight: InFlightTable,
-    /// Requests admitted but not yet completed (queued + in the worker's
-    /// hands). `drain` waits on this reaching zero.
-    pending: AtomicUsize,
-    /// True while the worker is parked on the condvar; producers skip
-    /// the park mutex entirely when it is false.
-    parked: AtomicBool,
-    park: Mutex<()>,
-    wake: Condvar,
-    closed: AtomicBool,
+    capacity: usize,
+    state: Mutex<State>,
+    /// Signalled when a request is enqueued or the queue closes.
+    work: Condvar,
+    /// Signalled when the last key in flight completes.
+    idle: Condvar,
 }
 
 impl AdmissionQueue {
     pub(crate) fn new(capacity: usize) -> AdmissionQueue {
-        let capacity = capacity.max(1);
         AdmissionQueue {
-            queue: ArrayQueue::new(capacity),
-            // Size the dedup table past the queue so claims rarely probe
-            // far even at full queue depth.
-            in_flight: InFlightTable::new(capacity.saturating_mul(2)),
-            pending: AtomicUsize::new(0),
-            parked: AtomicBool::new(false),
-            park: Mutex::new(()),
-            wake: Condvar::new(),
-            closed: AtomicBool::new(false),
+            capacity: capacity.max(1),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                in_flight: HashSet::new(),
+                closed: false,
+            }),
+            work: Condvar::new(),
+            idle: Condvar::new(),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("admission lock")
     }
 
     /// Producer side: admit one refresh for `key`, coalescing duplicates
@@ -165,63 +81,64 @@ impl AdmissionQueue {
         inputs: &ClientInputs,
         key: u64,
     ) -> SubmitOutcome {
-        if !self.in_flight.claim(key) {
+        let mut state = self.lock();
+        if state.in_flight.contains(&key) {
             return SubmitOutcome::Coalesced;
         }
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        match self.queue.push((model_name.to_string(), *inputs, key)) {
-            Ok(()) => {
-                self.notify();
-                SubmitOutcome::Enqueued
-            }
-            Err(_) => {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                self.in_flight.release(key);
-                SubmitOutcome::Rejected
-            }
+        if state.queue.len() >= self.capacity {
+            return SubmitOutcome::Rejected;
         }
+        state.in_flight.insert(key);
+        state.queue.push_back((model_name.to_string(), *inputs, key));
+        self.work.notify_one();
+        SubmitOutcome::Enqueued
     }
 
-    /// Worker side: next request, if any.
-    pub(crate) fn pop(&self) -> Option<RefreshRequest> {
-        self.queue.pop()
+    /// Worker side: the next request, blocking while the queue is empty
+    /// and open. `None` once the queue is closed and drained.
+    pub(crate) fn next(&self) -> Option<RefreshRequest> {
+        let state = self.lock();
+        let mut state = self
+            .work
+            .wait_while(state, |s| s.queue.is_empty() && !s.closed)
+            .expect("admission work wait");
+        state.queue.pop_front()
     }
 
-    /// Worker side: a request popped earlier is fully processed — its
-    /// key may be admitted again.
+    /// Worker side: a request taken earlier is fully processed — its key
+    /// may be admitted again.
     pub(crate) fn complete(&self, key: u64) {
-        self.in_flight.release(key);
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Worker side: park until new work is likely (or the timeout
-    /// elapses — the worker re-checks shutdown on each wake).
-    pub(crate) fn park(&self, timeout: Duration) {
-        let guard = self.park.lock().expect("admission park lock");
-        self.parked.store(true, Ordering::SeqCst);
-        if self.queue.is_empty() && !self.closed.load(Ordering::SeqCst) {
-            let _unused = self.wake.wait_timeout(guard, timeout).expect("admission park wait");
-        }
-        self.parked.store(false, Ordering::SeqCst);
-    }
-
-    fn notify(&self) {
-        if self.parked.load(Ordering::SeqCst) {
-            let _guard = self.park.lock().expect("admission park lock");
-            self.wake.notify_all();
+        let mut state = self.lock();
+        state.in_flight.remove(&key);
+        if state.in_flight.is_empty() {
+            self.idle.notify_all();
         }
     }
 
-    /// Shuts the queue down, waking a parked worker.
+    /// Shuts the queue down, waking a waiting worker. Requests already
+    /// admitted stay queued for the worker to drain.
     pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        let _guard = self.park.lock().expect("admission park lock");
-        self.wake.notify_all();
+        self.lock().closed = true;
+        self.work.notify_all();
+    }
+
+    /// Blocks until every admitted request has completed.
+    pub(crate) fn wait_idle(&self) {
+        let state = self.lock();
+        let _state =
+            self.idle.wait_while(state, |s| !s.in_flight.is_empty()).expect("admission idle wait");
+    }
+
+    /// Next request without blocking.
+    #[cfg(test)]
+    fn pop(&self) -> Option<RefreshRequest> {
+        self.lock().queue.pop_front()
     }
 
     /// True when every admitted request has completed.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.pending.load(Ordering::SeqCst) == 0
+    #[cfg(test)]
+    fn is_idle(&self) -> bool {
+        self.lock().in_flight.is_empty()
     }
 }
 
@@ -230,6 +147,7 @@ mod tests {
     use super::*;
     use rc_types::time::Timestamp;
     use rc_types::vm::{OsType, Party, ProdTag, SubscriptionId, VmRole};
+    use std::time::Duration;
 
     fn inputs(n: u64) -> ClientInputs {
         ClientInputs {
@@ -380,18 +298,10 @@ mod tests {
         let worker = {
             let q = q.clone();
             let executed = executed.clone();
-            std::thread::spawn(move || loop {
-                match q.pop() {
-                    Some((_, _, key)) => {
-                        executed.fetch_add(1, Ordering::SeqCst);
-                        q.complete(key);
-                    }
-                    None => {
-                        if q.closed.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        q.park(Duration::from_millis(1));
-                    }
+            std::thread::spawn(move || {
+                while let Some((_, _, key)) = q.next() {
+                    executed.fetch_add(1, Ordering::SeqCst);
+                    q.complete(key);
                 }
             })
         };
@@ -438,19 +348,18 @@ mod tests {
     }
 
     #[test]
-    fn park_returns_on_notify_and_close() {
+    fn next_returns_on_submit_and_close() {
         let q = std::sync::Arc::new(AdmissionQueue::new(8));
         let qc = q.clone();
         let waker = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
             qc.submit("m", &inputs(1), 99);
         });
-        // Parks, then wakes when the submit lands (or the timeout trips —
-        // either way this returns promptly instead of hanging).
-        q.park(Duration::from_secs(5));
+        // Blocks until the submit lands.
+        let (_, _, key) = q.next().expect("woken by the submit");
         waker.join().unwrap();
-        assert!(q.pop().is_some());
+        assert_eq!(key, 99);
         q.close();
-        q.park(Duration::from_secs(5)); // closed: returns immediately
+        assert!(q.next().is_none(), "closed and drained: returns immediately");
     }
 }

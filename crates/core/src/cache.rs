@@ -1,7 +1,7 @@
-//! Client-side caches: results, models, feature data, and the local disk
-//! cache (§4.2, "Cache management").
+//! Client-side caches: the result cache and the local disk cache (§4.2,
+//! "Cache management"). Models and feature data live in the client's
+//! serve snapshot.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration as StdDuration, SystemTime};
@@ -9,9 +9,6 @@ use std::time::{Duration as StdDuration, SystemTime};
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
-use rc_types::vm::SubscriptionId;
-
-use crate::features::SubscriptionFeatures;
 use crate::prediction::Prediction;
 
 /// A point-in-time copy of the result cache's counters.
@@ -436,57 +433,6 @@ impl ShardedResultCache {
     }
 }
 
-/// In-memory feature-data cache with the store version it was loaded at.
-#[derive(Debug, Default, Clone)]
-pub struct FeatureCache {
-    records: HashMap<SubscriptionId, SubscriptionFeatures>,
-    /// Store version of the last refresh (0 = never loaded).
-    pub version: u64,
-}
-
-impl FeatureCache {
-    /// Looks up a subscription's record.
-    pub fn get(&self, sub: SubscriptionId) -> Option<&SubscriptionFeatures> {
-        self.records.get(&sub)
-    }
-
-    /// Replaces the whole cache (a push-mode refresh).
-    pub fn replace(
-        &mut self,
-        records: HashMap<SubscriptionId, SubscriptionFeatures>,
-        version: u64,
-    ) {
-        self.records = records;
-        self.version = version;
-    }
-
-    /// Inserts one record (a pull-mode fill).
-    pub fn insert(&mut self, record: SubscriptionFeatures) {
-        self.records.insert(record.subscription, record);
-    }
-
-    /// Number of cached records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no records are cached.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Clears all records.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.version = 0;
-    }
-
-    /// Read-only view of all records (used when persisting to disk).
-    pub fn records(&self) -> &HashMap<SubscriptionId, SubscriptionFeatures> {
-        &self.records
-    }
-}
-
 /// Escapes a record name into a filename-safe stem, losslessly.
 ///
 /// Store keys contain `/` (e.g. "model/VM_P95UTIL"). The old scheme
@@ -693,18 +639,6 @@ mod tests {
 
     fn pred(v: usize) -> Prediction {
         Prediction { value: v, score: 0.9 }
-    }
-
-    #[test]
-    fn feature_cache_basics() {
-        let mut f = FeatureCache::default();
-        assert!(f.is_empty());
-        f.insert(SubscriptionFeatures::new(SubscriptionId(7)));
-        assert_eq!(f.len(), 1);
-        assert!(f.get(SubscriptionId(7)).is_some());
-        assert!(f.get(SubscriptionId(8)).is_none());
-        f.clear();
-        assert!(f.is_empty());
     }
 
     #[test]

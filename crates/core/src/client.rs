@@ -96,12 +96,12 @@ pub struct ClientConfig {
     /// run against a read-only, pre-primed disk cache (chaos and
     /// reproducibility runs do this so a run never perturbs the next).
     pub disk_write_through: bool,
-    /// Pull-mode admission-queue depth: result-cache misses waiting for
-    /// the background worker. A full queue sheds further misses
-    /// (backpressure — they keep answering the default) instead of
-    /// growing unboundedly.
-    pub pull_queue_capacity: usize,
 }
+
+/// Pull-mode admission-queue depth: result-cache misses waiting for the
+/// background worker. A full queue sheds further misses (backpressure —
+/// they keep answering the default) instead of growing unboundedly.
+const PULL_QUEUE_CAPACITY: usize = 4096;
 
 impl Default for ClientConfig {
     fn default() -> Self {
@@ -116,7 +116,6 @@ impl Default for ClientConfig {
             breaker: BreakerConfig::default(),
             stale_grace: StdDuration::ZERO,
             disk_write_through: true,
-            pull_queue_capacity: 4096,
         }
     }
 }
@@ -305,8 +304,8 @@ struct Shared {
     /// fetches — all rare). The predict path never touches it.
     serve_write: Mutex<()>,
     results: ShardedResultCache,
-    /// Pull-mode admission: bounded queue plus a lock-free in-flight
-    /// table replacing the old global `Mutex<HashSet<u64>>`.
+    /// Pull-mode admission: the bounded queue of refreshes and the keys
+    /// in flight, feeding the pull worker.
     admission: Option<AdmissionQueue>,
     initialized: AtomicBool,
     shutdown: AtomicBool,
@@ -389,8 +388,8 @@ impl RcClient {
         rc_obs::global().gauge(rc_obs::CLIENT_RESULT_CACHE_SHARDS).set(results.n_shards() as f64);
         let breakers = CircuitBreakers::new(config.breaker);
         let jitter = RetryJitter::new(&config.retry);
-        let admission = (config.mode == CacheMode::Pull)
-            .then(|| AdmissionQueue::new(config.pull_queue_capacity));
+        let admission =
+            (config.mode == CacheMode::Pull).then(|| AdmissionQueue::new(PULL_QUEUE_CAPACITY));
         let shared = Arc::new(Shared {
             backend,
             results,
@@ -820,59 +819,24 @@ impl RcClient {
             return (PredictionResponse::Predicted(hit), Served::Hit, generation);
         }
         metrics.result_misses.increment();
-        let (response, served, generation) = match self.shared.config.mode {
-            CacheMode::Push => match self.execute(model_name, inputs) {
-                Some(executed) => {
-                    let evicted = self.shared.results.insert(key, executed.prediction);
-                    metrics.result_insertions.increment();
-                    if evicted {
-                        metrics.result_evictions.increment();
-                    }
-                    let served = self.count_serve_stale(executed.stale, 1);
-                    metrics.predictions.increment();
-                    (
-                        PredictionResponse::Predicted(executed.prediction),
-                        served,
-                        executed.generation,
-                    )
-                }
-                None => {
-                    let generation = self.shared.serve.with(|s| s.generation);
-                    (self.no_prediction(), Served::Default, generation)
-                }
-            },
-            CacheMode::PullSync => match self.resolve_sync(model_name, inputs) {
-                Some(executed) => {
-                    let evicted = self.shared.results.insert(key, executed.prediction);
-                    metrics.result_insertions.increment();
-                    if evicted {
-                        metrics.result_evictions.increment();
-                    }
-                    let served = self.count_serve_stale(executed.stale, 1);
-                    metrics.predictions.increment();
-                    (
-                        PredictionResponse::Predicted(executed.prediction),
-                        served,
-                        executed.generation,
-                    )
-                }
-                None => {
-                    let generation = self.shared.serve.with(|s| s.generation);
-                    (self.no_prediction(), Served::Default, generation)
-                }
-            },
+        let resolved = match self.shared.config.mode {
+            CacheMode::Push => execute(&self.shared, model_name, inputs),
+            CacheMode::PullSync => resolve_sync(&self.shared, model_name, inputs),
             CacheMode::Pull => {
-                // Answer no-prediction now; fill the cache in the
-                // background so the next identical request hits. The
-                // admission queue coalesces concurrent misses on the same
-                // key and sheds load when full — no global lock.
-                if let Some(q) = &self.shared.admission {
-                    match q.submit(model_name, inputs, key) {
-                        SubmitOutcome::Enqueued => metrics.admission_enqueued.increment(),
-                        SubmitOutcome::Coalesced => metrics.admission_coalesced.increment(),
-                        SubmitOutcome::Rejected => metrics.admission_rejected.increment(),
-                    }
-                }
+                // Answer no-prediction now; the pull worker fills the
+                // cache so the next identical request hits.
+                submit_refresh(&self.shared, model_name, inputs, key);
+                None
+            }
+        };
+        let (response, served, generation) = match resolved {
+            Some(executed) => {
+                fill_result(&self.shared, key, executed.prediction);
+                let served = self.count_serve_stale(executed.stale, 1);
+                metrics.predictions.increment();
+                (PredictionResponse::Predicted(executed.prediction), served, executed.generation)
+            }
+            None => {
                 let generation = self.shared.serve.with(|s| s.generation);
                 (self.no_prediction(), Served::Default, generation)
             }
@@ -896,22 +860,6 @@ impl RcClient {
             self.shared.metrics.fresh_fetches.add(n);
             Served::Fresh
         }
-    }
-
-    /// Synchronous pull: makes the model and the subscription's feature
-    /// record resident (store → retry/backoff → disk fallback), then
-    /// executes. `None` when every rung of the ladder failed.
-    fn resolve_sync(&self, model_name: &str, inputs: &ClientInputs) -> Option<Executed> {
-        let shared = &self.shared;
-        if shared.serve.with(|s| !s.models.contains_key(model_name)) {
-            resilient_fetch_model(shared, model_name)?;
-        }
-        if shared.serve.with(|s| !s.features.contains_key(&inputs.subscription))
-            && !resilient_fetch_features(shared, inputs.subscription)
-        {
-            return None;
-        }
-        self.execute(model_name, inputs)
     }
 
     /// Table 2: `predict_many` — a real batch path.
@@ -988,9 +936,9 @@ impl RcClient {
                 let mut filled: Vec<(u64, Prediction)> = Vec::with_capacity(unique_missed.len());
                 for &(key, first_idx) in &unique_missed {
                     let resolved = if sync_pull {
-                        self.resolve_sync(model_name, &inputs[first_idx])
+                        resolve_sync(&self.shared, model_name, &inputs[first_idx])
                     } else {
-                        self.execute(model_name, &inputs[first_idx])
+                        execute(&self.shared, model_name, &inputs[first_idx])
                     };
                     match resolved {
                         Some(executed) => {
@@ -1020,14 +968,8 @@ impl RcClient {
             CacheMode::Pull => {
                 // Enqueue each unique missed key once; answer no-prediction
                 // now so the next identical batch hits the cache.
-                if let Some(q) = &self.shared.admission {
-                    for &(key, first_idx) in &unique_missed {
-                        match q.submit(model_name, &inputs[first_idx], key) {
-                            SubmitOutcome::Enqueued => metrics.admission_enqueued.increment(),
-                            SubmitOutcome::Coalesced => metrics.admission_coalesced.increment(),
-                            SubmitOutcome::Rejected => metrics.admission_rejected.increment(),
-                        }
-                    }
+                for &(key, first_idx) in &unique_missed {
+                    submit_refresh(&self.shared, model_name, &inputs[first_idx], key);
                 }
                 for response in responses.iter_mut().filter(|r| r.is_none()) {
                     *response = Some(self.no_prediction());
@@ -1095,46 +1037,6 @@ impl RcClient {
         ClientHealth::Healthy
     }
 
-    /// Executes a model synchronously against cached feature data.
-    ///
-    /// One epoch pin covers the whole resolution: model, feature record,
-    /// staleness, and generation all come from the same snapshot, so a
-    /// concurrent publish can never mix versions within one call. Feature
-    /// assembly and the model run outside the pin, on the stack, against
-    /// the two `Arc`s cloned under it — a miss allocates nothing.
-    fn execute(&self, model_name: &str, inputs: &ClientInputs) -> Option<Executed> {
-        let metrics = &self.shared.metrics;
-        let resolved = self.shared.serve.with(|snap| {
-            let model = match snap.models.get(model_name) {
-                Some(m) => {
-                    metrics.model_cache_hits.increment();
-                    m.clone()
-                }
-                None => {
-                    metrics.model_cache_misses.increment();
-                    return None;
-                }
-            };
-            let sub = match snap.features.get(&inputs.subscription) {
-                Some(sub) => {
-                    metrics.feature_cache_hits.increment();
-                    sub.clone()
-                }
-                None => {
-                    metrics.feature_cache_misses.increment();
-                    return None;
-                }
-            };
-            let stale = snap.stale_models.contains(model_name)
-                || snap.stale_subs.contains(&inputs.subscription);
-            Some((model, sub, snap.generation, stale))
-        });
-        let (model, sub, generation, stale) = resolved?;
-        self.shared.model_execs.fetch_add(1, Ordering::Relaxed);
-        metrics.model_execs.increment();
-        Some(Executed { prediction: model.predict_for(inputs, &sub), generation, stale })
-    }
-
     /// Executes `model_name` on the resident model and feature record,
     /// bypassing the result cache: neither read nor written, and not
     /// counted as a lookup. The cache key buckets the deployment time by
@@ -1144,7 +1046,7 @@ impl RcClient {
     /// `None` when the model or the subscription's feature record is not
     /// resident.
     pub fn predict_uncached(&self, model_name: &str, inputs: &ClientInputs) -> Option<Prediction> {
-        self.execute(model_name, inputs).map(|executed| executed.prediction)
+        execute(&self.shared, model_name, inputs).map(|executed| executed.prediction)
     }
 
     /// Shadow-evaluates a candidate model side-by-side with the serving
@@ -1208,17 +1110,6 @@ impl RcClient {
     /// Model executions so far (each one is a result-cache fill).
     pub fn model_exec_count(&self) -> u64 {
         self.shared.model_execs.load(Ordering::Relaxed)
-    }
-
-    /// Result-cache hits per model execution — the §6.1 reuse statistic
-    /// ("an entry is accessed between 18 and 68 times ... after the
-    /// corresponding model execution").
-    pub fn hits_per_execution(&self) -> f64 {
-        let execs = self.model_exec_count();
-        if execs == 0 {
-            return 0.0;
-        }
-        self.shared.results.hits() as f64 / execs as f64
     }
 
     /// Drops only the result cache, keeping models and feature data.
@@ -1305,13 +1196,11 @@ impl RcClient {
         self.shared.refreshes.load(Ordering::Relaxed)
     }
 
-    /// Blocks until the pull worker has drained its queue (test helper).
+    /// Blocks until the pull worker has completed every admitted refresh
+    /// (test helper).
     pub fn drain_pull_queue(&self) {
-        let Some(q) = &self.shared.admission else {
-            return;
-        };
-        while !q.is_idle() {
-            std::thread::sleep(StdDuration::from_millis(1));
+        if let Some(q) = &self.shared.admission {
+            q.wait_idle();
         }
     }
 }
@@ -1384,39 +1273,94 @@ fn push_watcher(shared: Arc<Shared>, interval: StdDuration) {
     }
 }
 
-/// The pull-mode background worker: drains the admission queue, fetches
-/// model/feature data, executes the model, and fills the result cache.
+/// Executes a model synchronously against cached feature data.
+///
+/// One epoch pin covers the whole resolution: model, feature record,
+/// staleness, and generation all come from the same snapshot, so a
+/// concurrent publish can never mix versions within one call. Feature
+/// assembly and the model run outside the pin, on the stack, against the
+/// two `Arc`s cloned under it — a miss allocates nothing.
+fn execute(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<Executed> {
+    let metrics = &shared.metrics;
+    let resolved = shared.serve.with(|snap| {
+        let model = match snap.models.get(model_name) {
+            Some(m) => {
+                metrics.model_cache_hits.increment();
+                m.clone()
+            }
+            None => {
+                metrics.model_cache_misses.increment();
+                return None;
+            }
+        };
+        let sub = match snap.features.get(&inputs.subscription) {
+            Some(sub) => {
+                metrics.feature_cache_hits.increment();
+                sub.clone()
+            }
+            None => {
+                metrics.feature_cache_misses.increment();
+                return None;
+            }
+        };
+        let stale = snap.stale_models.contains(model_name)
+            || snap.stale_subs.contains(&inputs.subscription);
+        Some((model, sub, snap.generation, stale))
+    });
+    let (model, sub, generation, stale) = resolved?;
+    shared.model_execs.fetch_add(1, Ordering::Relaxed);
+    metrics.model_execs.increment();
+    Some(Executed { prediction: model.predict_for(inputs, &sub), generation, stale })
+}
+
+/// Synchronous pull: makes the model and the subscription's feature
+/// record resident (store → retry/backoff → disk fallback), then
+/// executes. `None` when every rung of the ladder failed.
+fn resolve_sync(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<Executed> {
+    if shared.serve.with(|s| !s.models.contains_key(model_name)) {
+        resilient_fetch_model(shared, model_name)?;
+    }
+    if shared.serve.with(|s| !s.features.contains_key(&inputs.subscription))
+        && !resilient_fetch_features(shared, inputs.subscription)
+    {
+        return None;
+    }
+    execute(shared, model_name, inputs)
+}
+
+/// Writes one resolved prediction into the result cache.
+fn fill_result(shared: &Shared, key: u64, prediction: Prediction) {
+    let evicted = shared.results.insert(key, prediction);
+    shared.metrics.result_insertions.increment();
+    if evicted {
+        shared.metrics.result_evictions.increment();
+    }
+}
+
+/// Hands a pull-mode miss to the admission queue and counts how it
+/// resolved.
+fn submit_refresh(shared: &Shared, model_name: &str, inputs: &ClientInputs, key: u64) {
+    let Some(q) = &shared.admission else {
+        return;
+    };
+    let counter = match q.submit(model_name, inputs, key) {
+        SubmitOutcome::Enqueued => &shared.metrics.admission_enqueued,
+        SubmitOutcome::Coalesced => &shared.metrics.admission_coalesced,
+        SubmitOutcome::Rejected => &shared.metrics.admission_rejected,
+    };
+    counter.increment();
+}
+
+/// The pull-mode background worker: resolves each admitted refresh
+/// through the synchronous-pull path and fills the result cache, until
+/// the queue is closed and drained.
 fn pull_worker(shared: Arc<Shared>) {
     let Some(q) = shared.admission.as_ref() else {
         return;
     };
-    loop {
-        let Some((model_name, inputs, key)) = q.pop() else {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            q.park(StdDuration::from_millis(5));
-            continue;
-        };
-        // Ensure the model is resident.
-        let model = match shared.serve.with(|s| s.models.get(&model_name).cloned()) {
-            Some(m) => Some(m),
-            None => resilient_fetch_model(&shared, &model_name),
-        };
-        // Ensure the subscription's feature data is resident.
-        let have_features = shared.serve.with(|s| s.features.contains_key(&inputs.subscription))
-            || resilient_fetch_features(&shared, inputs.subscription);
-        if let (Some(model), true) = (model, have_features) {
-            let sub = shared.serve.with(|s| s.features.get(&inputs.subscription).cloned());
-            if let Some(sub) = sub {
-                shared.model_execs.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.model_execs.increment();
-                let evicted = shared.results.insert(key, model.predict_for(&inputs, &sub));
-                shared.metrics.result_insertions.increment();
-                if evicted {
-                    shared.metrics.result_evictions.increment();
-                }
-            }
+    while let Some((model_name, inputs, key)) = q.next() {
+        if let Some(executed) = resolve_sync(&shared, &model_name, &inputs) {
+            fill_result(&shared, key, executed.prediction);
         }
         q.complete(key);
     }

@@ -29,7 +29,7 @@ pub mod pipeline;
 pub mod prediction;
 pub mod resilience;
 
-pub use cache::{DiskCache, DiskLoadResult, FeatureCache, ShardedResultCache};
+pub use cache::{DiskCache, DiskLoadResult, ShardedResultCache};
 pub use cleanup::{cleanup, QuarantineReport};
 pub use client::{CacheMode, ClientConfig, RcClient};
 pub use features::SubscriptionFeatures;

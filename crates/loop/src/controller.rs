@@ -120,15 +120,6 @@ pub struct LoopConfig {
     pub n_subscriptions: usize,
     /// Approximate VMs per window.
     pub window_vms: usize,
-    /// Telemetry-archive length in ticks: the soak replays a finite
-    /// archive, so window content repeats every `window_period` ticks.
-    /// `1` (the default) replays one window — the same tenant fleet every
-    /// tick, which is what keeps published per-subscription feature data
-    /// addressable across the whole soak. `0` generates a fresh fleet
-    /// every tick (every window statistically alike but disjoint tenants;
-    /// useful for generalization experiments, hostile to drift
-    /// monitoring).
-    pub window_period: u32,
     /// Retrain cadence in ticks even without drift (`0` = drift-only).
     pub retrain_every: u32,
     /// Post-promotion watch period: ticks during which a drift trip
@@ -174,7 +165,6 @@ impl Default for LoopConfig {
             window_days: 18,
             n_subscriptions: 100,
             window_vms: 2_600,
-            window_period: 1,
             retrain_every: 8,
             watch_ticks: 4,
             eval_per_tick: 400,
@@ -709,18 +699,11 @@ impl LoopController {
     /// Generates (and, on dirty ticks, corrupts), shifts, and cleans the
     /// tick's telemetry window.
     fn ingest_window(&mut self, tick: u32) -> Trace {
-        // With a finite archive, window content cycles; chaos and shifts
-        // still key off the absolute tick.
-        let window_index = match self.config.window_period {
-            0 => tick,
-            period => tick % period,
-        };
+        // Every tick replays the same archived window — the same tenant
+        // fleet, so published per-subscription feature data stays
+        // addressable; chaos and shifts still key off the absolute tick.
         let trace_config = TraceConfig {
-            seed: self
-                .config
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(window_index as u64 + 1),
+            seed: self.config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
             days: self.config.window_days,
             n_subscriptions: self.config.n_subscriptions,
             target_vms: self.config.window_vms,

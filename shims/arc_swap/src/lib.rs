@@ -276,6 +276,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ArcSwap<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
 
     /// Counts drops so reclamation is observable.
     struct DropProbe(u64, Arc<AtomicUsize>);
@@ -283,6 +284,26 @@ mod tests {
     impl Drop for DropProbe {
         fn drop(&mut self) {
             self.1.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// How long a test waits for reclamation or slot reuse before failing.
+    const DEADLINE: Duration = Duration::from_secs(10);
+
+    /// Collects until `done` holds. The epoch-slot registry is
+    /// process-global, so a reader pinned by a test running in parallel
+    /// (`concurrent_readers_never_observe_freed_values` pins four) holds
+    /// back reclamation on *every* slot until it unpins; a collect that
+    /// keeps failing past the deadline is a real leak.
+    fn collect_until<T>(slot: &ArcSwap<T>, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + DEADLINE;
+        loop {
+            slot.collect();
+            if done() {
+                return;
+            }
+            assert!(Instant::now() < deadline, "retired values never reclaimed");
+            std::thread::yield_now();
         }
     }
 
@@ -310,9 +331,8 @@ mod tests {
         for i in 1..=5u64 {
             slot.store(Arc::new(DropProbe(i, drops.clone())));
         }
-        // No reader is pinned, so at most the freshly retired entry from
-        // the final store survives the opportunistic collect.
-        slot.collect();
+        // Once no reader is pinned, every replaced value is reclaimed.
+        collect_until(&slot, || slot.retired_len() == 0);
         assert_eq!(slot.retired_len(), 0, "all replaced values reclaimed");
         assert_eq!(drops.load(Ordering::SeqCst), 5);
         drop(slot);
@@ -329,7 +349,7 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 0, "held Arc pins the old value");
         assert_eq!(held.0, 1);
         drop(held);
-        slot.collect();
+        collect_until(&slot, || drops.load(Ordering::SeqCst) == 1);
         assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 
@@ -373,8 +393,8 @@ mod tests {
         for r in readers {
             r.join().expect("reader clean exit");
         }
-        slot.collect();
         // Everything except the resident generation is reclaimed.
+        collect_until(&slot, || slot.retired_len() == 0);
         assert_eq!(slot.retired_len(), 0);
         assert_eq!(drops.load(Ordering::SeqCst), 2_000);
         assert_eq!(slot.with(|v| v.0), 2_000);
@@ -383,14 +403,22 @@ mod tests {
     #[test]
     fn slots_recycle_across_thread_lifetimes() {
         let slot = Arc::new(ArcSwap::from_pointee(0u64));
-        let before = registry().slots.lock().unwrap().len();
-        for _ in 0..64 {
-            let slot = slot.clone();
-            std::thread::spawn(move || slot.with(|v| *v)).join().unwrap();
-        }
-        let after = registry().slots.lock().unwrap().len();
         // Sequential short-lived threads reuse the freed slot instead of
-        // registering 64 new ones.
-        assert!(after <= before + 2, "slot registry grew from {before} to {after}");
+        // registering 64 new ones. Threads of tests running in parallel
+        // register slots of their own, so a round that saw the registry
+        // grow is retried; without reuse every round grows by 64.
+        let deadline = Instant::now() + DEADLINE;
+        loop {
+            let before = registry().slots.lock().unwrap().len();
+            for _ in 0..64 {
+                let slot = slot.clone();
+                std::thread::spawn(move || slot.with(|v| *v)).join().unwrap();
+            }
+            let after = registry().slots.lock().unwrap().len();
+            if after <= before + 2 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "slot registry grew from {before} to {after}");
+        }
     }
 }

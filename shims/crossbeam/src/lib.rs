@@ -1,73 +1,5 @@
-//! In-tree stand-in for `crossbeam`: scoped threads (delegating to
-//! `std::thread::scope`, stabilized long after crossbeam pioneered the
-//! API), a bounded lock-free `queue::ArrayQueue`, and
-//! `utils::CachePadded`. The scoped-thread signature differs from std's
-//! in two ways this shim papers over: the spawn closure receives the
-//! scope again (for nested spawns), and `scope` returns a `Result`
-//! capturing child panics.
-
-pub mod thread {
-    use std::marker::PhantomData;
-
-    /// Mirror of `crossbeam::thread::Scope`.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-        _marker: PhantomData<&'env ()>,
-    }
-
-    /// Mirror of `crossbeam::thread::ScopedJoinHandle`.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the thread and returns its result; `Err` if it
-        /// panicked.
-        pub fn join(self) -> Result<T, Box<dyn std::any::Any + Send + 'static>> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread; the closure receives the scope, so
-        /// children can spawn siblings (crossbeam's signature).
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner_scope = self.inner;
-            ScopedJoinHandle {
-                inner: inner_scope.spawn(move || {
-                    let scope = Scope { inner: inner_scope, _marker: PhantomData };
-                    f(&scope)
-                }),
-            }
-        }
-    }
-
-    /// Runs `f` with a scope in which borrowing threads can be spawned;
-    /// all spawned threads are joined before `scope` returns.
-    ///
-    /// Crossbeam returns `Err` with the panic payload if any *unjoined*
-    /// child panicked. `std::thread::scope` instead resumes the panic on
-    /// the parent, so this shim converts it back into an `Err` via
-    /// `catch_unwind` to preserve callers' `.expect(...)` handling.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn std::any::Any + Send + 'static>>
-    where
-        F: FnOnce(&Scope<'_, 'env>) -> R,
-    {
-        // Crossbeam's `scope` has no `UnwindSafe` bound (the panic is
-        // handed back as data, not resumed), so asserting unwind safety
-        // here matches its contract.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|s| {
-                let scope = Scope { inner: s, _marker: PhantomData };
-                f(&scope)
-            })
-        }))
-    }
-}
+//! In-tree stand-in for `crossbeam`: only `utils::CachePadded`, the one
+//! item the workspace uses.
 
 pub mod utils {
     /// Mirror of `crossbeam_utils::CachePadded`: aligns (and therefore
@@ -113,179 +45,9 @@ pub mod utils {
     }
 }
 
-pub mod queue {
-    //! Mirror of `crossbeam_queue::ArrayQueue`: Dmitry Vyukov's bounded
-    //! MPMC array queue. Each slot carries a sequence number; producers
-    //! and consumers claim positions with a CAS on `tail`/`head` and
-    //! hand slots off by advancing the slot's sequence, so a push and a
-    //! pop on different slots never contend and a full/empty verdict is
-    //! read from the slot itself (no separate length coordination).
-
-    use super::utils::CachePadded;
-    use std::cell::UnsafeCell;
-    use std::mem::MaybeUninit;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    struct Slot<T> {
-        /// Position parity: `seq == pos` means free for the producer at
-        /// `pos`; `seq == pos + 1` means holding that producer's value;
-        /// the consumer at `pos` releases it as `pos + capacity`.
-        seq: AtomicUsize,
-        value: UnsafeCell<MaybeUninit<T>>,
-    }
-
-    /// A bounded lock-free multi-producer multi-consumer queue.
-    pub struct ArrayQueue<T> {
-        head: CachePadded<AtomicUsize>,
-        tail: CachePadded<AtomicUsize>,
-        slots: Box<[Slot<T>]>,
-    }
-
-    unsafe impl<T: Send> Send for ArrayQueue<T> {}
-    unsafe impl<T: Send> Sync for ArrayQueue<T> {}
-
-    impl<T> ArrayQueue<T> {
-        /// Creates a queue holding at most `capacity` elements.
-        ///
-        /// # Panics
-        /// Panics if `capacity` is zero.
-        pub fn new(capacity: usize) -> ArrayQueue<T> {
-            assert!(capacity > 0, "ArrayQueue capacity must be non-zero");
-            let slots = (0..capacity)
-                .map(|i| Slot {
-                    seq: AtomicUsize::new(i),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect();
-            ArrayQueue {
-                head: CachePadded::new(AtomicUsize::new(0)),
-                tail: CachePadded::new(AtomicUsize::new(0)),
-                slots,
-            }
-        }
-
-        /// Attempts to enqueue `value`, handing it back if the queue is
-        /// full (the backpressure signal).
-        pub fn push(&self, value: T) -> Result<(), T> {
-            let cap = self.slots.len();
-            let mut pos = self.tail.load(Ordering::Relaxed);
-            loop {
-                let slot = &self.slots[pos % cap];
-                let seq = slot.seq.load(Ordering::Acquire);
-                let diff = seq as isize - pos as isize;
-                if diff == 0 {
-                    // Free for this position: claim it.
-                    match self.tail.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            unsafe { (*slot.value.get()).write(value) };
-                            slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                            return Ok(());
-                        }
-                        Err(current) => pos = current,
-                    }
-                } else if diff < 0 {
-                    // The slot one lap behind hasn't been consumed yet:
-                    // the queue is full.
-                    return Err(value);
-                } else {
-                    // Another producer claimed this position; chase tail.
-                    pos = self.tail.load(Ordering::Relaxed);
-                }
-            }
-        }
-
-        /// Attempts to dequeue, returning `None` when empty.
-        pub fn pop(&self) -> Option<T> {
-            let cap = self.slots.len();
-            let mut pos = self.head.load(Ordering::Relaxed);
-            loop {
-                let slot = &self.slots[pos % cap];
-                let seq = slot.seq.load(Ordering::Acquire);
-                let diff = seq as isize - pos.wrapping_add(1) as isize;
-                if diff == 0 {
-                    // Holds the value for this position: claim it.
-                    match self.head.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            let value = unsafe { (*slot.value.get()).assume_init_read() };
-                            slot.seq.store(pos.wrapping_add(cap), Ordering::Release);
-                            return Some(value);
-                        }
-                        Err(current) => pos = current,
-                    }
-                } else if diff < 0 {
-                    // The producer for this position hasn't finished:
-                    // the queue is empty.
-                    return None;
-                } else {
-                    // Another consumer claimed this position; chase head.
-                    pos = self.head.load(Ordering::Relaxed);
-                }
-            }
-        }
-
-        /// Maximum number of elements the queue can hold.
-        pub fn capacity(&self) -> usize {
-            self.slots.len()
-        }
-
-        /// Snapshot of the current element count (racy under
-        /// concurrency, exact when quiesced).
-        pub fn len(&self) -> usize {
-            let tail = self.tail.load(Ordering::SeqCst);
-            let head = self.head.load(Ordering::SeqCst);
-            tail.wrapping_sub(head)
-        }
-
-        /// Whether the queue currently holds no elements.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Drop for ArrayQueue<T> {
-        fn drop(&mut self) {
-            while self.pop().is_some() {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn scoped_threads_borrow_and_join() {
-        let counter = AtomicU64::new(0);
-        let result = super::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|_| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            7u32
-        })
-        .expect("no child panicked");
-        assert_eq!(result, 7);
-        assert_eq!(counter.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn child_panic_surfaces_as_err() {
-        let result = super::thread::scope(|scope| {
-            scope.spawn(|_| panic!("boom"));
-        });
-        assert!(result.is_err());
-    }
 
     #[test]
     fn cache_padded_isolates_lines() {
@@ -298,108 +60,5 @@ mod tests {
         pair[0].fetch_add(3, Ordering::Relaxed);
         assert_eq!(pair[0].load(Ordering::Relaxed), 3);
         assert_eq!(CachePadded::new(7u32).into_inner(), 7);
-    }
-
-    #[test]
-    fn array_queue_fifo_and_backpressure() {
-        use super::queue::ArrayQueue;
-        let q = ArrayQueue::new(3);
-        assert!(q.is_empty());
-        assert_eq!(q.capacity(), 3);
-        for i in 0..3 {
-            q.push(i).expect("space available");
-        }
-        assert_eq!(q.push(99), Err(99), "full queue hands the value back");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(0));
-        q.push(3).expect("slot freed by pop");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None, "empty queue yields None");
-    }
-
-    #[test]
-    fn array_queue_wraps_many_laps() {
-        use super::queue::ArrayQueue;
-        let q = ArrayQueue::new(2);
-        for lap in 0..1_000u64 {
-            q.push(lap * 2).unwrap();
-            q.push(lap * 2 + 1).unwrap();
-            assert_eq!(q.pop(), Some(lap * 2));
-            assert_eq!(q.pop(), Some(lap * 2 + 1));
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn array_queue_drop_releases_remaining_values() {
-        use super::queue::ArrayQueue;
-        use std::sync::Arc;
-        let probe = Arc::new(());
-        let q = ArrayQueue::new(4);
-        for _ in 0..3 {
-            q.push(probe.clone()).unwrap();
-        }
-        assert_eq!(Arc::strong_count(&probe), 4);
-        drop(q);
-        assert_eq!(Arc::strong_count(&probe), 1, "queued values dropped with the queue");
-    }
-
-    #[test]
-    fn array_queue_mpmc_transfers_every_value_once() {
-        use super::queue::ArrayQueue;
-        use std::sync::Arc;
-
-        const PRODUCERS: usize = 3;
-        const CONSUMERS: usize = 3;
-        const PER_PRODUCER: u64 = 2_000;
-
-        let q = Arc::new(ArrayQueue::new(8));
-        let produced_total = PRODUCERS as u64 * PER_PRODUCER;
-        let consumed = Arc::new(AtomicU64::new(0));
-        let sum = Arc::new(AtomicU64::new(0));
-
-        let mut handles = Vec::new();
-        for p in 0..PRODUCERS as u64 {
-            let q = q.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..PER_PRODUCER {
-                    let mut v = p * PER_PRODUCER + i;
-                    loop {
-                        match q.push(v) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                v = back;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            }));
-        }
-        for _ in 0..CONSUMERS {
-            let q = q.clone();
-            let consumed = consumed.clone();
-            let sum = sum.clone();
-            handles.push(std::thread::spawn(move || {
-                while consumed.load(Ordering::SeqCst) < produced_total {
-                    match q.pop() {
-                        Some(v) => {
-                            sum.fetch_add(v, Ordering::SeqCst);
-                            consumed.fetch_add(1, Ordering::SeqCst);
-                        }
-                        None => std::thread::yield_now(),
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("clean exit");
-        }
-        assert_eq!(consumed.load(Ordering::SeqCst), produced_total);
-        // Sum over 0..produced_total — every value arrived exactly once.
-        assert_eq!(sum.load(Ordering::SeqCst), produced_total * (produced_total - 1) / 2);
-        assert!(q.is_empty());
     }
 }

@@ -1,6 +1,8 @@
 //! Client lifecycle and concurrency regressions: shutdown on concurrent
-//! facade drops, exact sharded-cache statistics under multi-threaded
-//! load, and `store_fallbacks` counting only real store-pull failures.
+//! facade drops (with and without pull-mode refreshes still queued),
+//! pull-mode misses filled once the queue drains, exact sharded-cache
+//! statistics under multi-threaded load, and `store_fallbacks` counting
+//! only real store-pull failures.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -61,6 +63,92 @@ fn concurrent_facade_drops_always_stop_workers() {
             h.join().unwrap();
         }
         assert_eq!(lifecycle.live(), 0, "round {round}: worker threads leaked");
+    }
+}
+
+/// `inputs` moved to deployment day `day`. The cache key buckets the
+/// deployment time by day, so every day is a distinct result-cache key.
+fn on_day(inputs: &ClientInputs, day: u64) -> ClientInputs {
+    ClientInputs { deployment_time: Timestamp::from_days(day), ..*inputs }
+}
+
+/// Dropping every facade while pull-mode refreshes are still queued: the
+/// worker drains what was admitted, exits, and the last drop returns
+/// with no client thread left.
+#[test]
+fn dropping_facades_with_refreshes_queued_stops_the_worker() {
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 125;
+    let (trace, store) = world();
+    let config = ClientConfig { mode: CacheMode::Pull, ..ClientConfig::default() };
+    let client = RcClient::new(store, config);
+    assert!(client.initialize());
+    let lifecycle = client.worker_lifecycle();
+    assert_eq!(lifecycle.live(), 1, "pull worker running");
+
+    let base = vm_inputs(&trace, VmId(9));
+    let barrier = Arc::new(Barrier::new(THREADS as usize));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let facade = client.clone();
+            let barrier = barrier.clone();
+            std::thread::spawn(move || {
+                for i in 0..PER_THREAD {
+                    let inputs = on_day(&base, t * PER_THREAD + i);
+                    assert_eq!(
+                        facade.predict_single("VM_AVGUTIL", &inputs),
+                        PredictionResponse::NoPrediction,
+                        "a never-seen key misses"
+                    );
+                }
+                barrier.wait();
+                drop(facade);
+            })
+        })
+        .collect();
+    drop(client);
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(lifecycle.live(), 0, "pull worker leaked past the last drop");
+}
+
+/// Pull-mode misses on a few keys from several threads coalesce in the
+/// admission queue; once `drain_pull_queue` returns, every key hits.
+#[test]
+fn drained_pull_queue_leaves_every_missed_key_cached() {
+    const THREADS: usize = 4;
+    let (trace, store) = world();
+    let config = ClientConfig { mode: CacheMode::Pull, ..ClientConfig::default() };
+    let client = RcClient::new(store, config);
+    assert!(client.initialize());
+
+    let base = vm_inputs(&trace, VmId(9));
+    let keys: Vec<ClientInputs> = (0..32).map(|day| on_day(&base, day)).collect();
+    let barrier = Arc::new(Barrier::new(THREADS));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let facade = client.clone();
+            let barrier = barrier.clone();
+            let keys = keys.clone();
+            std::thread::spawn(move || {
+                barrier.wait();
+                for inputs in &keys {
+                    facade.predict_single("VM_AVGUTIL", inputs);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+
+    client.drain_pull_queue();
+    for (day, inputs) in keys.iter().enumerate() {
+        assert!(
+            client.predict_single("VM_AVGUTIL", inputs).is_predicted(),
+            "day {day}: drained refresh never filled the cache"
+        );
     }
 }
 
