@@ -7,10 +7,11 @@
 //! max-size labels.
 
 use rc_ml::fft::{PeriodicityConfig, PeriodicityDetector};
-use rc_trace::Trace;
+use rc_trace::{DeploymentRecord, Trace};
 use rc_types::buckets::{
     Bucketizer, DeploymentSizeBucketizer, LifetimeBucketizer, UtilizationBucketizer,
 };
+use rc_types::telemetry::VmRecord;
 use rc_types::vm::{OsType, VmId};
 
 use crate::features::{DeploymentObservation, VmObservation};
@@ -109,8 +110,18 @@ pub fn classify_vm(trace: &Trace, id: VmId, detector: &mut PeriodicityDetector) 
 /// The client inputs a scheduler would pass when placing this VM.
 pub fn vm_inputs(trace: &Trace, id: VmId) -> ClientInputs {
     let vm = trace.vm(id);
-    let sub = trace.subscription_of(id);
     let dep = &trace.deployments[vm.deployment.0 as usize];
+    record_inputs(vm, dep, trace.subscription_of(id).service)
+}
+
+/// The client inputs for placing `vm`, a VM of `deployment` whose
+/// subscription's top service is `service` — the one construction behind
+/// [`vm_inputs`] and the scheduler's streamed requests.
+pub fn record_inputs(
+    vm: &VmRecord,
+    deployment: &DeploymentRecord,
+    service: Option<u8>,
+) -> ClientInputs {
     ClientInputs {
         subscription: vm.subscription,
         party: vm.party,
@@ -121,8 +132,8 @@ pub fn vm_inputs(trace: &Trace, id: VmId) -> ClientInputs {
         deployment_time: vm.created,
         // The scheduler knows the requested deployment size when placing
         // VMs (the deployment request names its VMs).
-        deployment_size_hint: dep.n_vms,
-        service: sub.service,
+        deployment_size_hint: deployment.n_vms,
+        service,
     }
 }
 

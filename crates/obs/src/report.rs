@@ -19,7 +19,8 @@
 //!
 //! `config`, `results`, and `counters` must be byte-identical across a
 //! double run at the same scale; `quantiles` and `spans` carry
-//! wall-clock timings and are excluded from that comparison (see
+//! wall-clock timings, and a few counters follow the machine's CPU
+//! count, so both are excluded from that comparison (see
 //! [`deterministic_view`]). CI enforces both properties with the
 //! `report_check` binary.
 
@@ -37,6 +38,11 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// Top-level sections that hold wall-clock measurements and are skipped
 /// by [`deterministic_view`].
 pub const NONDETERMINISTIC_SECTIONS: &[&str] = &["quantiles", "spans"];
+
+/// Counters whose value follows `available_parallelism` rather than the
+/// workload, skipped by [`deterministic_view`]: the same run reports a
+/// different count on a machine of another width.
+const MACHINE_WIDTH_COUNTERS: &[&str] = &[crate::ML_POOL_WORKERS_SPAWNED];
 
 /// Builder/writer for one bench run's report.
 #[derive(Debug, Clone)]
@@ -251,19 +257,23 @@ pub fn validate(value: &Value) -> Result<(), String> {
 }
 
 /// The report with its wall-clock sections
-/// ([`NONDETERMINISTIC_SECTIONS`]) removed — the part of the document
-/// that must be byte-identical across a double run.
+/// ([`NONDETERMINISTIC_SECTIONS`]) and its machine-width counters
+/// removed — the part of the document that must be byte-identical across
+/// a double run, on any machine.
 pub fn deterministic_view(value: &Value) -> Value {
-    match value.as_object() {
-        Some(fields) => Value::Object(
-            fields
-                .iter()
-                .filter(|(k, _)| !NONDETERMINISTIC_SECTIONS.contains(&k.as_str()))
-                .cloned()
-                .collect(),
-        ),
-        None => value.clone(),
+    let Some(fields) = value.as_object() else { return value.clone() };
+    let keep = |fields: &[(String, Value)], skip: &[&str]| -> Vec<(String, Value)> {
+        fields.iter().filter(|(k, _)| !skip.contains(&k.as_str())).cloned().collect()
+    };
+    let mut view = keep(fields, NONDETERMINISTIC_SECTIONS);
+    for (k, v) in &mut view {
+        if k == "counters" {
+            if let Some(counters) = v.as_object() {
+                *v = Value::Object(keep(counters, MACHINE_WIDTH_COUNTERS));
+            }
+        }
     }
+    Value::Object(view)
 }
 
 /// Reads and parses a report file.
@@ -341,6 +351,19 @@ mod tests {
             serde_json::to_vec(&det).unwrap(),
             serde_json::to_vec(&deterministic_view(&other.to_value())).unwrap()
         );
+    }
+
+    #[test]
+    fn deterministic_view_drops_machine_width_counters() {
+        // A pool that spawned workers on a wide machine and one that ran
+        // inline on a single CPU report the same view.
+        let mut wide = sample();
+        wide.set_counter(crate::ML_POOL_WORKERS_SPAWNED, 42);
+        let view =
+            |r: &BenchReport| serde_json::to_vec(&deterministic_view(&r.to_value())).unwrap();
+        assert_eq!(view(&wide), view(&sample()));
+        // Only the view drops it; the report keeps every counter.
+        assert_ne!(wide.to_json(), sample().to_json());
     }
 
     #[test]

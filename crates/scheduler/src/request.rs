@@ -1,9 +1,11 @@
 //! Scheduling requests: one per VM arrival.
 
 use rc_core::ClientInputs;
-use rc_trace::{Trace, UtilParams};
+use rc_trace::{StreamedVm, Trace, UtilParams};
 use rc_types::time::Timestamp;
 use rc_types::vm::{ProdTag, VmId};
+
+use crate::stream_source::StreamRequestSource;
 
 /// Everything the scheduler knows (and the simulator needs) about one VM
 /// arrival.
@@ -50,6 +52,13 @@ impl VmRequest {
     /// A deployment "needs to fit" within one cluster (§3); the cluster
     /// selection system routes groups that cannot fit to larger clusters,
     /// so a cluster-level simulation should never see them.
+    ///
+    /// Runs [`StreamRequestSource`] over the trace's records.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a VM names a deployment missing from the trace's table
+    /// (an orphan left by [`rc_trace::DirtyPlan`]; clean it first).
     pub fn stream_filtered(
         trace: &Trace,
         from: Timestamp,
@@ -57,32 +66,26 @@ impl VmRequest {
         max_cores: u32,
         max_deployment_cores: Option<u32>,
     ) -> Vec<VmRequest> {
-        use rc_types::buckets::{Bucketizer, UtilizationBucketizer};
-        let bucketizer = UtilizationBucketizer;
-        let mut out = Vec::new();
-        for id in trace.vm_ids() {
-            let vm = trace.vm(id);
-            if vm.created < from || vm.created >= until || vm.sku.cores > max_cores {
-                continue;
-            }
-            if let Some(cap) = max_deployment_cores {
-                if trace.deployments[vm.deployment.0 as usize].n_cores > cap {
-                    continue;
-                }
-            }
-            let (_, p95) = trace.vm_util_summary(id, 120);
-            out.push(VmRequest {
-                vm_id: id,
-                cores: vm.sku.cores,
-                memory_gb: vm.sku.memory_gb,
-                prod: vm.prod,
-                created: vm.created,
-                deleted: vm.deleted,
+        let records = trace.vm_ids().map(|id| {
+            let record = trace.vm(id).clone();
+            StreamedVm {
                 util: *trace.util_params(id),
-                inputs: rc_core::labels::vm_inputs(trace, id),
-                true_p95_bucket: bucketizer.bucket(&p95),
-            });
-        }
+                interactive: trace.interactive_intent[id.0 as usize],
+                deployment: trace.deployments[record.deployment.0 as usize].clone(),
+                record,
+            }
+        });
+        let services = trace.subscriptions.iter().map(|s| s.service).collect();
+        let mut out: Vec<VmRequest> = StreamRequestSource::from_parts(
+            records,
+            services,
+            trace.window_end(),
+            from,
+            until,
+            max_cores,
+            max_deployment_cores,
+        )
+        .collect();
         // `trace.vms` is creation-sorted already, but make it a guarantee.
         out.sort_by_key(|r| (r.created, r.vm_id));
         out

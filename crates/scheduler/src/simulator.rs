@@ -488,28 +488,16 @@ pub fn simulate_partitioned(
 ///
 /// The estimate takes the peak concurrent core demand over the stream and
 /// divides by cores-per-server with `headroom` (e.g. 0.98 ⇒ 2% short).
+/// `requests` must be sorted by creation time, as [`VmRequest::stream`]
+/// returns them; see [`suggest_server_count_stream`].
 pub fn suggest_server_count(requests: &[VmRequest], cores_per_server: f64, headroom: f64) -> usize {
-    // Sweep arrivals/departures to find peak concurrent demand.
-    let mut events: Vec<(u64, i64)> = Vec::with_capacity(requests.len() * 2);
-    for r in requests {
-        events.push((r.created.as_secs(), r.cores as i64));
-        events.push((r.deleted.as_secs(), -(r.cores as i64)));
-    }
-    events.sort_unstable();
-    let mut cur = 0i64;
-    let mut peak = 0i64;
-    for (_, delta) in events {
-        cur += delta;
-        peak = peak.max(cur);
-    }
-    (((peak as f64) / cores_per_server) * headroom).ceil().max(1.0) as usize
+    suggest_server_count_stream(requests.iter().copied(), cores_per_server, headroom)
 }
 
 /// [`suggest_server_count`] over a request *stream*: one forward pass
 /// with a deletion heap, so memory is bounded by the peak number of
-/// concurrently live VMs. Requests must arrive sorted by creation time
-/// (departures at time T are released before an arrival at T, matching
-/// the slice version's event ordering).
+/// concurrently live VMs. Requests must arrive sorted by creation time;
+/// departures at time T are released before an arrival at T.
 pub fn suggest_server_count_stream<I>(requests: I, cores_per_server: f64, headroom: f64) -> usize
 where
     I: IntoIterator<Item = VmRequest>,
@@ -517,8 +505,11 @@ where
     let mut deletions: BinaryHeap<Reverse<(u64, i64)>> = BinaryHeap::new();
     let mut cur = 0i64;
     let mut peak = 0i64;
+    let mut last = 0u64;
     for r in requests {
         let now = r.created.as_secs();
+        debug_assert!(now >= last, "requests must arrive sorted by creation time");
+        last = now;
         while let Some(&Reverse((t, cores))) = deletions.peek() {
             if t > now {
                 break;
@@ -1041,17 +1032,6 @@ mod tests {
             (merged.mean_oversubscribable_servers - 2.0 * solo.mean_oversubscribable_servers).abs()
                 < 1e-9
         );
-    }
-
-    #[test]
-    fn streaming_server_count_matches_slice_version() {
-        let reqs = requests();
-        for headroom in [0.8, 0.95, 1.2] {
-            assert_eq!(
-                suggest_server_count_stream(reqs.iter().copied(), 16.0, headroom),
-                suggest_server_count(&reqs, 16.0, headroom),
-            );
-        }
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Streaming request source: [`VmRequest`]s straight from a trace
 //! stream, without materializing the trace.
 //!
-//! [`StreamRequestSource`] is the streaming twin of
-//! [`VmRequest::stream_filtered`]: it applies the same window, VM-size,
-//! and deployment-size filters and derives the same
-//! [`rc_core::ClientInputs`] and oracle P95 bucket — but from
-//! [`StreamedVm`]s as they are generated, so a million-arrival
-//! simulation never holds more than the live-VM working set. The
-//! emitted requests are already sorted by `(created, vm_id)`, the order
-//! [`crate::simulate_stream`] requires, because the stream assigns VM
-//! ids in creation order.
+//! [`StreamRequestSource`] is the one place VM records become scheduler
+//! requests: it applies the window, VM-size and deployment-size filters
+//! and derives each request's [`rc_core::ClientInputs`] and oracle P95
+//! bucket from [`StreamedVm`]s as they arrive, so a million-arrival
+//! simulation never holds more than the live-VM working set.
+//! [`VmRequest::stream_filtered`] runs it over a materialized trace's
+//! records. Over a [`VmStream`] the requests come out sorted by
+//! `(created, vm_id)`, the order [`crate::simulate_stream`] requires,
+//! because the stream assigns VM ids in creation order.
 
-use rc_core::ClientInputs;
 use rc_trace::{StreamedVm, VmStream};
 use rc_types::buckets::{Bucketizer, UtilizationBucketizer};
 use rc_types::time::{Timestamp, TELEMETRY_INTERVAL};
@@ -31,7 +30,7 @@ pub struct StreamRequestSource<I> {
 }
 
 impl StreamRequestSource<VmStream> {
-    /// Wraps a [`VmStream`] with the same filters as
+    /// Wraps a [`VmStream`] with the filters of
     /// [`VmRequest::stream_filtered`].
     pub fn new(
         stream: VmStream,
@@ -42,15 +41,7 @@ impl StreamRequestSource<VmStream> {
     ) -> Self {
         let services = stream.subscriptions().iter().map(|s| s.service).collect();
         let window_end = stream.window_end();
-        StreamRequestSource {
-            inner: stream,
-            services,
-            window_end,
-            from,
-            until,
-            max_cores,
-            max_deployment_cores,
-        }
+        Self::from_parts(stream, services, window_end, from, until, max_cores, max_deployment_cores)
     }
 }
 
@@ -58,7 +49,7 @@ impl<I> StreamRequestSource<I> {
     /// Wraps any stream of [`StreamedVm`]s; `services` maps subscription
     /// index → top service id and `window_end` bounds the observed
     /// utilization summary (both come from the trace config).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         inner: I,
         services: Vec<Option<u8>>,
         window_end: Timestamp,
@@ -89,20 +80,17 @@ impl<I: Iterator<Item = StreamedVm>> Iterator for StreamRequestSource<I> {
             if rec.created < self.from
                 || rec.created >= self.until
                 || rec.sku.cores > self.max_cores
+                || self.max_deployment_cores.is_some_and(|cap| vm.deployment.n_cores > cap)
             {
                 continue;
             }
-            if let Some(cap) = self.max_deployment_cores {
-                if vm.deployment.n_cores > cap {
-                    continue;
-                }
-            }
-            // Observed-lifetime P95, identical to Trace::vm_util_summary:
-            // slots clipped to the observation window, subsampled to 120.
+            // Observed-lifetime P95 over `Trace::vm_slots`' range: slots
+            // clipped to the observation window, subsampled to 120.
             let step = TELEMETRY_INTERVAL.as_secs();
             let first = rec.created.as_secs().div_ceil(step);
             let last = (rec.deleted.min(self.window_end).as_secs() / step).max(first);
             let (_, p95) = vm.util.summarize(first, last, 120);
+            let service = self.services.get(rec.subscription.0 as usize).copied().flatten();
             return Some(VmRequest {
                 vm_id: rec.vm_id,
                 cores: rec.sku.cores,
@@ -111,17 +99,7 @@ impl<I: Iterator<Item = StreamedVm>> Iterator for StreamRequestSource<I> {
                 created: rec.created,
                 deleted: rec.deleted,
                 util: vm.util,
-                inputs: ClientInputs {
-                    subscription: rec.subscription,
-                    party: rec.party,
-                    role: rec.role,
-                    prod: rec.prod,
-                    os: rec.os,
-                    sku_index: rec.sku.catalog_index(),
-                    deployment_time: rec.created,
-                    deployment_size_hint: vm.deployment.n_vms,
-                    service: self.services.get(rec.subscription.0 as usize).copied().flatten(),
-                },
+                inputs: rc_core::labels::record_inputs(rec, &vm.deployment, service),
                 true_p95_bucket: UtilizationBucketizer.bucket(&p95),
             });
         }
@@ -131,32 +109,10 @@ impl<I: Iterator<Item = StreamedVm>> Iterator for StreamRequestSource<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rc_trace::{Trace, TraceConfig};
+    use rc_trace::TraceConfig;
 
     fn config() -> TraceConfig {
         TraceConfig { target_vms: 3_000, n_subscriptions: 150, days: 14, ..TraceConfig::small() }
-    }
-
-    #[test]
-    fn streamed_requests_match_materialized_stream() {
-        let config = config();
-        let trace = Trace::generate(&config);
-        let until = Timestamp::from_days(config.days as u64);
-        let materialized = VmRequest::stream_filtered(&trace, Timestamp::ZERO, until, 16, Some(64));
-        let streamed: Vec<VmRequest> =
-            StreamRequestSource::new(VmStream::new(&config), Timestamp::ZERO, until, 16, Some(64))
-                .collect();
-        assert_eq!(materialized.len(), streamed.len());
-        for (a, b) in materialized.iter().zip(&streamed) {
-            assert_eq!(a.vm_id, b.vm_id);
-            assert_eq!(a.cores, b.cores);
-            assert_eq!(a.created, b.created);
-            assert_eq!(a.deleted, b.deleted);
-            assert_eq!(a.prod, b.prod);
-            assert_eq!(a.true_p95_bucket, b.true_p95_bucket);
-            assert_eq!(a.inputs, b.inputs);
-            assert_eq!(a.memory_gb.to_bits(), b.memory_gb.to_bits());
-        }
     }
 
     #[test]

@@ -58,25 +58,11 @@ impl ArrivalProcess {
         ArrivalProcess { rate_per_day, shape: cal::ARRIVAL_WEIBULL_SHAPE }
     }
 
-    /// Generates arrival timestamps in `[start, end)`.
+    /// Arrival timestamps in `[start, end)`, drawn lazily from `rng`.
     ///
     /// The renewal process runs at the *peak* rate and each candidate is
     /// kept with probability `multiplier(t) / max_multiplier`, which thins
     /// it down to the diurnal/weekend shape without losing burstiness.
-    pub fn generate<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Vec<Timestamp> {
-        self.iter(rng, start, end).collect()
-    }
-
-    /// A lazy, pull-based version of [`ArrivalProcess::generate`].
-    ///
-    /// Draw-for-draw identical to the eager path (which is implemented on
-    /// top of this iterator), so a streaming consumer and a materializing
-    /// consumer handed equal RNG states observe equal timestamps.
     pub fn iter<R: Rng>(&self, mut rng: R, start: Timestamp, end: Timestamp) -> ArrivalIter<R> {
         if self.rate_per_day <= 0.0 || start >= end {
             return ArrivalIter {
@@ -137,6 +123,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn arrivals(rate_per_day: f64, seed: u64, start: Timestamp, end: Timestamp) -> Vec<Timestamp> {
+        ArrivalProcess::new(rate_per_day).iter(StdRng::seed_from_u64(seed), start, end).collect()
+    }
+
     #[test]
     fn gamma_matches_known_values() {
         assert!((gamma_fn(1.0) - 1.0).abs() < 1e-9);
@@ -150,20 +140,16 @@ mod tests {
 
     #[test]
     fn mean_rate_is_close_to_target() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let proc = ArrivalProcess::new(20.0);
         let days = 60;
-        let arrivals = proc.generate(&mut rng, Timestamp::ZERO, Timestamp::from_days(days));
-        let rate = arrivals.len() as f64 / days as f64;
+        let rate = arrivals(20.0, 11, Timestamp::ZERO, Timestamp::from_days(days)).len() as f64
+            / days as f64;
         // Thinning by the weekly multiplier (mean < 1) lands below peak.
         assert!((10.0..=26.0).contains(&rate), "rate = {rate}");
     }
 
     #[test]
     fn arrivals_are_sorted_and_in_range() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let proc = ArrivalProcess::new(50.0);
-        let arrivals = proc.generate(&mut rng, Timestamp::from_days(2), Timestamp::from_days(9));
+        let arrivals = arrivals(50.0, 12, Timestamp::from_days(2), Timestamp::from_days(9));
         assert!(!arrivals.is_empty());
         for w in arrivals.windows(2) {
             assert!(w[0] <= w[1]);
@@ -174,9 +160,7 @@ mod tests {
 
     #[test]
     fn weekdays_busier_than_weekends() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let proc = ArrivalProcess::new(200.0);
-        let arrivals = proc.generate(&mut rng, Timestamp::ZERO, Timestamp::from_days(28));
+        let arrivals = arrivals(200.0, 13, Timestamp::ZERO, Timestamp::from_days(28));
         let (mut weekday, mut weekend) = (0usize, 0usize);
         for a in &arrivals {
             if a.is_weekend() {
@@ -194,9 +178,7 @@ mod tests {
     #[test]
     fn interarrivals_are_heavy_tailed() {
         // Shape < 1 means CoV of gaps > 1 (burstier than Poisson).
-        let mut rng = StdRng::seed_from_u64(14);
-        let proc = ArrivalProcess::new(100.0);
-        let arrivals = proc.generate(&mut rng, Timestamp::ZERO, Timestamp::from_days(60));
+        let arrivals = arrivals(100.0, 14, Timestamp::ZERO, Timestamp::from_days(60));
         let gaps: Vec<f64> =
             arrivals.windows(2).map(|w| (w[1].as_secs() - w[0].as_secs()) as f64).collect();
         assert!(gaps.len() > 500);
@@ -208,8 +190,6 @@ mod tests {
 
     #[test]
     fn zero_rate_yields_nothing() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let proc = ArrivalProcess::new(0.0);
-        assert!(proc.generate(&mut rng, Timestamp::ZERO, Timestamp::from_days(10)).is_empty());
+        assert!(arrivals(0.0, 15, Timestamp::ZERO, Timestamp::from_days(10)).is_empty());
     }
 }

@@ -18,13 +18,17 @@
 //! it. Each corrupted record lands in exactly one category so the
 //! accounting stays exact.
 
+use std::collections::VecDeque;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use rc_types::telemetry::VmRecord;
 use rc_types::time::Timestamp;
 use rc_types::vm::DeploymentId;
 
 use crate::trace::Trace;
+use crate::utilization::UtilParams;
 
 /// A seeded schedule of telemetry corruption.
 ///
@@ -60,17 +64,6 @@ pub struct DirtyPlan {
 /// rate across.
 pub const DIRTY_CATEGORIES: usize = 7;
 
-/// What happened to one record after its eight corruption draws.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RecordFate {
-    /// Present in the dirty output (possibly corrupted in place).
-    Kept,
-    /// Absent from the dirty output.
-    Dropped,
-    /// Present, and a verbatim copy replays at the end of the stream.
-    Duplicated,
-}
-
 impl DirtyPlan {
     /// A plan that corrupts nothing (the identity baseline).
     pub fn clean(seed: u64) -> Self {
@@ -103,18 +96,114 @@ impl DirtyPlan {
         }
     }
 
+    /// Corrupts a trace, returning the dirtied copy and exact per-category
+    /// counts. Deterministic: the schedule is a pure function of
+    /// `(plan, trace.vms.len())`, with exactly eight RNG draws per VM
+    /// record whatever the outcome. Duplicates replay at the end of the
+    /// parallel arrays with their original `vm_id`; the deployment table
+    /// is copied as is, so an already-dirty trace is accepted too.
+    pub fn apply(&self, trace: &Trace) -> (Trace, DirtyReport) {
+        let mut corruption = Corruption::new(*self, trace.deployments.len() as u64);
+        let mut clean = trace
+            .vms
+            .iter()
+            .zip(&trace.util)
+            .zip(&trace.interactive_intent)
+            .map(|((vm, util), &intent)| (vm.clone(), *util, intent));
+        let ((vms, util), interactive_intent) =
+            std::iter::from_fn(|| corruption.next_from(&mut clean))
+                .map(|(vm, util, intent)| ((vm, util), intent))
+                .unzip();
+        let dirty = Trace {
+            config: trace.config.clone(),
+            subscriptions: trace.subscriptions.clone(),
+            vms,
+            util,
+            interactive_intent,
+            deployments: trace.deployments.clone(),
+        };
+        (dirty, corruption.report())
+    }
+}
+
+/// What happened to one record after its eight corruption draws.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RecordFate {
+    /// Present in the dirty output (possibly corrupted in place).
+    Kept,
+    /// Absent from the dirty output.
+    Dropped,
+    /// Present, and a verbatim copy replays at the end of the stream.
+    Duplicated,
+}
+
+/// One clean VM record as the corruption driver sees it: the record and
+/// utilization model it may dirty in place, plus whatever rides along.
+pub(crate) trait Corruptible: Clone {
+    /// The two parts a corruption category can touch.
+    fn parts_mut(&mut self) -> (&mut VmRecord, &mut UtilParams);
+}
+
+/// A trace's own parallel arrays, one element of each.
+impl Corruptible for (VmRecord, UtilParams, bool) {
+    fn parts_mut(&mut self) -> (&mut VmRecord, &mut UtilParams) {
+        (&mut self.0, &mut self.1)
+    }
+}
+
+/// The record-by-record corruption driver behind both
+/// [`DirtyPlan::apply`] and [`crate::DirtyVmStream`]: clean records are
+/// corrupted in arrival order, and duplicated ones replay, in that order,
+/// once the clean input is exhausted — where a collector that re-delivered
+/// a batch would put them.
+pub(crate) struct Corruption<T> {
+    plan: DirtyPlan,
+    rng: StdRng,
+    /// Size of the clean deployment table; orphans point past it.
+    n_deployments: u64,
+    report: DirtyReport,
+    /// Copies of duplicated records, replayed once the input is exhausted.
+    duplicates: VecDeque<T>,
+}
+
+impl<T: Corruptible> Corruption<T> {
+    pub(crate) fn new(plan: DirtyPlan, n_deployments: u64) -> Self {
+        Corruption {
+            rng: StdRng::seed_from_u64(plan.seed),
+            plan,
+            n_deployments,
+            report: DirtyReport::default(),
+            duplicates: VecDeque::new(),
+        }
+    }
+
+    /// Per-category counts so far (final once `next_from` returns `None`).
+    pub(crate) fn report(&self) -> DirtyReport {
+        self.report
+    }
+
+    /// The next dirty record: the next surviving record of `clean`, then
+    /// the duplicates.
+    pub(crate) fn next_from(&mut self, clean: &mut impl Iterator<Item = T>) -> Option<T> {
+        for mut record in clean {
+            let (vm, util) = record.parts_mut();
+            match self.corrupt(vm, util) {
+                RecordFate::Dropped => continue,
+                RecordFate::Duplicated => {
+                    self.duplicates.push_back(record.clone());
+                    return Some(record);
+                }
+                RecordFate::Kept => return Some(record),
+            }
+        }
+        self.duplicates.pop_front()
+    }
+
     /// Draws one record's corruption schedule (exactly eight uniforms,
     /// whatever the outcome, so two applications stay in lock-step) and
-    /// applies any in-place category. Shared by [`DirtyPlan::apply`] and
-    /// the streaming adapter so the two cannot diverge.
-    pub(crate) fn corrupt_record(
-        &self,
-        rng: &mut StdRng,
-        vm: &mut rc_types::telemetry::VmRecord,
-        util: &mut crate::utilization::UtilParams,
-        n_deployments: u64,
-        report: &mut DirtyReport,
-    ) -> RecordFate {
+    /// applies any in-place category.
+    fn corrupt(&mut self, vm: &mut VmRecord, util: &mut UtilParams) -> RecordFate {
+        let (plan, rng, report) = (&self.plan, &mut self.rng, &mut self.report);
         let u_drop: f64 = rng.gen();
         let u_dup: f64 = rng.gen();
         let u_nan: f64 = rng.gen();
@@ -124,17 +213,17 @@ impl DirtyPlan {
         let u_orphan: f64 = rng.gen();
         let salt: u64 = rng.gen();
 
-        if u_drop < self.p_drop {
+        if u_drop < plan.p_drop {
             report.dropped += 1;
             return RecordFate::Dropped;
-        } else if u_dup < self.p_duplicate {
+        } else if u_dup < plan.p_duplicate {
             report.duplicated += 1;
             return RecordFate::Duplicated;
-        } else if u_nan < self.p_nan_util {
+        } else if u_nan < plan.p_nan_util {
             util.base = f64::NAN;
             util.p95_level = f64::NAN;
             report.nan_util += 1;
-        } else if u_range < self.p_out_of_range_util {
+        } else if u_range < plan.p_out_of_range_util {
             // Far outside [0, 1] in a salt-determined direction.
             let magnitude = 2.0 + (salt % 97) as f64 / 10.0;
             if salt & 1 == 0 {
@@ -145,69 +234,22 @@ impl DirtyPlan {
                 util.p95_level = -magnitude / 2.0;
             }
             report.out_of_range_util += 1;
-        } else if u_skew < self.p_clock_skew {
+        } else if u_skew < plan.p_clock_skew {
             // The collector's clock ran ahead: deletion lands a
             // salt-determined stretch *before* creation.
             let created = vm.created.as_secs().max(2);
             vm.created = Timestamp::from_secs(created);
             vm.deleted = Timestamp::from_secs(created.saturating_sub(1 + salt % 86_400).max(1));
             report.clock_skew += 1;
-        } else if u_trunc < self.p_truncate {
+        } else if u_trunc < plan.p_truncate {
             vm.sku.cores = 0;
             vm.sku.memory_gb = 0.0;
             report.truncated += 1;
-        } else if u_orphan < self.p_orphan_deployment {
-            vm.deployment = DeploymentId(n_deployments + salt % 1_000);
+        } else if u_orphan < plan.p_orphan_deployment {
+            vm.deployment = DeploymentId(self.n_deployments + salt % 1_000);
             report.orphaned += 1;
         }
         RecordFate::Kept
-    }
-
-    /// Corrupts a trace, returning the dirtied copy and exact per-category
-    /// counts. Deterministic: the schedule is a pure function of
-    /// `(plan, trace.vms.len())`, with exactly eight RNG draws per VM
-    /// record whatever the outcome.
-    pub fn apply(&self, trace: &Trace) -> (Trace, DirtyReport) {
-        let mut dirty = trace.clone();
-        let mut report = DirtyReport::default();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let n_deployments = trace.deployments.len() as u64;
-
-        let mut keep = vec![true; dirty.vms.len()];
-        let mut duplicates: Vec<usize> = Vec::new();
-        for (i, (vm, util)) in dirty.vms.iter_mut().zip(dirty.util.iter_mut()).enumerate() {
-            let fate = self.corrupt_record(&mut rng, vm, util, n_deployments, &mut report);
-            match fate {
-                RecordFate::Dropped => keep[i] = false,
-                RecordFate::Duplicated => duplicates.push(i),
-                RecordFate::Kept => {}
-            }
-        }
-
-        if report.dropped > 0 {
-            let mut kept = keep.iter().copied();
-            let mut kept_util = keep.iter().copied();
-            let mut kept_intent = keep.iter().copied();
-            dirty.vms.retain(|_| kept.next().unwrap_or(true));
-            dirty.util.retain(|_| kept_util.next().unwrap_or(true));
-            dirty.interactive_intent.retain(|_| kept_intent.next().unwrap_or(true));
-        }
-        // Duplicates replay at the end of the parallel arrays, keeping
-        // their original `vm_id` field — exactly what a collector that
-        // re-delivered a batch would produce.
-        for &i in &duplicates {
-            if keep[i] {
-                dirty.vms.push(trace.vms[i].clone());
-                dirty.util.push(trace.util[i]);
-                dirty.interactive_intent.push(trace.interactive_intent[i]);
-            } else {
-                // The original was dropped by an earlier decision in the
-                // same pass; nothing to replay. Keep the accounting exact.
-                report.duplicated -= 1;
-            }
-        }
-
-        (dirty, report)
     }
 }
 

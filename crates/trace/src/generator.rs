@@ -9,10 +9,10 @@ use rc_types::telemetry::VmRecord;
 use rc_types::time::Timestamp;
 use rc_types::vm::{DeploymentId, OsType, SubscriptionId, VmId, VmRole, SKU_CATALOG};
 
-use crate::arrival::ArrivalProcess;
 use crate::calibration as cal;
 use crate::profile::{ProfileConfig, SubscriptionProfile};
 use crate::sampler::{clamped_lognormal, log_uniform, weighted_choice};
+use crate::stream::{StreamedVm, VmStream};
 use crate::trace::{DeploymentRecord, Trace};
 use crate::utilization::UtilParams;
 
@@ -66,7 +66,7 @@ const INITIAL_DEPLOYMENT_FRACTION: f64 = 0.8;
 ///
 /// Profiles are the only thing the master seed controls; all VM-level
 /// randomness lives in per-subscription streams (see [`sub_stream_rngs`]),
-/// which is what lets the streaming path regenerate any subscription
+/// which is what lets the generator expand any subscription
 /// independently without replaying the whole trace.
 pub(crate) fn sample_profiles(config: &TraceConfig) -> Vec<SubscriptionProfile> {
     assert!(config.n_subscriptions > 0 && config.days > 0, "degenerate config");
@@ -126,31 +126,17 @@ pub(crate) fn sub_stream_rngs(seed: u64, sub: SubscriptionId) -> (StdRng, StdRng
     (StdRng::seed_from_u64(splitmix64(k ^ 0xA331)), StdRng::seed_from_u64(splitmix64(k ^ 0xB0D1)))
 }
 
-/// One VM produced by [`generate_deployment`].
-#[derive(Debug, Clone)]
-pub(crate) struct GeneratedVm {
-    pub record: VmRecord,
-    pub util: UtilParams,
-    pub interactive: bool,
-}
-
-/// One deployment's worth of generated VMs plus its summary record.
-#[derive(Debug, Clone)]
-pub(crate) struct GeneratedDeployment {
-    pub deployment: DeploymentRecord,
-    pub vms: Vec<GeneratedVm>,
-}
-
 /// Generates one deployment (region, size, and every VM body) from the
-/// subscription's body RNG. Shared verbatim between [`Trace::generate`]
-/// and the streaming path so the two cannot diverge.
+/// subscription's body RNG, as the [`VmStream`] merge reaches its
+/// arrival. VM ids are left at zero until the merge knows the global
+/// creation order.
 pub(crate) fn generate_deployment<R: Rng + ?Sized>(
     sub: &SubscriptionProfile,
     dep_id: DeploymentId,
     deploy_time: Timestamp,
     n_regions: u16,
     rng: &mut R,
-) -> GeneratedDeployment {
+) -> Vec<StreamedVm> {
     let region = if rng.gen::<f64>() < 0.85 || n_regions <= 1 {
         sub.home_region
     } else {
@@ -165,7 +151,7 @@ pub(crate) fn generate_deployment<R: Rng + ?Sized>(
     // VMs of a deployment usually share a lifetime bucket.
     let dep_lifetime_bucket = sample_lifetime_bucket(sub, rng);
     let mut n_cores = 0u32;
-    let mut vms = Vec::with_capacity(n);
+    let mut bodies = Vec::with_capacity(n);
 
     for k in 0..n {
         let created = if k < initial {
@@ -199,98 +185,52 @@ pub(crate) fn generate_deployment<R: Rng + ?Sized>(
         let interactive = rng.gen::<f64>() < sub.interactive_prob;
         let params = sample_util_params(sub, interactive, rng);
 
-        vms.push(GeneratedVm {
-            record: VmRecord {
-                vm_id: VmId(0), // assigned once the global arrival order is known
-                subscription: sub.id,
-                deployment: dep_id,
-                region,
-                party: sub.party,
-                role,
-                prod: sub.prod,
-                os,
-                sku,
-                created,
-                deleted,
-            },
-            util: params,
-            interactive,
-        });
+        let record = VmRecord {
+            vm_id: VmId(0),
+            subscription: sub.id,
+            deployment: dep_id,
+            region,
+            party: sub.party,
+            role,
+            prod: sub.prod,
+            os,
+            sku,
+            created,
+            deleted,
+        };
+        bodies.push((record, params, interactive));
     }
 
-    GeneratedDeployment {
-        deployment: DeploymentRecord {
-            id: dep_id,
-            subscription: sub.id,
-            region,
-            created: deploy_time,
-            n_vms: n as u32,
-            n_cores,
-        },
-        vms,
-    }
+    let deployment = DeploymentRecord {
+        id: dep_id,
+        subscription: sub.id,
+        region,
+        created: deploy_time,
+        n_vms: n as u32,
+        n_cores,
+    };
+    bodies
+        .into_iter()
+        .map(|(record, util, interactive)| StreamedVm {
+            record,
+            util,
+            interactive,
+            deployment: deployment.clone(),
+        })
+        .collect()
 }
 
 impl Trace {
-    /// Generates a full synthetic trace from the configuration.
-    ///
-    /// Deterministic: equal configs yield equal traces, and the result is
-    /// bit-identical to draining [`crate::stream::VmStream`] — both paths
-    /// run the same per-subscription RNG streams through
-    /// [`generate_deployment`].
+    /// Generates a full synthetic trace from the configuration: a drained
+    /// [`VmStream`], whose VMs arrive
+    /// creation-sorted with dense ids. Deterministic: equal configs yield
+    /// equal traces.
     ///
     /// # Panics
     ///
     /// Panics when the config has zero subscriptions or zero days.
     pub fn generate(config: &TraceConfig) -> Trace {
-        let subscriptions = sample_profiles(config);
-        let scales = subscription_scales(config, &subscriptions);
-
-        let mut vms: Vec<VmRecord> = Vec::with_capacity(config.target_vms + config.target_vms / 4);
-        let mut util: Vec<UtilParams> = Vec::with_capacity(vms.capacity());
-        let mut interactive_intent: Vec<bool> = Vec::with_capacity(vms.capacity());
-        let mut deployments: Vec<DeploymentRecord> = Vec::new();
-
-        for sub in &subscriptions {
-            let scale = scales[sub.id.0 as usize];
-            let proc = ArrivalProcess::new(sub.deployment_rate_per_day * scale);
-            let (mut arrival_rng, mut body_rng) = sub_stream_rngs(config.seed, sub.id);
-            let arrivals = proc.generate(&mut arrival_rng, sub.active_from, sub.active_until);
-            for deploy_time in arrivals {
-                let dep_id = DeploymentId(deployments.len() as u64);
-                let generated =
-                    generate_deployment(sub, dep_id, deploy_time, config.n_regions, &mut body_rng);
-                for gvm in generated.vms {
-                    vms.push(gvm.record);
-                    util.push(gvm.util);
-                    interactive_intent.push(gvm.interactive);
-                }
-                deployments.push(generated.deployment);
-            }
-        }
-
-        // Sort VMs by creation time and assign dense ids.
-        let mut order: Vec<usize> = (0..vms.len()).collect();
-        order.sort_by_key(|&i| (vms[i].created, i));
-        let mut sorted_vms = Vec::with_capacity(vms.len());
-        let mut sorted_util = Vec::with_capacity(vms.len());
-        let mut sorted_intent = Vec::with_capacity(vms.len());
-        for (new_id, &i) in order.iter().enumerate() {
-            let mut vm = vms[i].clone();
-            vm.vm_id = VmId(new_id as u64);
-            sorted_vms.push(vm);
-            sorted_util.push(util[i]);
-            sorted_intent.push(interactive_intent[i]);
-        }
-
-        Trace {
-            config: config.clone(),
-            subscriptions,
-            vms: sorted_vms,
-            util: sorted_util,
-            interactive_intent: sorted_intent,
-            deployments,
-        }
+        VmStream::new(config).collect_trace()
     }
 }
 

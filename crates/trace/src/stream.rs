@@ -1,22 +1,19 @@
-//! Pull-based streaming trace generation.
+//! Pull-based trace generation: the one generator behind every trace.
 //!
-//! [`Trace::generate`] materializes every VM before anything can consume
-//! one — fine at the paper's 336k-arrival scale (§6.1), hopeless at the
-//! Azure scale the roadmap targets. [`VmStream`] produces the *identical*
-//! VM sequence lazily: each subscription owns two private RNG streams
-//! (arrivals and VM bodies, see `generator::sub_stream_rngs`), so the
-//! stream can expand one deployment at a time and merge subscriptions by
-//! creation time with a bounded pending buffer instead of a full sort.
+//! [`VmStream`] produces VMs lazily: each subscription owns two private
+//! RNG streams (arrivals and VM bodies, see `generator::sub_stream_rngs`),
+//! so the stream can expand one deployment at a time and merge
+//! subscriptions by creation time with a bounded pending buffer instead
+//! of a full sort. [`Trace::generate`] is this stream drained into
+//! arrays ([`VmStream::collect_trace`]), and [`DirtyVmStream`] runs the
+//! same corruption driver as [`crate::DirtyPlan::apply`].
 //!
-//! # Bit-identity
+//! # Order
 //!
-//! Both paths run the same per-subscription RNGs through the same
-//! `generate_deployment`, and the merge emits VMs in exactly the
-//! materialized sort order `(created, insertion index)` — insertion order
-//! is subscription-major, so the tie-break key is `(subscription,
-//! deployment, vm-within-deployment)`. Draining a stream therefore yields
-//! `Trace::generate`'s arrays element for element, ids included; the
-//! equivalence suite pins this with `trace_fingerprint`.
+//! The merge emits VMs sorted by `(created, subscription, deployment,
+//! vm-within-deployment)` and numbers them densely in that order, so a
+//! trace's `vms[i]` has `VmId(i)`. Golden digests of the generated and
+//! dirtied traces (`tests/streaming.rs`) pin the output bit for bit.
 //!
 //! # Memory
 //!
@@ -30,14 +27,13 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use rc_types::telemetry::VmRecord;
 use rc_types::time::{Duration, Timestamp};
 use rc_types::vm::{DeploymentId, VmId};
 
 use crate::arrival::{ArrivalIter, ArrivalProcess};
-use crate::dirty::{DirtyPlan, DirtyReport, RecordFate};
+use crate::dirty::{Corruptible, Corruption, DirtyPlan, DirtyReport};
 use crate::generator::{
     generate_deployment, sample_profiles, sub_stream_rngs, subscription_scales, TraceConfig,
 };
@@ -60,6 +56,36 @@ pub struct StreamedVm {
     pub deployment: DeploymentRecord,
 }
 
+impl StreamedVm {
+    /// Splits the VM into the elements of a trace's parallel arrays.
+    fn into_columns(self) -> ((VmRecord, UtilParams), bool) {
+        ((self.record, self.util), self.interactive)
+    }
+}
+
+impl Corruptible for StreamedVm {
+    fn parts_mut(&mut self) -> (&mut VmRecord, &mut UtilParams) {
+        (&mut self.record, &mut self.util)
+    }
+}
+
+/// A trace's deployment table, filled from the clean VMs streaming past.
+struct DeploymentTable(Vec<Option<DeploymentRecord>>);
+
+impl DeploymentTable {
+    fn new(n_deployments: u64) -> Self {
+        DeploymentTable(vec![None; n_deployments as usize])
+    }
+
+    fn observe(&mut self, vm: &StreamedVm) {
+        self.0[vm.deployment.id.0 as usize].get_or_insert_with(|| vm.deployment.clone());
+    }
+
+    fn finish(self) -> Vec<DeploymentRecord> {
+        self.0.into_iter().map(|d| d.expect("every deployment has at least one VM")).collect()
+    }
+}
+
 /// One subscription's lazy generation state.
 struct SubStream {
     arrivals: ArrivalIter<StdRng>,
@@ -68,18 +94,15 @@ struct SubStream {
     /// Subscription-local index of the next deployment to expand.
     next_dep: u64,
     /// Global id of this subscription's first deployment (prefix sum of
-    /// arrival counts, so streamed ids match the materialized table).
+    /// arrival counts, so ids are dense and subscription-major).
     dep_id_base: u64,
 }
 
-/// A VM waiting in the merge buffer. Ordered by the materialized sort key.
+/// A VM waiting in the merge buffer, ordered by its emission key.
 struct PendingVm {
     /// `(created secs, subscription, local deployment index, vm index)`.
     key: (u64, u32, u64, u32),
-    record: VmRecord,
-    util: UtilParams,
-    interactive: bool,
-    deployment: DeploymentRecord,
+    vm: StreamedVm,
 }
 
 impl PartialEq for PendingVm {
@@ -100,7 +123,7 @@ impl Ord for PendingVm {
     }
 }
 
-/// Streaming equivalent of [`Trace::generate`]; see the module docs.
+/// The lazy trace generator; see the module docs.
 pub struct VmStream {
     config: TraceConfig,
     subscriptions: Vec<SubscriptionProfile>,
@@ -116,8 +139,8 @@ pub struct VmStream {
 impl VmStream {
     /// Builds the stream: samples profiles from the master RNG, then runs
     /// a cheap counting pass over every subscription's arrival schedule
-    /// (a clone of its arrival RNG) to pre-assign the dense global
-    /// deployment-id ranges the materialized path hands out in order.
+    /// (a clone of its arrival RNG) to pre-assign dense global
+    /// deployment ids, subscription-major and in arrival order.
     pub fn new(config: &TraceConfig) -> VmStream {
         let subscriptions = sample_profiles(config);
         let scales = subscription_scales(config, &subscriptions);
@@ -157,7 +180,7 @@ impl VmStream {
         &self.config
     }
 
-    /// The subscription profiles (identical to the materialized trace's).
+    /// The subscription profiles, indexed by `SubscriptionId`.
     pub fn subscriptions(&self) -> &[SubscriptionProfile] {
         &self.subscriptions
     }
@@ -173,8 +196,8 @@ impl VmStream {
         Timestamp::ZERO + Duration::from_days(self.config.days as u64)
     }
 
-    /// High-water mark of the pending merge buffer — the streaming path's
-    /// peak per-VM memory footprint.
+    /// High-water mark of the pending merge buffer — the stream's peak
+    /// per-VM memory footprint.
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
     }
@@ -186,22 +209,16 @@ impl VmStream {
         let dep_idx = stream.next_dep;
         stream.next_dep += 1;
         let dep_id = DeploymentId(stream.dep_id_base + dep_idx);
-        let generated = generate_deployment(
+        let vms = generate_deployment(
             &self.subscriptions[s as usize],
             dep_id,
             deploy_time,
             self.config.n_regions,
             &mut stream.body_rng,
         );
-        let deployment = generated.deployment;
-        for (k, gvm) in generated.vms.into_iter().enumerate() {
-            self.pending.push(PendingVm {
-                key: (gvm.record.created.as_secs(), s, dep_idx, k as u32),
-                record: gvm.record,
-                util: gvm.util,
-                interactive: gvm.interactive,
-                deployment: deployment.clone(),
-            });
+        for (k, vm) in vms.into_iter().enumerate() {
+            let key = (vm.record.created.as_secs(), s, dep_idx, k as u32);
+            self.pending.push(PendingVm { key, vm });
         }
         self.peak_pending = self.peak_pending.max(self.pending.len());
         stream.next_arrival = stream.arrivals.next();
@@ -210,35 +227,22 @@ impl VmStream {
         }
     }
 
-    /// Drains the stream into a materialized [`Trace`] — bit-identical to
-    /// [`Trace::generate`] on the same config (pinned by the equivalence
-    /// suite). Mostly useful for tests; at scale, consume the iterator.
+    /// Drains the stream into a materialized [`Trace`] (what
+    /// [`Trace::generate`] returns). At scale, consume the iterator.
     pub fn collect_trace(mut self) -> Trace {
-        let mut vms = Vec::new();
-        let mut util = Vec::new();
-        let mut interactive_intent = Vec::new();
-        let mut deployments: Vec<Option<DeploymentRecord>> =
-            vec![None; self.n_deployments as usize];
-        for svm in self.by_ref() {
-            let slot = &mut deployments[svm.deployment.id.0 as usize];
-            if slot.is_none() {
-                *slot = Some(svm.deployment);
-            }
-            vms.push(svm.record);
-            util.push(svm.util);
-            interactive_intent.push(svm.interactive);
-        }
-        let deployments = deployments
-            .into_iter()
-            .map(|d| d.expect("every deployment has at least one VM"))
-            .collect();
+        let mut deployments = DeploymentTable::new(self.n_deployments);
+        let ((vms, util), interactive_intent) = self
+            .by_ref()
+            .inspect(|svm| deployments.observe(svm))
+            .map(StreamedVm::into_columns)
+            .unzip();
         Trace {
             config: self.config,
             subscriptions: self.subscriptions,
             vms,
             util,
             interactive_intent,
-            deployments,
+            deployments: deployments.finish(),
         }
     }
 }
@@ -262,42 +266,30 @@ impl Iterator for VmStream {
                     self.expand(s);
                 }
                 _ => {
-                    let mut p = self.pending.pop()?;
-                    p.record.vm_id = VmId(self.next_vm_id);
+                    let mut vm = self.pending.pop()?.vm;
+                    vm.record.vm_id = VmId(self.next_vm_id);
                     self.next_vm_id += 1;
-                    return Some(StreamedVm {
-                        record: p.record,
-                        util: p.util,
-                        interactive: p.interactive,
-                        deployment: p.deployment,
-                    });
+                    return Some(vm);
                 }
             }
         }
     }
 }
 
-/// A [`VmStream`] corrupted on the fly by a [`DirtyPlan`] — the streaming
-/// equivalent of [`DirtyPlan::apply`], drawing the same eight uniforms
-/// per clean record in the same (emission) order.
+/// A [`VmStream`] corrupted on the fly by a [`DirtyPlan`]: the same
+/// record-by-record driver as [`DirtyPlan::apply`], fed by the generator
+/// instead of a materialized trace.
 ///
-/// Duplicated records replay *after* the clean stream ends, exactly where
-/// `apply` appends them; the buffer holding them is the one part of this
-/// adapter whose memory scales with the duplicate count rather than the
-/// watermark.
+/// Duplicated records replay *after* the clean stream ends; the buffer
+/// holding them is the one part of this adapter whose memory scales with
+/// the duplicate count rather than the watermark.
 pub struct DirtyVmStream {
     inner: VmStream,
-    plan: DirtyPlan,
-    rng: StdRng,
-    n_deployments: u64,
-    report: DirtyReport,
+    corruption: Corruption<StreamedVm>,
     /// The *clean* deployment table, observed before corruption — a
-    /// deployment stays listed even when drops eat all its VMs, exactly
-    /// as under [`DirtyPlan::apply`].
-    deployments: Vec<Option<DeploymentRecord>>,
-    duplicates: Vec<StreamedVm>,
-    /// Index of the next duplicate to replay once `inner` is exhausted.
-    next_duplicate: usize,
+    /// deployment stays listed even when drops eat all its VMs, and
+    /// orphan corruption re-points only `record.deployment`.
+    deployments: DeploymentTable,
 }
 
 impl DirtyVmStream {
@@ -307,47 +299,30 @@ impl DirtyVmStream {
         let n_deployments = inner.n_deployments();
         DirtyVmStream {
             inner,
-            rng: StdRng::seed_from_u64(plan.seed),
-            plan,
-            n_deployments,
-            report: DirtyReport::default(),
-            deployments: vec![None; n_deployments as usize],
-            duplicates: Vec::new(),
-            next_duplicate: 0,
+            corruption: Corruption::new(plan, n_deployments),
+            deployments: DeploymentTable::new(n_deployments),
         }
     }
 
     /// Per-category corruption counts so far (exact and final once the
     /// stream is exhausted).
     pub fn report(&self) -> DirtyReport {
-        self.report
+        self.corruption.report()
     }
 
-    /// Drains into a materialized dirty trace plus its report —
-    /// bit-identical to `DirtyPlan::apply(&Trace::generate(config))`.
+    /// Drains into a materialized dirty trace plus its report — equal to
+    /// `plan.apply(&Trace::generate(config))`.
     pub fn collect_trace(mut self) -> (Trace, DirtyReport) {
-        let mut vms = Vec::new();
-        let mut util = Vec::new();
-        let mut interactive_intent = Vec::new();
-        for svm in self.by_ref() {
-            vms.push(svm.record);
-            util.push(svm.util);
-            interactive_intent.push(svm.interactive);
-        }
-        let deployments = self
-            .deployments
-            .into_iter()
-            .map(|d| d.expect("every deployment was observed pre-corruption"))
-            .collect();
+        let ((vms, util), interactive_intent) = self.by_ref().map(StreamedVm::into_columns).unzip();
         let trace = Trace {
             config: self.inner.config,
             subscriptions: self.inner.subscriptions,
             vms,
             util,
             interactive_intent,
-            deployments,
+            deployments: self.deployments.finish(),
         };
-        (trace, self.report)
+        (trace, self.corruption.report())
     }
 }
 
@@ -355,33 +330,9 @@ impl Iterator for DirtyVmStream {
     type Item = StreamedVm;
 
     fn next(&mut self) -> Option<StreamedVm> {
-        for mut svm in self.inner.by_ref() {
-            // Observe the clean deployment before any corruption (orphan
-            // corruption re-points `record.deployment`; the table stays
-            // clean, as it does under `apply`).
-            let slot = &mut self.deployments[svm.deployment.id.0 as usize];
-            if slot.is_none() {
-                *slot = Some(svm.deployment.clone());
-            }
-            match self.plan.corrupt_record(
-                &mut self.rng,
-                &mut svm.record,
-                &mut svm.util,
-                self.n_deployments,
-                &mut self.report,
-            ) {
-                RecordFate::Dropped => continue,
-                RecordFate::Duplicated => {
-                    self.duplicates.push(svm.clone());
-                    return Some(svm);
-                }
-                RecordFate::Kept => return Some(svm),
-            }
-        }
-        // Clean stream exhausted: replay duplicates in arrival order.
-        let svm = self.duplicates.get(self.next_duplicate)?.clone();
-        self.next_duplicate += 1;
-        Some(svm)
+        let deployments = &mut self.deployments;
+        let mut clean = self.inner.by_ref().inspect(|svm| deployments.observe(svm));
+        self.corruption.next_from(&mut clean)
     }
 }
 
@@ -392,20 +343,6 @@ mod tests {
 
     fn test_config() -> TraceConfig {
         TraceConfig { target_vms: 3_000, n_subscriptions: 150, days: 14, ..TraceConfig::small() }
-    }
-
-    #[test]
-    fn stream_is_bit_identical_to_generate() {
-        let config = test_config();
-        let materialized = Trace::generate(&config);
-        let streamed = VmStream::new(&config).collect_trace();
-        assert_eq!(trace_fingerprint(&streamed), trace_fingerprint(&materialized));
-        // The fingerprint skips subscriptions/regions/intent; JSON equality
-        // closes the gap (a clean trace has no NaNs).
-        assert_eq!(
-            serde_json::to_vec(&streamed).unwrap(),
-            serde_json::to_vec(&materialized).unwrap()
-        );
     }
 
     #[test]
@@ -432,16 +369,6 @@ mod tests {
             stream.peak_pending(),
             n
         );
-    }
-
-    #[test]
-    fn dirty_stream_matches_dirty_apply() {
-        let config = test_config();
-        let plan = DirtyPlan::uniform(42, 0.25);
-        let (eager, eager_report) = plan.apply(&Trace::generate(&config));
-        let (streamed, stream_report) = DirtyVmStream::new(&config, plan).collect_trace();
-        assert_eq!(stream_report, eager_report);
-        assert_eq!(trace_fingerprint(&streamed), trace_fingerprint(&eager));
     }
 
     #[test]
