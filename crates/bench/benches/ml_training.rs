@@ -1,13 +1,14 @@
-//! Criterion benches for the learning substrate: tree / forest / boosting
-//! training throughput, FFT classification, and the label extraction
-//! around it.
+//! Criterion benches for the learning substrate: single-tree training
+//! throughput, FFT classification, and the label extraction around it.
+//! Forest and boosted fit time and forest predict latency are the
+//! benchmark's `ml.forest_fit_ms`, `ml.gbt_fit_ms` and
+//! `models.forest_predict_ns_p50`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rc_core::label_vms;
 use rc_ml::{
-    detect_diurnal_periodicity, BinnedDataset, Dataset, DecisionTree, GradientBoosting,
-    GradientBoostingConfig, PeriodicityConfig, PeriodicityDetector, RandomForest,
-    RandomForestConfig, TreeConfig,
+    detect_diurnal_periodicity, BinnedDataset, Dataset, DecisionTree, PeriodicityConfig,
+    PeriodicityDetector, TreeConfig,
 };
 use rc_trace::{Trace, TraceConfig};
 
@@ -32,22 +33,6 @@ fn bench_training(c: &mut Criterion) {
 
     c.bench_function("tree_fit_5k_x24", |b| {
         b.iter(|| DecisionTree::fit(&binned, &TreeConfig::default()))
-    });
-
-    c.bench_function("forest_fit_8x_5k_x24", |b| {
-        let config = RandomForestConfig { n_trees: 8, ..RandomForestConfig::default() };
-        b.iter(|| RandomForest::fit(&binned, &config))
-    });
-
-    c.bench_function("gbt_fit_10r_5k_x24", |b| {
-        let config = GradientBoostingConfig { n_rounds: 10, ..Default::default() };
-        b.iter(|| GradientBoosting::fit(&binned, &config))
-    });
-
-    let forest = RandomForest::fit(&binned, &RandomForestConfig::default());
-    let row: Vec<f64> = (0..24).map(|i| i as f64 / 24.0 - 0.5).collect();
-    c.bench_function("forest_predict", |b| {
-        b.iter(|| rc_ml::Classifier::predict_proba(&forest, &row))
     });
 
     // FFT classification of a 6-day, 5-minute series (the §3.6 analysis).

@@ -139,12 +139,37 @@ pub fn feature_store_key(subscription: rc_types::vm::SubscriptionId) -> String {
 }
 
 /// A trained model, ready to serve predictions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TrainedModel {
     /// The specification this model implements.
     pub spec: ModelSpec,
     /// Trained estimator.
     pub estimator: Estimator,
+}
+
+/// Decoding rejects an estimator whose feature width is not the one its
+/// spec assembles: relabelled to a narrower spec, a payload would split
+/// on features past the end of every row the client hands it.
+impl Deserialize for TrainedModel {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let fields = v.as_object().ok_or_else(|| serde::Error::ty("TrainedModel", "object"))?;
+        let model = TrainedModel {
+            spec: Deserialize::from_value(serde::field(fields, "spec")?)?,
+            estimator: Deserialize::from_value(serde::field(fields, "estimator")?)?,
+        };
+        let width = match &model.estimator {
+            Estimator::Forest(m) => m.n_features(),
+            Estimator::Boosted(m) => m.n_features(),
+        };
+        if width != model.spec.n_features() {
+            return Err(serde::Error::msg(format!(
+                "{:?} assembles {} features but its estimator was fitted on {width}",
+                model.spec.metric,
+                model.spec.n_features()
+            )));
+        }
+        Ok(model)
+    }
 }
 
 /// The serializable estimator enum behind [`TrainedModel`].

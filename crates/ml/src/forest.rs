@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::arena::deserialize_validated;
 use crate::dataset::BinnedDataset;
-use crate::tree::{ClassTrees, Grower, TreeConfig};
+use crate::tree::{ClassTrees, TreeConfig};
 use crate::Classifier;
 
 /// Hyperparameters for a [`RandomForest`].
@@ -84,13 +84,13 @@ impl RandomForest {
         let grown = crate::pool::run(n_threads, config.n_trees, |k| {
             let seed = config.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(k as u64);
             let mut rng = StdRng::seed_from_u64(seed);
-            let indices: Vec<u32> = (0..sample).map(|_| rng.gen_range(0..n) as u32).collect();
+            let mut indices: Vec<u32> = (0..sample).map(|_| rng.gen_range(0..n) as u32).collect();
             let cfg = TreeConfig {
                 features_per_split: Some(per_split),
                 seed: seed ^ 0xabcd_1234,
                 ..config.tree.clone()
             };
-            Grower::grow_tree(data, &indices, &cfg)
+            cfg.grow(data, &mut indices)
         });
 
         let mut forest = RandomForest {
@@ -114,6 +114,11 @@ impl RandomForest {
     /// Number of member trees.
     pub fn n_trees(&self) -> usize {
         self.roots.len()
+    }
+
+    /// Width of the feature rows the forest splits on.
+    pub fn n_features(&self) -> usize {
+        self.trees.n_features()
     }
 
     /// Mean per-feature gini gain across members (unnormalized importance).
@@ -239,16 +244,18 @@ mod tests {
         assert!(decode(&RandomForest { roots: vec![0, u32::MAX], ..f.clone() }).is_err());
     }
 
+    /// Same seed, same bytes, however many workers grow the members.
     #[test]
     fn deterministic_given_seed() {
         let d = quadrants(200);
         let b = BinnedDataset::build(&d);
-        let cfg = RandomForestConfig { n_trees: 8, n_threads: 2, ..RandomForestConfig::default() };
-        let f1 = RandomForest::fit(&b, &cfg);
-        let f2 = RandomForest::fit(&b, &cfg);
-        for i in 0..d.len() {
-            assert_eq!(f1.predict_proba(d.row(i)), f2.predict_proba(d.row(i)));
-        }
+        let fit = |n_threads| {
+            let cfg = RandomForestConfig { n_trees: 8, n_threads, ..RandomForestConfig::default() };
+            crate::to_bytes(&RandomForest::fit(&b, &cfg))
+        };
+        let serial = fit(1);
+        assert_eq!(serial, fit(1));
+        assert_eq!(serial, fit(3), "the forest must not depend on the worker count");
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! cross-entropy, split gain is the regularized second-order score
 //! `1/2 (G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda)) - gamma`,
 //! and leaf values are the Newton step `-G / (H + lambda)` scaled by the
-//! learning rate.
+//! learning rate. The trees grow in the crate's one grower (`crate::grow`)
+//! with the `Newton` statistic: per-bin gradient and hessian sums.
 
 use serde::{Deserialize, Serialize};
 
-use crate::arena::{deserialize_validated, Node, TreeArena};
-use crate::dataset::{BinnedDataset, MAX_BINS};
+use crate::arena::{deserialize_validated, TreeArena};
+use crate::dataset::BinnedDataset;
+use crate::grow::{Grower, NodeStat};
 use crate::Classifier;
 
 /// Hyperparameters for [`GradientBoosting`].
@@ -43,92 +45,48 @@ impl Default for GradientBoostingConfig {
     }
 }
 
-/// Scratch state for growing one regression tree.
-struct RegGrower<'a, 'b> {
-    data: &'a BinnedDataset<'b>,
+/// Gradient and hessian sums with the regularized second-order gain: the
+/// node statistic of a boosted regression tree.
+struct Newton<'a> {
     grad: &'a [f64],
     hess: &'a [f64],
     config: &'a GradientBoostingConfig,
-    /// Depth-first node list; a leaf carries its (already shrunk) score
-    /// contribution.
-    nodes: Vec<Node<f64>>,
-    feature_gain: Vec<f64>,
 }
 
-impl RegGrower<'_, '_> {
-    fn grow(&mut self, indices: &mut [u32], depth: usize) -> u32 {
-        let (g, h): (f64, f64) = indices
-            .iter()
-            .fold((0.0, 0.0), |(g, h), &i| (g + self.grad[i as usize], h + self.hess[i as usize]));
-        if depth < self.config.max_depth && indices.len() >= 2 {
-            if let Some((feature, bin, gain)) = self.best_split(indices, g, h) {
-                self.feature_gain[feature] += gain;
-                let threshold = self.data.threshold(feature, bin);
-                let mut mid = 0;
-                for i in 0..indices.len() {
-                    if self.data.code(indices[i] as usize, feature) <= bin {
-                        indices.swap(i, mid);
-                        mid += 1;
-                    }
-                }
-                let id = self.nodes.len() as u32;
-                self.nodes.push(Node::Leaf(0.0));
-                let (li, ri) = indices.split_at_mut(mid);
-                let left = self.grow(li, depth + 1);
-                let right = self.grow(ri, depth + 1);
-                self.nodes[id as usize] =
-                    Node::Split { feature: feature as u32, threshold, left, right };
-                return id;
-            }
-        }
-        let value = -g / (h + self.config.lambda) * self.config.learning_rate;
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node::Leaf(value));
-        id
+impl NodeStat for Newton<'_> {
+    /// `[G, H]`.
+    type Cell = f64;
+    /// The leaf's (already shrunk) score contribution.
+    type Leaf = f64;
+
+    fn width(&self) -> usize {
+        2
     }
 
-    /// Best (feature, bin, gain) under the second-order gain criterion.
-    fn best_split(
-        &self,
-        indices: &[u32],
-        g_total: f64,
-        h_total: f64,
-    ) -> Option<(usize, usize, f64)> {
-        let nf = self.data.source().n_features();
-        let parent_score = g_total * g_total / (h_total + self.config.lambda);
-        let mut best: Option<(usize, usize, f64)> = None;
-        let mut gh = [(0.0f64, 0.0f64); MAX_BINS];
-        for f in 0..nf {
-            let n_bins = self.data.n_bins(f);
-            if n_bins < 2 {
-                continue;
-            }
-            gh[..n_bins].fill((0.0, 0.0));
-            for &i in indices {
-                let b = self.data.code(i as usize, f);
-                let e = &mut gh[b];
-                e.0 += self.grad[i as usize];
-                e.1 += self.hess[i as usize];
-            }
-            let (mut gl, mut hl) = (0.0, 0.0);
-            for (b, &(bg, bh)) in gh.iter().enumerate().take(n_bins - 1) {
-                gl += bg;
-                hl += bh;
-                let gr = g_total - gl;
-                let hr = h_total - hl;
-                if hl < self.config.min_child_weight || hr < self.config.min_child_weight {
-                    continue;
-                }
-                let gain = 0.5
-                    * (gl * gl / (hl + self.config.lambda) + gr * gr / (hr + self.config.lambda)
-                        - parent_score)
-                    - self.config.gamma;
-                if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((f, b, gain));
-                }
-            }
+    fn add_row(&self, row: usize, gh: &mut [f64]) {
+        gh[0] += self.grad[row];
+        gh[1] += self.hess[row];
+    }
+
+    fn split_score(&self, depth: usize, gh: &[f64], n: usize) -> Option<f64> {
+        (depth < self.config.max_depth && n >= 2)
+            .then(|| gh[0] * gh[0] / (gh[1] + self.config.lambda))
+    }
+
+    /// The second-order gain, credited as it is.
+    fn gain(&self, parent_score: f64, l: &[f64], r: &[f64]) -> Option<(f64, f64)> {
+        let GradientBoostingConfig { lambda, gamma, min_child_weight, .. } = *self.config;
+        if l[1] < min_child_weight || r[1] < min_child_weight {
+            return None;
         }
-        best
+        let gain = 0.5
+            * (l[0] * l[0] / (l[1] + lambda) + r[0] * r[0] / (r[1] + lambda) - parent_score)
+            - gamma;
+        (gain > 1e-12).then_some((gain, gain))
+    }
+
+    fn leaf(&self, gh: &[f64], _: usize) -> f64 {
+        -gh[0] / (gh[1] + self.config.lambda) * self.config.learning_rate
     }
 }
 
@@ -168,23 +126,18 @@ impl GradientBoosting {
         let n = data.source().len();
         assert!(n > 0, "cannot fit on zero rows");
         let k = data.source().n_classes();
-        let nf = data.source().n_features();
 
         // Prior log-probabilities keep early rounds sane for skewed classes.
         let dist = data.source().class_distribution();
         let base_score: Vec<f64> = dist.iter().map(|&p| (p.max(1e-6)).ln()).collect();
 
         // scores[i * k + c] = current raw score of row i for class c.
-        let mut scores = vec![0.0f64; n * k];
-        for row in scores.chunks_mut(k) {
-            row.copy_from_slice(&base_score);
-        }
+        let mut scores = base_score.repeat(n);
 
         let mut trees = TreeArena::default();
         let mut roots = Vec::with_capacity(config.n_rounds * k);
-        let mut feature_gain = vec![0.0; nf];
-        let mut grad = vec![0.0f64; n];
-        let mut hess = vec![0.0f64; n];
+        let mut feature_gain = vec![0.0; data.source().n_features()];
+        let (mut grad, mut hess) = (vec![0.0f64; n], vec![0.0f64; n]);
         let mut probs = vec![0.0f64; k];
         let mut all: Vec<u32> = (0..n as u32).collect();
 
@@ -199,19 +152,13 @@ impl GradientBoosting {
                     grad[i] = p - y;
                     hess[i] = (p * (1.0 - p)).max(1e-12);
                 }
-                let mut grower = RegGrower {
-                    data,
-                    grad: &grad,
-                    hess: &hess,
-                    config,
-                    nodes: Vec::new(),
-                    feature_gain: vec![0.0; nf],
-                };
-                grower.grow(&mut all, 0);
-                for (a, g) in feature_gain.iter_mut().zip(&grower.feature_gain) {
+                // Every tree starts from the row order the last one left.
+                let stat = Newton { grad: &grad, hess: &hess, config };
+                let grown = Grower::grow(data, stat, None, &mut all);
+                for (a, g) in feature_gain.iter_mut().zip(&grown.feature_gain) {
                     *a += g;
                 }
-                let root = trees.append(&grower.nodes, |&value| (0, value));
+                let root = trees.append(&grown.nodes, |&value| (0, value));
                 for i in 0..n {
                     scores[i * k + c] += score(&trees, root, data.source().row(i));
                 }
@@ -245,6 +192,11 @@ impl GradientBoosting {
     /// Number of regression trees in the ensemble (rounds × classes).
     pub fn n_trees(&self) -> usize {
         self.roots.len()
+    }
+
+    /// Width of the feature rows the ensemble splits on.
+    pub fn n_features(&self) -> usize {
+        self.feature_gain.len()
     }
 
     /// Accumulated split gain per feature (unnormalized importance).
@@ -289,6 +241,7 @@ fn softmax_in_place(scores: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Node;
     use crate::dataset::Dataset;
 
     fn spiralish(n: usize) -> Dataset {
@@ -399,17 +352,10 @@ mod tests {
                     |i: usize, phase: u64| ((i as u64 * 31 + t * 7 + seed + phase) % 17) as f64;
                 let grad: Vec<f64> = (0..n).map(|i| wave(i, 0) / 17.0 - 0.5).collect();
                 let hess: Vec<f64> = (0..n).map(|i| 0.05 + wave(i, 3) / 100.0).collect();
-                let mut grower = RegGrower {
-                    data: &b,
-                    grad: &grad,
-                    hess: &hess,
-                    config: &config,
-                    nodes: Vec::new(),
-                    feature_gain: vec![0.0; 3],
-                };
-                grower.grow(&mut all, 0);
-                assert!(grower.nodes.len() > 1, "gradients must be splittable");
-                node_trees.push(grower.nodes);
+                let stat = Newton { grad: &grad, hess: &hess, config: &config };
+                let grown = Grower::grow(&b, stat, None, &mut all);
+                assert!(grown.nodes.len() > 1, "gradients must be splittable");
+                node_trees.push(grown.nodes);
             }
             let mut trees = TreeArena::default();
             let roots = node_trees.iter().map(|n| trees.append(n, |&v| (0, v))).collect();

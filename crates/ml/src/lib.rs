@@ -9,13 +9,17 @@
 //! - [`dataset`]: feature matrices with quantile binning for fast splits.
 //! - [`tree`]: CART classification trees (gini impurity), served from the
 //!   flattened node arena in `arena`.
+//! - `grow`: the one histogram tree grower; CART trees, forest members and
+//!   boosted regression trees differ only in the node statistic they hand
+//!   it (class counts with gini, or gradient/hessian sums).
 //! - [`forest`]: bagged random forests with per-split feature subsampling,
 //!   trained in parallel on the scoped worker pool.
 //! - [`pool`]: a minimal scoped worker pool (dynamic dispatch over
 //!   `std::thread::scope`) shared by forest training and the offline
 //!   pipeline's per-metric fan-out.
 //! - [`gbt`]: second-order gradient boosting with softmax multi-class loss
-//!   (the XGBoost formulation: leaf value = -G / (H + lambda)).
+//!   (the XGBoost formulation: leaf value = -G / (H + lambda)), its
+//!   regression trees grown by `grow`.
 //! - [`fft`]: an iterative radix-2 FFT and a diurnal periodicity detector.
 //! - [`eval`]: confusion matrices, accuracy, precision/recall, and the
 //!   confidence-thresholded P-theta / R-theta of Table 4.
@@ -30,6 +34,7 @@ pub mod eval;
 pub mod fft;
 pub mod forest;
 pub mod gbt;
+mod grow;
 pub mod pool;
 pub mod tree;
 

@@ -1,17 +1,17 @@
 //! CART classification trees with gini impurity and histogram split search.
 //!
-//! Trees grow depth-first over a [`BinnedDataset`]: at every node the
-//! per-(bin, class) histogram of each candidate feature is scanned once to
-//! find the split with the best gini gain. Feature subsampling per split is
-//! supported so [`crate::forest::RandomForest`] can decorrelate its members.
+//! The crate's one grower (`crate::grow`) grows them with the `Gini`
+//! statistic: per-(bin, class) counts, gini gain, a leaf holding its class
+//! distribution. Feature subsampling per split is supported so
+//! [`crate::forest::RandomForest`] can decorrelate its members.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::arena::{deserialize_validated, Node, TreeArena};
-use crate::dataset::BinnedDataset;
+use crate::arena::{deserialize_validated, TreeArena};
+use crate::dataset::{BinnedDataset, Dataset};
+use crate::grow::{Grower, Grown, NodeStat};
 use crate::Classifier;
 
 /// Hyperparameters for growing a [`DecisionTree`].
@@ -63,7 +63,7 @@ impl ClassTrees {
 
     /// Flattens a grown tree behind those already here and returns its
     /// root; its leaf distributions move to the end of the slab.
-    pub(crate) fn push(&mut self, grown: &Grower) -> u32 {
+    pub(crate) fn push(&mut self, grown: &Grown<Vec<f32>>) -> u32 {
         let (slab, k) = (&mut self.leaf_probs, self.n_classes);
         self.arena.append(&grown.nodes, |probs| {
             let row = (slab.len() / k) as u32;
@@ -74,6 +74,10 @@ impl ClassTrees {
 
     pub(crate) fn n_classes(&self) -> usize {
         self.n_classes
+    }
+
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
     }
 
     /// The class distribution of the leaf `features` falls into in the
@@ -114,12 +118,58 @@ pub struct DecisionTree {
 
 deserialize_validated!(DecisionTree { trees, feature_gain });
 
-/// Growing state: the depth-first node list `fit` flattens when done.
-pub(crate) struct Grower {
-    nodes: Vec<Node<Vec<f32>>>,
-    pub(crate) n_classes: usize,
-    pub(crate) n_features: usize,
-    pub(crate) feature_gain: Vec<f64>,
+/// Class counts with gini impurity: the CART node statistic.
+struct Gini<'a> {
+    source: &'a Dataset,
+    config: &'a TreeConfig,
+}
+
+impl NodeStat for Gini<'_> {
+    type Cell = usize;
+    type Leaf = Vec<f32>;
+
+    fn width(&self) -> usize {
+        self.source.n_classes()
+    }
+
+    fn add_row(&self, row: usize, counts: &mut [usize]) {
+        counts[self.source.label(row)] += 1;
+    }
+
+    fn split_score(&self, depth: usize, counts: &[usize], n: usize) -> Option<f64> {
+        let (config, impurity) = (self.config, gini(counts, n));
+        let splittable = depth < config.max_depth && n >= config.min_samples_split;
+        (splittable && impurity > 0.0).then_some(impurity)
+    }
+
+    /// Gini gain; the importance credit weights it by the node's rows.
+    fn gain(&self, impurity: f64, left: &[usize], right: &[usize]) -> Option<(f64, f64)> {
+        let (l, r) = (left.iter().sum::<usize>(), right.iter().sum::<usize>());
+        if l.min(r) < self.config.min_samples_leaf {
+            return None;
+        }
+        let total = (l + r) as f64;
+        let gain = impurity - l as f64 / total * gini(left, l) - r as f64 / total * gini(right, r);
+        (gain > self.config.min_gain).then_some((gain, gain * total))
+    }
+
+    fn leaf(&self, counts: &[usize], n: usize) -> Vec<f32> {
+        counts.iter().map(|&c| (c as f64 / n as f64) as f32).collect()
+    }
+}
+
+impl TreeConfig {
+    /// Grows one CART tree over `rows`, reordering them; node 0 is the
+    /// root.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` is empty.
+    pub(crate) fn grow(&self, data: &BinnedDataset<'_>, rows: &mut [u32]) -> Grown<Vec<f32>> {
+        let stat = Gini { source: data.source(), config: self };
+        let sample = self.features_per_split.map(|k| (k, StdRng::seed_from_u64(self.seed)));
+        Grower::grow(data, stat, sample, rows)
+    }
 }
 
 impl DecisionTree {
@@ -139,8 +189,8 @@ impl DecisionTree {
     ///
     /// Panics when `indices` is empty.
     pub fn fit_on(data: &BinnedDataset<'_>, indices: &[u32], config: &TreeConfig) -> Self {
-        let grown = Grower::grow_tree(data, indices, config);
-        let mut trees = ClassTrees::new(grown.n_classes, grown.n_features);
+        let grown = config.grow(data, &mut indices.to_vec());
+        let mut trees = ClassTrees::new(data.source().n_classes(), data.source().n_features());
         trees.push(&grown);
         DecisionTree { trees, feature_gain: grown.feature_gain }
     }
@@ -165,139 +215,6 @@ impl DecisionTree {
     }
 }
 
-impl Grower {
-    /// Grows the node list for `indices`; node 0 is the root.
-    pub(crate) fn grow_tree(
-        data: &BinnedDataset<'_>,
-        indices: &[u32],
-        config: &TreeConfig,
-    ) -> Self {
-        assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
-        let n_features = data.source().n_features();
-        let mut grower = Grower {
-            nodes: Vec::new(),
-            n_classes: data.source().n_classes(),
-            n_features,
-            feature_gain: vec![0.0; n_features],
-        };
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut idx = indices.to_vec();
-        grower.grow(data, &mut idx, 0, config, &mut rng);
-        grower
-    }
-
-    /// Recursively grows the subtree for `indices`, returning its node id.
-    fn grow(
-        &mut self,
-        data: &BinnedDataset<'_>,
-        indices: &mut [u32],
-        depth: usize,
-        config: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> u32 {
-        let counts = self.class_counts(data, indices);
-        let total = indices.len();
-        let impurity = gini(&counts, total);
-        let stop = depth >= config.max_depth || total < config.min_samples_split || impurity <= 0.0;
-        if !stop {
-            if let Some(split) = self.best_split(data, indices, &counts, impurity, config, rng) {
-                let (feature, bin, gain) = split;
-                self.feature_gain[feature] += gain * total as f64;
-                let threshold = data.threshold(feature, bin);
-                // Partition in place: left = code <= bin.
-                let mut mid = 0;
-                for i in 0..indices.len() {
-                    if data.code(indices[i] as usize, feature) <= bin {
-                        indices.swap(i, mid);
-                        mid += 1;
-                    }
-                }
-                debug_assert!(mid > 0 && mid < indices.len());
-                // Reserve this node's slot before children are appended.
-                let id = self.nodes.len() as u32;
-                self.nodes.push(Node::Leaf(Vec::new()));
-                let (left_idx, right_idx) = indices.split_at_mut(mid);
-                let left = self.grow(data, left_idx, depth + 1, config, rng);
-                let right = self.grow(data, right_idx, depth + 1, config, rng);
-                self.nodes[id as usize] =
-                    Node::Split { feature: feature as u32, threshold, left, right };
-                return id;
-            }
-        }
-        let probs = counts.iter().map(|&c| (c as f64 / total as f64) as f32).collect();
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node::Leaf(probs));
-        id
-    }
-
-    /// Class counts over the rows in `indices`.
-    fn class_counts(&self, data: &BinnedDataset<'_>, indices: &[u32]) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_classes];
-        for &i in indices {
-            counts[data.source().label(i as usize)] += 1;
-        }
-        counts
-    }
-
-    /// Finds the (feature, bin, gain) with the best gini gain, or `None`
-    /// when no admissible split improves on `impurity`.
-    fn best_split(
-        &self,
-        data: &BinnedDataset<'_>,
-        indices: &[u32],
-        counts: &[usize],
-        impurity: f64,
-        config: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> Option<(usize, usize, f64)> {
-        let total = indices.len();
-        let mut candidates: Vec<usize> = (0..self.n_features).collect();
-        if let Some(k) = config.features_per_split {
-            candidates.shuffle(rng);
-            candidates.truncate(k.max(1).min(self.n_features));
-        }
-        let mut best: Option<(usize, usize, f64)> = None;
-        // Per-(bin, class) histogram, reused across features.
-        let mut hist = vec![0usize; crate::dataset::MAX_BINS * self.n_classes];
-        for &f in &candidates {
-            let n_bins = data.n_bins(f);
-            if n_bins < 2 {
-                continue;
-            }
-            hist[..n_bins * self.n_classes].fill(0);
-            for &i in indices {
-                let b = data.code(i as usize, f);
-                hist[b * self.n_classes + data.source().label(i as usize)] += 1;
-            }
-            // Scan split points: left = bins 0..=b.
-            let mut left_counts = vec![0usize; self.n_classes];
-            let mut left_total = 0usize;
-            for b in 0..n_bins - 1 {
-                for c in 0..self.n_classes {
-                    left_counts[c] += hist[b * self.n_classes + c];
-                }
-                left_total = left_counts.iter().sum();
-                let right_total = total - left_total;
-                if left_total < config.min_samples_leaf || right_total < config.min_samples_leaf {
-                    continue;
-                }
-                let right_counts: Vec<usize> =
-                    counts.iter().zip(&left_counts).map(|(&t, &l)| t - l).collect();
-                let w_left = left_total as f64 / total as f64;
-                let w_right = right_total as f64 / total as f64;
-                let gain = impurity
-                    - w_left * gini(&left_counts, left_total)
-                    - w_right * gini(&right_counts, right_total);
-                if gain > config.min_gain && best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((f, b, gain));
-                }
-            }
-            let _ = left_total;
-        }
-        best
-    }
-}
-
 impl Classifier for DecisionTree {
     fn n_classes(&self) -> usize {
         self.trees.n_classes
@@ -316,13 +233,7 @@ fn gini(counts: &[usize], total: usize) -> f64 {
         return 0.0;
     }
     let t = total as f64;
-    1.0 - counts
-        .iter()
-        .map(|&c| {
-            let p = c as f64 / t;
-            p * p
-        })
-        .sum::<f64>()
+    1.0 - counts.iter().map(|&c| c as f64 / t).map(|p| p * p).sum::<f64>()
 }
 
 #[cfg(test)]
@@ -433,7 +344,7 @@ mod tests {
             let indices: Vec<u32> = (0..d.len() as u32).collect();
             let cfg = TreeConfig { seed, features_per_split: Some(2), ..TreeConfig::default() };
             let tree = DecisionTree::fit_on(&b, &indices, &cfg);
-            let grown = Grower::grow_tree(&b, &indices, &cfg);
+            let grown = cfg.grow(&b, &mut indices.clone());
             assert_eq!(tree.n_nodes(), grown.nodes.len());
             assert!(tree.depth() > 3, "depth {}", tree.depth());
             assert!(tree.validate().is_ok());

@@ -527,7 +527,9 @@ fn edit_column(payload: &[u8], column: &str, edit: impl FnOnce(&mut Vec<String>)
 /// manifest checksum still matched could send the client's sanity probe
 /// into a self-referencing node (a hang) or past the end of the node list
 /// (a panic). Decoding now validates the arena, so each of these is an
-/// ordinary rejected payload.
+/// ordinary rejected payload. So is a well-formed model relabelled to a
+/// narrower spec: the class model (34 features) sealed in the lifetime
+/// slot (26) used to decode and then panic on its first prediction.
 #[test]
 fn a_garbled_arena_is_a_decode_error_and_the_old_model_keeps_serving() {
     let _gate = gate();
@@ -536,38 +538,60 @@ fn a_garbled_arena_is_a_decode_error_and_the_old_model_keeps_serving() {
     output.publish(&store, 0.5).expect("v1");
     let client = RcClient::new(store.clone(), ClientConfig::default());
     assert!(client.initialize());
+    let lifetime_name = PredictionMetric::Lifetime.model_name();
     let inputs = (0..trace.n_vms() as u64)
         .map(|id| vm_inputs(trace, VmId(id)))
-        .find(|inputs| client.predict_single("VM_P95UTIL", inputs).is_predicted())
+        .find(|inputs| {
+            client.predict_single("VM_P95UTIL", inputs).is_predicted()
+                && client.predict_single(lifetime_name, inputs).is_predicted()
+        })
         .expect("some subscription must be predictable");
     let before = client.predict_single("VM_P95UTIL", &inputs);
+    let lifetime_before = client.predict_single(lifetime_name, &inputs);
 
     let manifest = Manifest::read_current(&store).unwrap().expect("v1 manifest");
+    let payload = |logical: &str| store.get_latest(&manifest.versioned_key(logical)).unwrap().data;
     let logical = ModelSpec::for_metric(PredictionMetric::P95MaxCpuUtil).store_key();
-    let good = store.get_latest(&manifest.versioned_key(&logical)).unwrap().data;
+    let lifetime = ModelSpec::for_metric(PredictionMetric::Lifetime).store_key();
+    let good = payload(&logical);
     assert!(rc_ml::from_bytes::<TrainedModel>(&good).is_ok());
+    let class = payload(&ModelSpec::for_metric(PredictionMetric::WorkloadClass).store_key());
+    let class = std::str::from_utf8(&class).expect("model payloads are JSON text");
+    assert!(class.contains("\"WorkloadClass\""));
+    let relabelled = class.replacen("\"WorkloadClass\"", "\"Lifetime\"", 1).into_bytes();
 
     let garbled = [
-        ("self-loop", edit_column(&good, "left", |left| left[1] = "1".into())),
-        ("child out of range", edit_column(&good, "left", |left| left[0] = "4000000000".into())),
-        ("feature out of range", edit_column(&good, "feature", |f| f[0] = "127".into())),
+        ("self-loop", &logical, edit_column(&good, "left", |left| left[1] = "1".into())),
+        (
+            "child out of range",
+            &logical,
+            edit_column(&good, "left", |left| left[0] = "4000000000".into()),
+        ),
+        ("feature out of range", &logical, edit_column(&good, "feature", |f| f[0] = "127".into())),
         (
             "truncated slab",
+            &logical,
             edit_column(&good, "leaf_probs", |probs| probs.truncate(probs.len() - 1)),
         ),
-        ("short column", edit_column(&good, "threshold", |t| t.truncate(t.len() - 1))),
-        ("dangling root", edit_column(&good, "roots", |roots| roots[0] = "4000000000".into())),
+        ("short column", &logical, edit_column(&good, "threshold", |t| t.truncate(t.len() - 1))),
+        (
+            "dangling root",
+            &logical,
+            edit_column(&good, "roots", |roots| roots[0] = "4000000000".into()),
+        ),
+        ("relabelled to a narrower spec", &lifetime, relabelled),
     ];
-    for (n, (what, bytes)) in garbled.iter().enumerate() {
+    for (n, (what, slot, bytes)) in garbled.iter().enumerate() {
         assert!(rc_ml::from_bytes::<TrainedModel>(bytes).is_err(), "{what} must not decode");
 
         // Seal the garbled bytes under a matching checksum and reload.
-        store.put(&manifest.versioned_key(&logical), bytes.clone().into()).unwrap();
+        let original = payload(slot);
+        store.put(&manifest.versioned_key(slot), bytes.clone().into()).unwrap();
         let models = manifest
             .models
             .iter()
             .map(|e| ModelEntry {
-                checksum: if e.key == logical { checksum(bytes) } else { e.checksum },
+                checksum: if e.key == **slot { checksum(bytes) } else { e.checksum },
                 ..e.clone()
             })
             .collect();
@@ -589,16 +613,25 @@ fn a_garbled_arena_is_a_decode_error_and_the_old_model_keeps_serving() {
         assert_eq!(client.model_rejected_count(), n as u64 + 1);
         assert_eq!(client.get_available_models().len(), 6);
         assert_eq!(client.predict_single("VM_P95UTIL", &inputs), before, "{what}");
+        assert_eq!(client.predict_single(lifetime_name, &inputs), lifetime_before, "{what}");
+        // Put the slot's own payload back, so the next case garbles one.
+        store.put(&manifest.versioned_key(slot), original).unwrap();
     }
 
     // Without a manifest the same bytes are an undecodable flat-key
     // payload: counted on rc_client_corrupt_payloads, never served.
-    let flat = Store::in_memory();
-    flat.put(&logical, garbled[0].1.clone().into()).unwrap();
-    let corrupt0 = rc_obs::global().counter(rc_obs::CLIENT_CORRUPT_PAYLOADS).get();
-    let flat_client = RcClient::new(flat, ClientConfig::default());
-    assert!(!flat_client.initialize(), "no decodable model, nothing to serve");
-    assert_eq!(rc_obs::global().counter(rc_obs::CLIENT_CORRUPT_PAYLOADS).get() - corrupt0, 1);
+    for (what, slot, bytes) in [&garbled[0], &garbled[6]] {
+        let flat = Store::in_memory();
+        flat.put(slot, bytes.clone().into()).unwrap();
+        let corrupt0 = rc_obs::global().counter(rc_obs::CLIENT_CORRUPT_PAYLOADS).get();
+        let flat_client = RcClient::new(flat, ClientConfig::default());
+        assert!(!flat_client.initialize(), "{what}: no decodable model, nothing to serve");
+        assert_eq!(
+            rc_obs::global().counter(rc_obs::CLIENT_CORRUPT_PAYLOADS).get() - corrupt0,
+            1,
+            "{what}"
+        );
+    }
 }
 
 #[test]

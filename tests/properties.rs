@@ -300,11 +300,39 @@ fn forest_probabilities_on_simplex_for_wild_inputs() {
 /// from its own bytes (validated arena and all) answers bit for bit the
 /// same. The walk itself is pinned against the pre-arena `Node` walk in
 /// `rc-ml`'s unit tests, where the builder's node lists are visible.
+///
+/// The six fitted models' bytes are pinned too: a change to the tree
+/// grower that moves one split, one leaf value or one importance bit
+/// moves a digest. Re-record only on purpose.
 #[test]
 fn pipeline_models_predict_identically_through_stack_vec_and_wire() {
     use rc_core::{run_pipeline, PipelineConfig, TrainedModel};
     use rc_trace::{Trace, TraceConfig};
-    for seed in [0x5059_2017u64, 0xC0FFEE] {
+    let golden: [(u64, [u64; 6]); 2] = [
+        (
+            0x5059_2017,
+            [
+                0xec4f_8cbf_9c83_e4f1,
+                0xd204_fe19_24ea_9ecf,
+                0xad9b_6de8_f3f8_fbd1,
+                0x1205_79d2_31a8_c0d8,
+                0x98bb_9efa_4e9d_f77e,
+                0x8df6_6405_8fe8_352a,
+            ],
+        ),
+        (
+            0xC0FFEE,
+            [
+                0xced0_ed43_74a9_e4b6,
+                0x1dee_23f3_4af0_7577,
+                0x3f6d_ecfe_843b_5f80,
+                0xcbe2_a313_f2dc_49d4,
+                0xedc0_7fbd_eff6_4af7,
+                0x5d63_ae82_b834_e082,
+            ],
+        ),
+    ];
+    for (seed, digests) in golden {
         let trace = Trace::generate(&TraceConfig {
             seed,
             target_vms: 3_000,
@@ -314,6 +342,9 @@ fn pipeline_models_predict_identically_through_stack_vec_and_wire() {
         });
         let output = run_pipeline(&trace, &PipelineConfig::fast(24)).expect("pipeline");
         assert_eq!(output.models.len(), 6);
+        let got: Vec<u64> =
+            output.models.iter().map(|m| rc_store::checksum(&rc_ml::to_bytes(m))).collect();
+        assert_eq!(got, digests, "seed {seed:#x}: fitted model bytes moved");
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -348,6 +379,67 @@ fn pipeline_models_predict_identically_through_stack_vec_and_wire() {
                 assert_eq!(decoded.predict(&row), (value, score));
             }
         }
+    }
+}
+
+/// Fits the pipeline never makes, pinned by the digest of their bytes: a
+/// bare tree scanning every feature, a forest with a five-row leaf floor,
+/// and a boosted model with a split penalty and a hessian floor, each on
+/// two- and four-class data. Column 5 repeats column 0 and column 4 is
+/// constant, so equal-gain candidates and unsplittable features both
+/// occur; the first best split must win every tie.
+#[test]
+fn rc_ml_fits_match_their_recorded_digests() {
+    use rc_ml::{
+        BinnedDataset, Dataset, DecisionTree, GradientBoosting, GradientBoostingConfig,
+        RandomForest, RandomForestConfig, TreeConfig,
+    };
+    let golden: [(usize, [u64; 3]); 2] = [
+        (2, [0xd760_aced_3e01_8639, 0x38a2_7408_97ad_2d7f, 0x54fa_1c87_4ba4_4363]),
+        (4, [0xaf0d_6cf2_c9de_7676, 0x375e_8482_584a_fc08, 0xe84b_a6ae_b0df_d803]),
+    ];
+    for (n_classes, digests) in golden {
+        let mut d = Dataset::new(6, n_classes);
+        let mut state = 0x7EE5u64 + n_classes as u64;
+        let mut next = move |m: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        for _ in 0..500 {
+            let (a, b, c) = (next(100) as f64, next(7) as f64, next(1_000) as f64 / 10.0);
+            let noise = next(10) == 0;
+            let label =
+                (usize::from(a > 40.0) + 2 * usize::from(b > 3.0) + usize::from(noise)) % n_classes;
+            d.push(&[a, b, c, next(3) as f64, 1.0, a], label);
+        }
+        let b = BinnedDataset::build(&d);
+        let tree =
+            DecisionTree::fit(&b, &TreeConfig { features_per_split: None, ..Default::default() });
+        let forest = RandomForest::fit(
+            &b,
+            &RandomForestConfig {
+                n_trees: 6,
+                tree: TreeConfig { min_samples_leaf: 5, ..RandomForestConfig::default().tree },
+                n_threads: 2,
+                ..Default::default()
+            },
+        );
+        let boosted = GradientBoosting::fit(
+            &b,
+            &GradientBoostingConfig {
+                n_rounds: 8,
+                gamma: 0.1,
+                min_child_weight: 3.0,
+                ..Default::default()
+            },
+        );
+        assert!(tree.n_nodes() > 15 && boosted.n_trees() == 8 * n_classes);
+        let got = [
+            rc_store::checksum(&rc_ml::to_bytes(&tree)),
+            rc_store::checksum(&rc_ml::to_bytes(&forest)),
+            rc_store::checksum(&rc_ml::to_bytes(&boosted)),
+        ];
+        assert_eq!(got, digests, "{n_classes} classes: tree, forest, boosted bytes moved");
     }
 }
 

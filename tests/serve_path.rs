@@ -216,6 +216,41 @@ fn miss_path_is_allocation_free() {
     assert_eq!(allocs, 0, "a miss into a full cache allocated {allocs} times in 6k calls");
 }
 
+/// The tree grower's split scan reuses per-tree scratch for its
+/// histogram, running sums and candidate list: growing a tree over a
+/// utilization-wide (127-feature) dataset allocates a few times per node
+/// (its leaf payload, the node list's growth, the arena's columns), not
+/// once per feature or per bin.
+#[test]
+fn tree_growth_allocates_per_node_not_per_bin() {
+    use rc_ml::{BinnedDataset, Dataset, DecisionTree, TreeConfig};
+    let mut d = Dataset::new(127, 4);
+    let mut state = 0x7127u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as f64 / (1u64 << 31) as f64
+    };
+    for _ in 0..3_000 {
+        let row: Vec<f64> = (0..127).map(|_| next()).collect();
+        let label = (usize::from(row[0] > 0.5) + 2 * usize::from(row[1] + row[2] > 1.0))
+            ^ usize::from(next() < 0.2);
+        d.push(&row, label % 4);
+    }
+    let binned = BinnedDataset::build(&d);
+    let indices: Vec<u32> = (0..d.len() as u32).collect();
+    let config = TreeConfig { features_per_split: Some(12), seed: 7, ..TreeConfig::default() };
+
+    let before = rc_obs::thread_allocations();
+    let tree = DecisionTree::fit_on(&binned, &indices, &config);
+    let allocs = rc_obs::thread_allocations() - before;
+    assert!(tree.n_nodes() > 100, "the tree must be deep: {} nodes", tree.n_nodes());
+    assert!(
+        allocs <= 8 * tree.n_nodes() as u64 + 64,
+        "growing {} nodes allocated {allocs} times",
+        tree.n_nodes()
+    );
+}
+
 /// Deterministic value for a stress key; a torn read would surface as a
 /// key answering some other key's prediction.
 fn oracle_prediction(key: u64) -> Prediction {
