@@ -1,25 +1,13 @@
-//! Criterion benches for the simulated store: raw in-process operations
-//! and the latency-model sampling that reproduces §6.1's 2.9 / 5.6 ms
-//! quantiles.
+//! Criterion bench for the simulated store's latency-model sampling, which
+//! reproduces §6.1's 2.9 / 5.6 ms quantiles. Raw store gets and puts are
+//! measured by the benchmark's layer suite (`store.*`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rc_store::{LatencyModel, Store};
+use rc_store::LatencyModel;
 
 fn bench_store(c: &mut Criterion) {
-    let store = Store::in_memory();
-    let record = vec![0u8; 850];
-    store.put("features/0", record.clone().into()).unwrap();
-
-    c.bench_function("store_get_latest_850B", |b| {
-        b.iter(|| store.get_latest("features/0").unwrap())
-    });
-
-    c.bench_function("store_put_850B", |b| {
-        b.iter(|| store.put("features/bench", record.clone().into()).unwrap())
-    });
-
     c.bench_function("latency_model_sample", |b| {
         let model = LatencyModel::paper_store();
         let mut rng = StdRng::seed_from_u64(7);

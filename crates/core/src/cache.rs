@@ -211,9 +211,11 @@ impl Shard {
     /// One insert under the write mutex: overwrite in place, or evict the
     /// shard's oldest key when full and take the free slot. Returns
     /// `true` on displacement.
-    fn insert(&self, write: &mut ShardWrite, key: u64, prediction: Prediction) -> bool {
+    fn insert(&self, key: u64, prediction: Prediction) -> bool {
         assert!(prediction.value < usize::MAX, "bucket index must leave room for the empty flag");
         let (tagged, score) = (prediction.value as u64 + 1, prediction.score.to_bits());
+        let mut guard = self.write.lock();
+        let write = &mut *guard;
         write.insertions += 1;
         let (at, resident) = self.locate(key);
         if resident != EMPTY {
@@ -268,18 +270,21 @@ pub struct ShardedResultCache {
 
 impl ShardedResultCache {
     /// Creates a cache of `n_shards` shards (rounded up to a power of
-    /// two) splitting `capacity` entries across them. The tables are
-    /// allocated here, once: about 44 bytes per entry of capacity.
+    /// two, then down to at most `capacity`) whose capacities sum to
+    /// exactly `capacity`. The tables are allocated here, once: about 44
+    /// bytes per entry of capacity.
     ///
     /// # Panics
     ///
     /// Panics when `capacity == 0`.
     pub fn new(capacity: usize, n_shards: usize) -> Self {
         assert!(capacity > 0, "result cache needs capacity");
-        let n_shards = n_shards.clamp(1, 1 << 16).next_power_of_two();
-        let per_shard = capacity.div_ceil(n_shards).max(1);
+        // Every shard holds at least one entry: an empty order book has
+        // no slot for the key an insert brings.
+        let n_shards = n_shards.clamp(1, 1 << 16).next_power_of_two().min(1 << capacity.ilog2());
+        let (per_shard, extra) = (capacity / n_shards, capacity % n_shards);
         ShardedResultCache {
-            shards: (0..n_shards).map(|_| Shard::new(per_shard)).collect(),
+            shards: (0..n_shards).map(|i| Shard::new(per_shard + usize::from(i < extra))).collect(),
             mask: (n_shards - 1) as u64,
         }
     }
@@ -323,35 +328,7 @@ impl ShardedResultCache {
     ///
     /// Panics when `prediction.value == usize::MAX`.
     pub fn insert(&self, key: u64, prediction: Prediction) -> bool {
-        let shard = &self.shards[self.shard_index(key)];
-        shard.insert(&mut shard.write.lock(), key, prediction)
-    }
-
-    /// Batch lookup, positional (`out[i]` answers `keys[i]`). Each key
-    /// occurrence records exactly one hit or miss, so `hits + misses`
-    /// still equals total lookups. With the lock-free read path there is
-    /// no shard grouping to amortize — each get is already uncontended.
-    pub fn get_batch(&self, keys: &[u64]) -> Vec<Option<Prediction>> {
-        keys.iter().map(|&k| self.get(k)).collect()
-    }
-
-    /// Batch insert: groups entries by shard, taking each touched
-    /// shard's write lock once. Returns the number of entries whose
-    /// insert displaced an older one.
-    pub fn insert_batch(&self, entries: &[(u64, Prediction)]) -> u64 {
-        let mut order: Vec<(usize, usize)> =
-            entries.iter().enumerate().map(|(i, &(k, _))| (self.shard_index(k), i)).collect();
-        order.sort_unstable();
-        let mut evicted = 0;
-        for run in order.chunk_by(|a, b| a.0 == b.0) {
-            let shard = &self.shards[run[0].0];
-            let mut write = shard.write.lock();
-            for &(_, i) in run {
-                let (key, prediction) = entries[i];
-                evicted += u64::from(shard.insert(&mut write, key, prediction));
-            }
-        }
-        evicted
+        self.shards[self.shard_index(key)].insert(key, prediction)
     }
 
     /// Empties every shard (statistics are kept). Costs in proportion to
@@ -388,37 +365,17 @@ impl ShardedResultCache {
         self.len() == 0
     }
 
-    fn one_shard_stats(shard: &Shard) -> ResultCacheStats {
-        let write = shard.write.lock();
-        ResultCacheStats {
-            hits: shard.hits.load(Ordering::Relaxed),
-            misses: shard.misses.load(Ordering::Relaxed),
-            evictions: write.evictions,
-            insertions: write.insertions,
-        }
-    }
-
     /// Exact aggregate counters, summed across shards.
     pub fn stats(&self) -> ResultCacheStats {
         let mut total = ResultCacheStats::default();
         for shard in &self.shards {
-            let s = Self::one_shard_stats(shard);
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-            total.insertions += s.insertions;
+            let write = shard.write.lock();
+            total.hits += shard.hits.load(Ordering::Relaxed);
+            total.misses += shard.misses.load(Ordering::Relaxed);
+            total.evictions += write.evictions;
+            total.insertions += write.insertions;
         }
         total
-    }
-
-    /// Per-shard counters, in shard order (for observability dumps).
-    pub fn shard_stats(&self) -> Vec<ResultCacheStats> {
-        self.shards.iter().map(Self::one_shard_stats).collect()
-    }
-
-    /// Aggregate hits recorded so far.
-    pub fn hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.hits.load(Ordering::Relaxed)).sum()
     }
 
     /// Aggregate hit rate over all lookups (0 when none).
@@ -824,10 +781,9 @@ mod tests {
         assert_eq!(s.evictions, 0);
         assert_eq!(c.len(), 500);
         assert!((c.hit_rate() - 0.5).abs() < 1e-12);
-        // Every lookup was counted on exactly one shard.
-        let per_shard = c.shard_stats();
-        assert_eq!(per_shard.iter().map(|s| s.hits + s.misses).sum::<u64>(), 1000);
-        assert!(per_shard.iter().filter(|s| s.insertions > 0).count() > 1, "keys spread out");
+        let touched: std::collections::HashSet<usize> =
+            (0..500).map(|k| c.shard_index(k)).collect();
+        assert!(touched.len() > 1, "keys spread out");
     }
 
     #[test]
@@ -876,38 +832,22 @@ mod tests {
         assert_eq!(ShardedResultCache::new(100, 3).n_shards(), 4);
         assert_eq!(ShardedResultCache::new(100, 1).n_shards(), 1);
         assert_eq!(ShardedResultCache::new(100, 0).n_shards(), 1);
+        // Never more shards than entries.
+        assert_eq!(ShardedResultCache::new(3, 8).n_shards(), 2);
+        assert_eq!(ShardedResultCache::new(1, 16).n_shards(), 1);
         let d = ShardedResultCache::default_shards();
         assert!(d.is_power_of_two() && (8..=256).contains(&d));
     }
 
     #[test]
-    fn sharded_batch_get_is_positional_and_counts_per_occurrence() {
-        let c = ShardedResultCache::new(256, 4);
-        c.insert(7, pred(70));
-        c.insert(9, pred(90));
-        // Duplicate keys and misses interleaved.
-        let keys = [7u64, 1, 9, 7, 2, 7];
-        let out = c.get_batch(&keys);
-        assert_eq!(out.len(), keys.len());
-        assert_eq!(out[0].unwrap().value, 70);
-        assert_eq!(out[1], None);
-        assert_eq!(out[2].unwrap().value, 90);
-        assert_eq!(out[3].unwrap().value, 70);
-        assert_eq!(out[4], None);
-        assert_eq!(out[5].unwrap().value, 70);
-        let s = c.stats();
-        assert_eq!(s.hits, 4);
-        assert_eq!(s.misses, 2);
-    }
-
-    #[test]
-    fn sharded_batch_insert_reports_evictions() {
-        let c = ShardedResultCache::new(4, 4); // one entry per shard
-        let entries: Vec<(u64, Prediction)> = (0..64).map(|k| (k, pred(k as usize))).collect();
-        let evicted = c.insert_batch(&entries);
-        assert_eq!(c.len(), 4);
-        assert_eq!(evicted, c.stats().evictions);
-        assert_eq!(c.stats().insertions, 64);
+    fn shard_capacities_sum_to_the_configured_capacity() {
+        for (capacity, n_shards) in [(10, 8), (1, 16), (3, 8), (17, 4), (64, 4)] {
+            let c = ShardedResultCache::new(capacity, n_shards);
+            for k in 0..10_000u64 {
+                c.insert(k, pred(1));
+            }
+            assert_eq!(c.len(), capacity, "new({capacity}, {n_shards}) overfilled");
+        }
     }
 
     #[test]

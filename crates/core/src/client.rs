@@ -68,9 +68,10 @@ pub struct ClientConfig {
     pub mode: CacheMode,
     /// Result-cache capacity in entries (split across the shards).
     pub result_cache_capacity: usize,
-    /// Result-cache shard count (rounded up to a power of two); `0` picks
-    /// a machine-appropriate default. `1` puts every key in one table
-    /// behind one write mutex — useful as a contention baseline.
+    /// Result-cache shard count (rounded up to a power of two, and never
+    /// above the capacity); `0` picks a machine-appropriate default. `1`
+    /// puts every key in one table behind one write mutex — useful as a
+    /// contention baseline.
     pub result_cache_shards: usize,
     /// Directory for the local disk cache; `None` disables it.
     pub disk_cache_dir: Option<std::path::PathBuf>,
@@ -140,7 +141,6 @@ struct ClientMetrics {
     model_execs: Counter,
     background_refreshes: Counter,
     batch_predicts: Counter,
-    batch_deduped_execs: Counter,
     workers_started: Counter,
     workers_stopped: Counter,
     lookups: Counter,
@@ -182,7 +182,6 @@ impl ClientMetrics {
             model_execs: reg.counter(rc_obs::CLIENT_MODEL_EXECS),
             background_refreshes: reg.counter(rc_obs::CLIENT_BACKGROUND_REFRESHES),
             batch_predicts: reg.counter(rc_obs::CLIENT_BATCH_PREDICTS),
-            batch_deduped_execs: reg.counter(rc_obs::CLIENT_BATCH_DEDUPED_EXECS),
             workers_started: reg.counter(rc_obs::CLIENT_WORKERS_STARTED),
             workers_stopped: reg.counter(rc_obs::CLIENT_WORKERS_STOPPED),
             lookups: reg.counter(rc_obs::CLIENT_LOOKUPS),
@@ -241,10 +240,10 @@ struct ServeSnapshot {
     /// the snapshot (and refreshing one subscription) copies pointers,
     /// not feature payloads.
     features: HashMap<SubscriptionId, Arc<SubscriptionFeatures>>,
-    features_version: u64,
-    /// The publish manifest the resident caches were loaded through, when
-    /// the store has one; directs on-demand fetches to the right version
-    /// and carries the checksums payloads are verified against.
+    /// The publish manifest the resident caches were loaded through;
+    /// directs on-demand fetches to the right version and carries the
+    /// checksums payloads are verified against. `None` until a store read
+    /// finds one (a disk-loaded client starts without).
     manifest: Option<Manifest>,
     /// Model names currently resident from *stale* disk data.
     stale_models: HashSet<String>,
@@ -260,7 +259,6 @@ impl ServeSnapshot {
         ServeSnapshot {
             models: HashMap::new(),
             features: HashMap::new(),
-            features_version: 0,
             manifest: None,
             stale_models: HashSet::new(),
             stale_subs: HashSet::new(),
@@ -476,151 +474,107 @@ impl RcClient {
     }
 }
 
-/// Loads models (and, in push mode, all feature data) from the store into
-/// the shared caches. Free function so the push watcher can call it
+/// Loads the version the store's publish manifest names: its models and,
+/// in push mode, all its feature data. A store without a readable manifest
+/// has nothing to load. Free function so the push watcher can call it
 /// without constructing a facade.
 fn load_from_store_shared(shared: &Shared) -> bool {
-    {
-        let store = shared.backend.as_ref();
-        if !store.is_available() {
-            return false;
-        }
-        let write_through = shared.config.disk_write_through;
-        // Prefer the publish manifest: it names exactly the payloads of
-        // one complete version, with checksums. Stores without one (or
-        // with an unreadable pointer) fall back to the flat-key scan.
-        let manifest = match store.get_latest(MANIFEST_KEY) {
-            Ok(rec) => Manifest::from_bytes(&rec.data),
-            Err(_) => None,
-        };
-        let mut models = HashMap::new();
-        if let Some(m) = &manifest {
-            for entry in &m.models {
-                let name = entry.key.trim_start_matches("model/").to_string();
-                let fetched = store.get_latest(&m.versioned_key(&entry.key));
-                let fetched = fetched.map_err(|_| note_unfetched(shared)).ok().and_then(|rec| {
-                    match validate_model_payload(&rec.data, entry, &name) {
-                        Some(model) => {
-                            if write_through {
-                                if let Some(disk) = &shared.disk {
-                                    let _ = disk.save("model", &entry.key, &rec.data);
-                                }
-                            }
-                            Some(Arc::new(model))
-                        }
-                        None => {
-                            note_rejected(shared, &name);
-                            None
-                        }
-                    }
-                });
-                // Containment: a rejected (or unfetchable) payload never
-                // replaces a resident model — the old one keeps serving.
-                if let Some(model) =
-                    fetched.or_else(|| shared.serve.with(|s| s.models.get(&name).cloned()))
-                {
-                    models.insert(name, model);
-                }
-            }
-        } else {
-            for key in store.keys().iter().filter(|k| k.starts_with("model/")) {
-                if let Ok(rec) = store.get_latest(key) {
-                    match rc_ml::from_bytes::<TrainedModel>(&rec.data) {
-                        Ok(model) => {
-                            let name = key.trim_start_matches("model/").to_string();
-                            if write_through {
-                                if let Some(disk) = &shared.disk {
-                                    let _ = disk.save("model", key, &rec.data);
-                                }
-                            }
-                            models.insert(name, Arc::new(model));
-                        }
-                        Err(_) => note_corrupt(shared),
-                    }
-                }
-            }
-        }
-        if models.is_empty() {
-            return false;
-        }
-        let mut features = HashMap::new();
-        let mut version = 0;
-        if shared.config.mode == CacheMode::Push {
-            if let Some(m) = &manifest {
-                version = m.version;
-                for entry in &m.features {
-                    let Ok(rec) = store.get_latest(&m.versioned_key(&entry.key)) else {
-                        note_unfetched(shared);
-                        continue;
-                    };
-                    if checksum(&rec.data) != entry.checksum {
-                        note_corrupt(shared);
-                        continue;
-                    }
-                    match serde_json::from_slice::<SubscriptionFeatures>(&rec.data) {
-                        Ok(f) => {
-                            features.insert(f.subscription, Arc::new(f));
-                        }
-                        Err(_) => note_corrupt(shared),
-                    }
-                }
-            } else {
-                for key in store.keys().iter().filter(|k| k.starts_with("features/")) {
-                    if let Ok(rec) = store.get_latest(key) {
-                        match serde_json::from_slice::<SubscriptionFeatures>(&rec.data) {
-                            Ok(f) => {
-                                version = version.max(rec.version);
-                                features.insert(f.subscription, Arc::new(f));
-                            }
-                            Err(_) => note_corrupt(shared),
-                        }
-                    }
-                }
-            }
-            if write_through {
-                if let Some(disk) = &shared.disk {
-                    let records: Vec<&SubscriptionFeatures> =
-                        features.values().map(|f| f.as_ref()).collect();
-                    if let Ok(blob) = serde_json::to_vec(&records) {
-                        let _ = disk.save("features", "all", &blob);
-                    }
-                }
-            }
-        }
-        let push = shared.config.mode == CacheMode::Push;
-        // One publish swaps in the whole load: models, feature data,
-        // staleness, and manifest become visible together. A full reload
-        // from the store means the reloaded caches are fresh again
-        // (feature records are only replaced in push mode).
-        publish_serve(shared, |s| {
-            s.models = models;
-            s.stale_models.clear();
-            if push {
-                s.features = features;
-                s.features_version = version;
-                s.stale_subs.clear();
-            }
-            s.manifest = manifest.clone();
-        });
-        if push {
-            *shared.degraded.lock() = None;
-        } else {
-            maybe_clear_degraded(shared);
-        }
-        // Seed the drift monitor's training-time baselines: the manifest
-        // records every model's validated accuracy at publish time. A
-        // served metric with no manifest entry is still covered — the
-        // tracker falls back to `rc_obs::DEFAULT_BASELINE` at tick time
-        // rather than never evaluating its drift signal.
-        if let Some(m) = &manifest {
-            for entry in &m.models {
-                let name = entry.key.trim_start_matches("model/");
-                rc_obs::global_accuracy().set_baseline(name, entry.accuracy);
-            }
-        }
-        shared.store_fingerprint.store(rc_store::fingerprint(store), Ordering::SeqCst);
-        true
+    let store = shared.backend.as_ref();
+    if !store.is_available() {
+        return false;
     }
+    let Some(manifest) =
+        store.get_latest(MANIFEST_KEY).ok().and_then(|rec| Manifest::from_bytes(&rec.data))
+    else {
+        return false;
+    };
+    let write_through = shared.config.disk_write_through;
+    let mut models = HashMap::new();
+    for entry in &manifest.models {
+        let name = entry.key.trim_start_matches("model/").to_string();
+        let fetched = store.get_latest(&manifest.versioned_key(&entry.key));
+        let fetched = fetched.map_err(|_| note_unfetched(shared)).ok().and_then(|rec| {
+            match validate_model_payload(&rec.data, entry, &name) {
+                Some(model) => {
+                    if write_through {
+                        if let Some(disk) = &shared.disk {
+                            let _ = disk.save("model", &entry.key, &rec.data);
+                        }
+                    }
+                    Some(Arc::new(model))
+                }
+                None => {
+                    note_rejected(shared, &name);
+                    None
+                }
+            }
+        });
+        // Containment: a rejected (or unfetchable) payload never replaces
+        // a resident model — the old one keeps serving.
+        if let Some(model) = fetched.or_else(|| shared.serve.with(|s| s.models.get(&name).cloned()))
+        {
+            models.insert(name, model);
+        }
+    }
+    if models.is_empty() {
+        return false;
+    }
+    let push = shared.config.mode == CacheMode::Push;
+    let mut features = HashMap::new();
+    if push {
+        for entry in &manifest.features {
+            let Ok(rec) = store.get_latest(&manifest.versioned_key(&entry.key)) else {
+                note_unfetched(shared);
+                continue;
+            };
+            if checksum(&rec.data) != entry.checksum {
+                note_corrupt(shared);
+                continue;
+            }
+            match serde_json::from_slice::<SubscriptionFeatures>(&rec.data) {
+                Ok(f) => {
+                    features.insert(f.subscription, Arc::new(f));
+                }
+                Err(_) => note_corrupt(shared),
+            }
+        }
+        if write_through {
+            if let Some(disk) = &shared.disk {
+                let records: Vec<&SubscriptionFeatures> =
+                    features.values().map(|f| f.as_ref()).collect();
+                if let Ok(blob) = serde_json::to_vec(&records) {
+                    let _ = disk.save("features", "all", &blob);
+                }
+            }
+        }
+    }
+    // Seed the drift monitor's training-time baselines: the manifest
+    // records every model's validated accuracy at publish time. A served
+    // metric with no manifest entry is still covered — the tracker falls
+    // back to `rc_obs::DEFAULT_BASELINE` at tick time rather than never
+    // evaluating its drift signal.
+    for entry in &manifest.models {
+        let name = entry.key.trim_start_matches("model/");
+        rc_obs::global_accuracy().set_baseline(name, entry.accuracy);
+    }
+    // One publish swaps in the whole load: models, feature data,
+    // staleness, and manifest become visible together, and the reloaded
+    // caches are fresh again. The pull modes start the new version with
+    // no feature records and fetch each on demand.
+    publish_serve(shared, |s| {
+        s.models = models;
+        s.stale_models.clear();
+        s.features = features;
+        s.stale_subs.clear();
+        s.manifest = Some(manifest);
+    });
+    if push {
+        *shared.degraded.lock() = None;
+    } else {
+        maybe_clear_degraded(shared);
+    }
+    shared.store_fingerprint.store(rc_store::fingerprint(store), Ordering::SeqCst);
+    true
 }
 
 /// Sanity-checks a fetched model payload before it may be swapped in:
@@ -756,7 +710,6 @@ impl RcClient {
             s.stale_models = stale_names;
             s.models = models;
             s.features = features;
-            s.features_version = 0;
         });
         true
     }
@@ -832,7 +785,7 @@ impl RcClient {
         let (response, served, generation) = match resolved {
             Some(executed) => {
                 fill_result(&self.shared, key, executed.prediction);
-                let served = self.count_serve_stale(executed.stale, 1);
+                let served = self.count_serve_stale(executed.stale);
                 metrics.predictions.increment();
                 (PredictionResponse::Predicted(executed.prediction), served, executed.generation)
             }
@@ -846,143 +799,35 @@ impl RcClient {
         (response, served, generation)
     }
 
-    /// Classifies (and counts) `n` served lookups as fresh or stale. The
+    /// Classifies (and counts) one served lookup as fresh or stale. The
     /// staleness flag comes from the same pinned snapshot that resolved
     /// the prediction, so no extra lock (or pin) is taken here.
-    fn count_serve_stale(&self, stale: bool, n: u64) -> Served {
+    fn count_serve_stale(&self, stale: bool) -> Served {
         if stale {
-            self.shared.stale_serves.fetch_add(n, Ordering::Relaxed);
-            self.shared.metrics.stale_serves.add(n);
+            self.shared.stale_serves.fetch_add(1, Ordering::Relaxed);
+            self.shared.metrics.stale_serves.increment();
             note_degraded(&self.shared, DegradedReason::StaleData);
             Served::Stale
         } else {
-            self.shared.fresh_fetches.fetch_add(n, Ordering::Relaxed);
-            self.shared.metrics.fresh_fetches.add(n);
+            self.shared.fresh_fetches.fetch_add(1, Ordering::Relaxed);
+            self.shared.metrics.fresh_fetches.increment();
             Served::Fresh
         }
     }
 
-    /// Table 2: `predict_many` — a real batch path.
-    ///
-    /// Keys are probed shard-by-shard (each touched shard locked once for
-    /// the whole batch instead of once per request), and in push mode
-    /// every *unique* missed key executes its model at most once, however
-    /// many times it recurs in the batch. Responses are positional, and
-    /// counter semantics match `predict_single` exactly: each input
-    /// records one result-cache hit or miss, so `hits + misses` still
-    /// equals total lookups. Per-item latencies are amortized over the
-    /// batch phase they belong to.
+    /// Table 2: `predict_many` — `predict_single` over each input, with
+    /// positional responses. Every counter moves exactly as if the inputs
+    /// were sent one by one; a key repeated in the batch runs its model
+    /// once, because its first occurrence fills the result cache.
     pub fn predict_many(
         &self,
         model_name: &str,
         inputs: &[ClientInputs],
     ) -> Vec<PredictionResponse> {
-        let start = Instant::now();
-        let metrics = &self.shared.metrics;
-        if inputs.is_empty() {
-            return Vec::new();
+        if !inputs.is_empty() {
+            self.shared.metrics.batch_predicts.increment();
         }
-        let _inflight = InflightGuard::enter(&metrics.inflight);
-        self.shared.lookups.fetch_add(inputs.len() as u64, Ordering::Relaxed);
-        metrics.lookups.add(inputs.len() as u64);
-        metrics.lookups_windowed.add(inputs.len() as u64);
-        if !self.shared.initialized.load(Ordering::SeqCst) {
-            return inputs.iter().map(|_| self.no_prediction()).collect();
-        }
-        metrics.batch_predicts.increment();
-
-        // Probe phase: one lock acquisition per touched shard.
-        let keys: Vec<u64> = inputs.iter().map(|i| i.cache_key(model_name)).collect();
-        let probed = self.shared.results.get_batch(&keys);
-        let n_hits = probed.iter().filter(|p| p.is_some()).count() as u64;
-        let n_misses = inputs.len() as u64 - n_hits;
-        metrics.result_hits.add(n_hits);
-        metrics.result_misses.add(n_misses);
-        metrics.predictions.add(n_hits);
-        let probe_elapsed = start.elapsed();
-        if n_hits > 0 {
-            let per_hit = probe_elapsed / inputs.len() as u32;
-            for _ in 0..n_hits {
-                metrics.hit_latency.record_duration(per_hit);
-                metrics.predict_latency_windowed.record_duration(per_hit);
-            }
-        }
-
-        let mut responses: Vec<Option<PredictionResponse>> =
-            probed.into_iter().map(|p| p.map(PredictionResponse::Predicted)).collect();
-        if n_misses == 0 {
-            return responses.into_iter().map(|r| r.expect("all hits")).collect();
-        }
-
-        // Dedup phase: group missed occurrences by key, first occurrence
-        // carries the inputs the model executes against.
-        let miss_start = Instant::now();
-        let mut unique_missed: Vec<(u64, usize)> = Vec::new();
-        let mut occurrences: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, key) in keys.iter().enumerate() {
-            if responses[i].is_none() {
-                let occ = occurrences.entry(*key).or_default();
-                if occ.is_empty() {
-                    unique_missed.push((*key, i));
-                }
-                occ.push(i);
-            }
-        }
-        metrics.batch_deduped_execs.add(n_misses - unique_missed.len() as u64);
-
-        match self.shared.config.mode {
-            CacheMode::Push | CacheMode::PullSync => {
-                let sync_pull = self.shared.config.mode == CacheMode::PullSync;
-                let mut filled: Vec<(u64, Prediction)> = Vec::with_capacity(unique_missed.len());
-                for &(key, first_idx) in &unique_missed {
-                    let resolved = if sync_pull {
-                        resolve_sync(&self.shared, model_name, &inputs[first_idx])
-                    } else {
-                        execute(&self.shared, model_name, &inputs[first_idx])
-                    };
-                    match resolved {
-                        Some(executed) => {
-                            filled.push((key, executed.prediction));
-                            // Every occurrence of the key is one lookup
-                            // resolved at this rung.
-                            self.count_serve_stale(executed.stale, occurrences[&key].len() as u64);
-                            metrics.predictions.add(occurrences[&key].len() as u64);
-                            for &i in &occurrences[&key] {
-                                responses[i] =
-                                    Some(PredictionResponse::Predicted(executed.prediction));
-                            }
-                        }
-                        None => {
-                            for &i in &occurrences[&key] {
-                                responses[i] = Some(self.no_prediction());
-                            }
-                        }
-                    }
-                }
-                if !filled.is_empty() {
-                    let evicted = self.shared.results.insert_batch(&filled);
-                    metrics.result_insertions.add(filled.len() as u64);
-                    metrics.result_evictions.add(evicted);
-                }
-            }
-            CacheMode::Pull => {
-                // Enqueue each unique missed key once; answer no-prediction
-                // now so the next identical batch hits the cache.
-                for &(key, first_idx) in &unique_missed {
-                    submit_refresh(&self.shared, model_name, &inputs[first_idx], key);
-                }
-                for response in responses.iter_mut().filter(|r| r.is_none()) {
-                    *response = Some(self.no_prediction());
-                }
-            }
-        }
-
-        let per_miss = miss_start.elapsed() / n_misses.max(1) as u32;
-        for _ in 0..n_misses {
-            metrics.miss_latency.record_duration(per_miss);
-            metrics.predict_latency_windowed.record_duration(per_miss);
-        }
-        responses.into_iter().map(|r| r.expect("every input answered")).collect()
+        inputs.iter().map(|i| self.predict_single(model_name, i)).collect()
     }
 
     /// Table 2: `force_reload_cache` — refreshes memory and disk caches
@@ -1002,7 +847,6 @@ impl RcClient {
         publish_serve(&self.shared, |s| {
             s.models.clear();
             s.features.clear();
-            s.features_version = 0;
             s.manifest = None;
             s.stale_models.clear();
             s.stale_subs.clear();
@@ -1173,8 +1017,8 @@ impl RcClient {
         self.shared.unfetched_payloads.load(Ordering::Relaxed)
     }
 
-    /// The manifest version the resident caches were loaded through, when
-    /// the store publishes one.
+    /// The manifest version the resident caches were loaded through;
+    /// `None` until a store read finds one.
     pub fn manifest_version(&self) -> Option<u64> {
         self.shared.serve.with(|s| s.manifest.as_ref().map(|m| m.version))
     }
@@ -1436,8 +1280,8 @@ fn resilient_get<T>(
 
 /// The manifest the on-demand paths resolve keys through: the cached one
 /// when a load already read it, else one resilient pull of the pointer
-/// record. `None` on legacy stores (no manifest) or when the store is
-/// unreachable — callers then use the flat logical keys directly.
+/// record. `None` when the store has no manifest or is unreachable —
+/// callers then use the flat logical keys directly.
 fn cached_manifest(shared: &Shared) -> Option<Manifest> {
     if let Some(m) = shared.serve.with(|s| s.manifest.clone()) {
         return Some(m);
@@ -1462,7 +1306,8 @@ fn resilient_fetch_model(shared: &Shared, model_name: &str) -> Option<Arc<Traine
     let entry = manifest.as_ref().and_then(|m| m.model_entry(&logical).cloned());
     // A manifest entry directs the pull to its versioned key; names the
     // manifest does not list (out-of-band models, quarantined metrics)
-    // fall back to the flat logical key, as do manifest-less stores.
+    // fall back to the flat logical key, as does a client that could not
+    // read the manifest.
     let key = match (&manifest, &entry) {
         (Some(m), Some(e)) => m.versioned_key(&e.key),
         _ => logical.clone(),

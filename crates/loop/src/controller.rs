@@ -1268,7 +1268,6 @@ fn loop_client(store: &Arc<ChaosStore>) -> RcClient {
         ClientConfig {
             mode: CacheMode::Push,
             result_cache_capacity: 1,
-            result_cache_shards: 1,
             disk_cache_dir: None,
             auto_refresh_interval: None,
             ..ClientConfig::default()

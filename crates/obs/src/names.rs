@@ -47,11 +47,8 @@ pub const CLIENT_BACKGROUND_REFRESHES: &str = "rc_client_background_refreshes";
 /// Number of result-cache shards the most recently built client uses
 /// (gauge).
 pub const CLIENT_RESULT_CACHE_SHARDS: &str = "rc_client_result_cache_shards";
-/// `predict_many` calls that took the shard-grouped batch path (counter).
+/// `predict_many` calls with at least one input (counter).
 pub const CLIENT_BATCH_PREDICTS: &str = "rc_client_batch_predicts";
-/// Model executions avoided because a batch deduplicated identical missed
-/// keys (counter).
-pub const CLIENT_BATCH_DEDUPED_EXECS: &str = "rc_client_batch_deduped_execs";
 /// Background worker threads (pull worker, push watcher) started
 /// (counter).
 pub const CLIENT_WORKERS_STARTED: &str = "rc_client_workers_started";

@@ -1,9 +1,12 @@
 //! Table 2 API coverage: every client method, both caching modes, and the
 //! degraded paths (store unavailable, disk cache, no-prediction).
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
 
+use bytes::Bytes;
 use rc_core::labels::vm_inputs;
+use rc_store::{StoreError, VersionedRecord};
 use rc_types::vm::SubscriptionId;
 use resource_central::prelude::*;
 
@@ -104,30 +107,102 @@ fn predict_many_matches_predict_single() {
     }
 }
 
+/// A store whose reads wait while a test holds `gate`, so a pull-mode
+/// refresh cannot land before the test lets it.
+struct Gated {
+    inner: Store,
+    gate: Mutex<()>,
+}
+
+impl StoreBackend for Gated {
+    fn is_available(&self) -> bool {
+        self.inner.is_available()
+    }
+
+    fn keys(&self) -> Vec<String> {
+        self.inner.keys()
+    }
+
+    fn get_latest(&self, key: &str) -> Result<VersionedRecord, StoreError> {
+        drop(self.gate.lock().unwrap());
+        self.inner.get_latest(key)
+    }
+
+    fn get_version(&self, key: &str, version: u64) -> Result<VersionedRecord, StoreError> {
+        self.inner.get_version(key, version)
+    }
+
+    fn latest_version(&self, key: &str) -> Option<u64> {
+        self.inner.latest_version(key)
+    }
+
+    fn put(&self, key: &str, data: Bytes) -> Result<u64, StoreError> {
+        self.inner.put(key, data)
+    }
+}
+
+/// `predict_many` is `predict_single` over its inputs: every response and
+/// every counter equals what the same inputs sent one by one leave, and a
+/// key repeated in the batch runs its model once (its first occurrence
+/// fills the result cache, so the later ones hit).
 #[test]
-fn predict_many_deduplicates_repeated_inputs() {
+fn predict_many_equals_one_by_one_calls() {
     let (trace, store) = world();
-    let client = RcClient::new(store, ClientConfig::default());
-    client.initialize();
     let a = vm_inputs(&trace, VmId(3));
     let b = vm_inputs(&trace, VmId(5));
-    let batch = vec![a, b, a, b, a];
-    let out = client.predict_many("VM_AVGUTIL", &batch);
-    assert_eq!(out.len(), 5);
+
+    let client = RcClient::new(store.clone(), ClientConfig::default());
+    assert!(client.initialize());
+    let out = client.predict_many("VM_AVGUTIL", &[a, b, a, b, a]);
     assert!(out[0].is_predicted() && out[1].is_predicted());
     assert_eq!(out[0], out[2]);
     assert_eq!(out[0], out[4]);
     assert_eq!(out[1], out[3]);
-    // Five misses, but only the two unique keys execute their model.
     assert_eq!(client.model_exec_count(), 2);
     let stats = client.result_cache_stats();
-    assert_eq!((stats.hits, stats.misses), (0, 5));
-    // An identical batch is then pure cache hits: no new executions.
-    let again = client.predict_many("VM_AVGUTIL", &batch);
-    assert_eq!(again, out);
-    assert_eq!(client.model_exec_count(), 2);
-    let stats = client.result_cache_stats();
-    assert_eq!((stats.hits, stats.misses), (5, 5));
+    assert_eq!((stats.hits, stats.misses), (3, 2));
+
+    let mut unknown = vm_inputs(&trace, VmId(7));
+    unknown.subscription = SubscriptionId(9_999_999);
+    let batch = [a, unknown, b, a, unknown, b, a];
+    for mode in [CacheMode::Push, CacheMode::PullSync] {
+        let config = ClientConfig { mode, ..ClientConfig::default() };
+        let batched = RcClient::new(store.clone(), config.clone());
+        let single = RcClient::new(store.clone(), config);
+        assert!(batched.initialize() && single.initialize());
+        let many = batched.predict_many("VM_AVGUTIL", &batch);
+        let one_by_one: Vec<_> =
+            batch.iter().map(|i| single.predict_single("VM_AVGUTIL", i)).collect();
+        assert_eq!(many, one_by_one, "{mode:?}");
+        assert_eq!(many[1], PredictionResponse::NoPrediction, "{mode:?}");
+        assert_eq!(batched.result_cache_stats(), single.result_cache_stats(), "{mode:?}");
+        let counts = |c: &RcClient| {
+            (c.model_exec_count(), c.lookup_count(), c.fresh_fetch_count(), c.no_prediction_count())
+        };
+        assert_eq!(counts(&batched), counts(&single), "{mode:?}");
+        assert_eq!(batched.model_exec_count(), 2, "{mode:?}");
+    }
+
+    // Pull mode: with the refreshes held back, the whole batch answers
+    // no-prediction; once they land, the same batch is all hits, and each
+    // unique key ran its model once.
+    let gated = Arc::new(Gated { inner: store, gate: Mutex::new(()) });
+    let pull = RcClient::with_backend(
+        gated.clone(),
+        ClientConfig { mode: CacheMode::Pull, ..ClientConfig::default() },
+    );
+    assert!(pull.initialize());
+    let batch = [a, b, a, b, a];
+    let held = gated.gate.lock().unwrap();
+    let first = pull.predict_many("VM_AVGUTIL", &batch);
+    drop(held);
+    assert!(first.iter().all(|r| *r == PredictionResponse::NoPrediction));
+    pull.drain_pull_queue();
+    let hits_before = pull.result_cache_stats().hits;
+    let again = pull.predict_many("VM_AVGUTIL", &batch);
+    assert!(again.iter().all(|r| r.is_predicted()));
+    assert_eq!(pull.result_cache_stats().hits - hits_before, batch.len() as u64);
+    assert_eq!(pull.model_exec_count(), 2);
 }
 
 #[test]
@@ -160,6 +235,57 @@ fn force_reload_picks_up_new_feature_data() {
     append_feature_record(&store, &features);
     client.force_reload_cache();
     assert!(client.predict_single("VM_AVGUTIL", &inputs).is_predicted());
+}
+
+/// Trains on a trace generated from `seed` and publishes the result as the
+/// store's next version, whatever its accuracy against the previous one.
+fn publish_seeded(store: &Store, seed: u64) -> Trace {
+    let trace = Trace::generate(&TraceConfig {
+        seed,
+        target_vms: 5_000,
+        n_subscriptions: 200,
+        days: 24,
+        ..TraceConfig::small()
+    });
+    let output = rc_core::run_pipeline(&trace, &rc_core::PipelineConfig::fast(24)).unwrap();
+    output.publish_gated(store, PublishGate { min_accuracy: 0.0, max_regression: 1.0 }).unwrap();
+    trace
+}
+
+/// Regression: a reload replaced a pull-mode client's models but kept
+/// the previous version's feature records, so it went on answering from
+/// them. After the reload it must answer exactly as a client that
+/// started on the new version.
+#[test]
+fn force_reload_replaces_pull_mode_feature_records() {
+    let store = Store::in_memory();
+    let trace = publish_seeded(&store, 1);
+    let lookups: Vec<_> = (0..50u64)
+        .flat_map(|i| {
+            let inputs = vm_inputs(&trace, VmId(i * 7));
+            PredictionMetric::ALL.into_iter().map(move |m| (m.model_name(), inputs))
+        })
+        .collect();
+    let config = ClientConfig { mode: CacheMode::PullSync, ..ClientConfig::default() };
+    let client = RcClient::new(store.clone(), config.clone());
+    assert!(client.initialize());
+    for (model, inputs) in &lookups {
+        client.predict_single(model, inputs);
+    }
+
+    publish_seeded(&store, 2);
+    client.force_reload_cache();
+    let fresh = RcClient::new(store, config);
+    assert!(fresh.initialize());
+    assert_eq!(client.manifest_version(), fresh.manifest_version());
+    for (model, inputs) in &lookups {
+        assert_eq!(
+            client.predict_single(model, inputs),
+            fresh.predict_single(model, inputs),
+            "{model} for {:?}",
+            inputs.subscription
+        );
+    }
 }
 
 #[test]

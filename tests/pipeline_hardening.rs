@@ -618,14 +618,26 @@ fn a_garbled_arena_is_a_decode_error_and_the_old_model_keeps_serving() {
         store.put(&manifest.versioned_key(slot), original).unwrap();
     }
 
-    // Without a manifest the same bytes are an undecodable flat-key
-    // payload: counted on rc_client_corrupt_payloads, never served.
-    for (what, slot, bytes) in [&garbled[0], &garbled[6]] {
-        let flat = Store::in_memory();
-        flat.put(slot, bytes.clone().into()).unwrap();
+    // A name the manifest does not list is pulled from its flat key,
+    // where the same bytes are an undecodable payload: counted on
+    // rc_client_corrupt_payloads, never served.
+    let pull = RcClient::new(
+        store.clone(),
+        ClientConfig {
+            mode: CacheMode::PullSync,
+            retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+            ..ClientConfig::default()
+        },
+    );
+    assert!(pull.initialize());
+    for (what, _, bytes) in [&garbled[0], &garbled[6]] {
+        store.put("model/UNLISTED", bytes.clone().into()).unwrap();
         let corrupt0 = rc_obs::global().counter(rc_obs::CLIENT_CORRUPT_PAYLOADS).get();
-        let flat_client = RcClient::new(flat, ClientConfig::default());
-        assert!(!flat_client.initialize(), "{what}: no decodable model, nothing to serve");
+        assert_eq!(
+            pull.predict_single("UNLISTED", &inputs),
+            PredictionResponse::NoPrediction,
+            "{what}: no decodable model, nothing to serve"
+        );
         assert_eq!(
             rc_obs::global().counter(rc_obs::CLIENT_CORRUPT_PAYLOADS).get() - corrupt0,
             1,

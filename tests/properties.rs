@@ -155,9 +155,10 @@ proptest! {
     #[test]
     fn result_cache_respects_capacity(
         capacity in 1usize..64,
+        n_shards in 1usize..16,
         ops in proptest::collection::vec((any::<u64>(), 0usize..4), 1..300),
     ) {
-        let cache = ShardedResultCache::new(capacity, 1);
+        let cache = ShardedResultCache::new(capacity, n_shards);
         for (key, value) in ops {
             cache.insert(key, Prediction { value, score: 0.5 });
             prop_assert!(cache.len() <= capacity);
@@ -166,10 +167,9 @@ proptest! {
         }
     }
 
-    // Random get / insert / insert_batch / clear sequences through a
-    // one-shard table and the pre-sharding `ResultCache` kept as its
-    // oracle: same answers, same evicted flags, same `len()`, same
-    // counters, after every step.
+    // Random get / insert / clear sequences through a one-shard table and
+    // the pre-sharding `ResultCache` kept as its oracle: same answers,
+    // same evicted flags, same `len()`, same counters, after every step.
     #[test]
     fn sharded_cache_matches_the_reference_oracle(
         capacity in 1usize..10,
@@ -178,25 +178,15 @@ proptest! {
         let cache = ShardedResultCache::new(capacity, 1);
         let mut oracle = common::ResultCache::new(capacity);
         let pred = |key: u64, value: usize| Prediction { value, score: (key % 101) as f64 / 100.0 };
-        for (step, &(op, pick, value)) in ops.iter().enumerate() {
+        for &(op, pick, value) in &ops {
             let key = ORACLE_KEYS[pick];
             match op {
                 0..=5 => prop_assert_eq!(cache.get(key), oracle.get(key), "get {}", key),
-                6..=12 => prop_assert_eq!(
+                6..=14 => prop_assert_eq!(
                     cache.insert(key, pred(key, value)),
                     oracle.insert(key, pred(key, value)),
                     "insert {}", key
                 ),
-                13..=14 => {
-                    // A batch of the next few ops' keys, duplicates included.
-                    let batch: Vec<(u64, Prediction)> = ops[step..]
-                        .iter()
-                        .take(5)
-                        .map(|&(_, pick, value)| (ORACLE_KEYS[pick], pred(ORACLE_KEYS[pick], value)))
-                        .collect();
-                    let evicted = batch.iter().filter(|&&(k, p)| oracle.insert(k, p)).count();
-                    prop_assert_eq!(cache.insert_batch(&batch), evicted as u64);
-                }
                 _ => {
                     cache.clear();
                     oracle.clear();
