@@ -16,9 +16,10 @@ use std::collections::{BinaryHeap, HashMap};
 use serde::{Deserialize, Serialize};
 
 use rc_ml::{
-    BinnedDataset, Classifier, ConfusionMatrix, Dataset, GradientBoosting, GradientBoostingConfig,
-    RandomForest, RandomForestConfig, ThresholdedEval,
+    BinnedDataset, Classifier, Dataset, GradientBoosting, GradientBoostingConfig, RandomForest,
+    RandomForestConfig,
 };
+use rc_obs::Scorecard;
 use rc_store::{checksum, FeatureEntry, Manifest, ModelEntry, StoreBackend, MANIFEST_KEY};
 use rc_trace::Trace;
 use rc_types::metrics::PredictionMetric;
@@ -567,18 +568,16 @@ pub fn run_pipeline(
 /// Evaluates a trained model on a test set (one Table 4 row).
 fn evaluate(model: &TrainedModel, test: &Dataset, theta: f64, n_train: usize) -> MetricReport {
     let k = model.n_classes();
-    let mut cm = ConfusionMatrix::new(k);
-    let mut th = ThresholdedEval::new(theta);
+    let mut card = Scorecard::new(k);
     for i in 0..test.len() {
         let (pred, score) = model.predict(test.row(i));
-        cm.record(test.label(i), pred);
-        th.record(test.label(i), pred, score);
+        card.record(test.label(i), pred, score >= theta);
     }
     let buckets = (0..k)
         .map(|c| BucketStats {
-            share: cm.true_share(c),
-            precision: cm.precision(c),
-            recall: cm.recall(c),
+            share: card.true_share(c),
+            precision: card.precision(c),
+            recall: card.recall(c),
         })
         .collect();
 
@@ -590,10 +589,10 @@ fn evaluate(model: &TrainedModel, test: &Dataset, theta: f64, n_train: usize) ->
 
     MetricReport {
         metric: model.spec.metric,
-        accuracy: cm.accuracy(),
+        accuracy: card.accuracy(),
         buckets,
-        p_theta: th.precision(),
-        r_theta: th.recall(),
+        p_theta: card.p_theta(),
+        r_theta: card.r_theta(),
         n_train,
         n_test: test.len(),
         model_size_bytes: model.serialized_size(),

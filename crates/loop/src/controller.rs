@@ -27,7 +27,7 @@ use rc_core::{
 };
 use rc_obs::{
     acc_gauge_name, counts_psi, AccuracyTracker, Counter, DriftConfig, DriftSignal,
-    LeadingDriftConfig, LeadingDriftMonitor, Registry, WindowSketch,
+    LeadingDriftConfig, LeadingDriftMonitor, Registry, Scorecard, WindowSketch,
 };
 use rc_store::{
     checksum, manifest_models_digest, models_digest, rollback, Manifest, QuarantineSet, Store,
@@ -406,40 +406,6 @@ impl LoopCounters {
     }
 }
 
-/// Per-metric correct/total tallies over the whole soak, indexed by
-/// [`PredictionMetric::index`].
-#[derive(Default, Clone)]
-struct Tally {
-    correct: [u64; 6],
-    total: [u64; 6],
-}
-
-impl Tally {
-    fn record(&mut self, metric: PredictionMetric, correct: bool) {
-        let i = metric.index();
-        self.total[i] += 1;
-        if correct {
-            self.correct[i] += 1;
-        }
-    }
-
-    fn accuracy(&self) -> f64 {
-        let total: u64 = self.total.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.correct.iter().sum::<u64>() as f64 / total as f64
-    }
-
-    fn metric_accuracy(&self, metric: PredictionMetric) -> f64 {
-        let i = metric.index();
-        if self.total[i] == 0 {
-            return 0.0;
-        }
-        self.correct[i] as f64 / self.total[i] as f64
-    }
-}
-
 /// The controller. Construct with [`LoopController::new`], then either
 /// [`run`](LoopController::run) the whole soak or step it one
 /// [`run_tick`](LoopController::run_tick) at a time (the acceptance
@@ -471,8 +437,11 @@ pub struct LoopController {
     /// keyed by version — restored as drift baselines after a rollback.
     promoted_baselines: HashMap<u64, Vec<(String, f64)>>,
     journal: Vec<TickEvent>,
-    live: Tally,
-    frozen_tally: Tally,
+    /// Every answered lookup of the soak, per metric in
+    /// [`PredictionMetric::index`] order: the serving and the frozen
+    /// client's.
+    live: [Scorecard; 6],
+    frozen_scores: [Scorecard; 6],
 }
 
 impl LoopController {
@@ -506,8 +475,8 @@ impl LoopController {
             last_retrain_tick: None,
             promoted_baselines: HashMap::new(),
             journal: Vec::new(),
-            live: Tally::default(),
-            frozen_tally: Tally::default(),
+            live: Default::default(),
+            frozen_scores: Default::default(),
         }
     }
 
@@ -666,10 +635,16 @@ impl LoopController {
             .iter()
             .map(|&m| MetricAccuracy {
                 metric: m.model_name().to_string(),
-                live: self.live.metric_accuracy(m),
-                frozen: self.frozen_tally.metric_accuracy(m),
+                live: self.live[m.index()].accuracy(),
+                frozen: self.frozen_scores[m.index()].accuracy(),
             })
             .collect();
+        let merged = |cards: &[Scorecard]| {
+            cards.iter().fold(Scorecard::default(), |mut all, card| {
+                all.merge(card);
+                all
+            })
+        };
         LoopSummary {
             seed: self.config.seed,
             ticks: self.tick,
@@ -686,8 +661,8 @@ impl LoopController {
             publish_races: self.counters.publish_races.get(),
             chaos_injected: self.counters.chaos_injected.get(),
             final_version: self.serving_version(),
-            live_accuracy: self.live.accuracy(),
-            frozen_accuracy: self.frozen_tally.accuracy(),
+            live_accuracy: merged(&self.live).accuracy(),
+            frozen_accuracy: merged(&self.frozen_scores).accuracy(),
             per_metric,
             journal_digest: journal_digest(&self.journal),
             store_fingerprint: rc_store::fingerprint(self.store()),
@@ -766,11 +741,11 @@ impl LoopController {
                     self.tracker.record_prediction(name, next_id, predicted);
                     self.tracker.record_outcome(name, next_id, truth);
                     next_id += 1;
-                    self.live.record(metric, predicted == truth);
+                    self.live[metric.index()].record(truth, predicted, true);
                 }
                 let frozen = self.frozen.as_ref().and_then(|f| predict(f, metric, inputs));
                 if let Some(predicted) = frozen {
-                    self.frozen_tally.record(metric, predicted == truth);
+                    self.frozen_scores[metric.index()].record(truth, predicted, true);
                 }
             }
         }
@@ -945,7 +920,7 @@ impl LoopController {
                     .iter()
                     .map(|r| (r.metric.model_name().to_string(), r.accuracy))
                     .collect();
-                self.reset_tracker(&baselines);
+                self.tracker.reset(&baselines);
                 self.promoted_baselines.insert(version, baselines);
                 if self.frozen.is_none() {
                     // Left unset if this load falls short; the next
@@ -1022,7 +997,7 @@ impl LoopController {
                 // monitor, restored version's own expectations.
                 let baselines =
                     self.promoted_baselines.get(&to_version).cloned().unwrap_or_default();
-                self.reset_tracker(&baselines);
+                self.tracker.reset(&baselines);
                 // The restored version trained on a different window;
                 // re-seat the leading baseline to match (inert until
                 // the next promotion if the sketch is unreadable).
@@ -1055,17 +1030,6 @@ impl LoopController {
             self.journal.push(TickEvent { tick, event });
             self.reload_pending = Some(expected);
             *degraded = true;
-        }
-    }
-
-    /// Replaces the drift monitor with a fresh one carrying the given
-    /// baselines — called on every model flip (promotion or rollback) so
-    /// the rolling window never mixes outcomes across serving versions.
-    fn reset_tracker(&mut self, baselines: &[(String, f64)]) {
-        self.tracker =
-            AccuracyTracker::with_registry(self.registry.clone(), self.config.drift.clone());
-        for (metric, accuracy) in baselines {
-            self.tracker.set_baseline(metric, *accuracy);
         }
     }
 }
@@ -1119,8 +1083,9 @@ impl ShadowComparison {
 
 /// Scores the serving client and the candidate on the replay slice.
 /// Metrics are compared only where the candidate has a model and at least
-/// one example scored; before the first promotion the serving client
-/// answers no prediction and scores nothing.
+/// one example scored, and only on the examples the candidate answered;
+/// an example serving gives no answer for counts as a serving miss.
+/// Before the first promotion the serving client answers no prediction.
 fn shadow_compare(
     serving: &RcClient,
     candidate: Predictor<'_>,
@@ -1132,35 +1097,26 @@ fn shadow_compare(
         if !candidate.has_model(metric) {
             continue;
         }
-        let (mut s_correct, mut c_correct, mut n) = (0u64, 0u64, 0u64);
-        let (mut s_counts, mut c_counts) = (Vec::<u64>::new(), Vec::<u64>::new());
-        let bump = |counts: &mut Vec<u64>, bucket: usize| {
-            if bucket >= counts.len() {
-                counts.resize(bucket + 1, 0);
-            }
-            counts[bucket] += 1;
-        };
+        let (mut served, mut shadowed) = (Scorecard::default(), Scorecard::default());
         for (inputs, truth) in examples(metric, vms, deployments) {
             let Some(c) = candidate.predict(metric, inputs) else { continue };
-            n += 1;
-            if c == truth {
-                c_correct += 1;
-            }
-            bump(&mut c_counts, c);
-            if let Some(s) = predict(serving, metric, inputs) {
-                if s == truth {
-                    s_correct += 1;
-                }
-                bump(&mut s_counts, s);
+            shadowed.record(truth, c, true);
+            match predict(serving, metric, inputs) {
+                Some(s) => served.record(truth, s, true),
+                None => served.record_unanswered(),
             }
         }
-        if n > 0 {
-            let prediction_psi =
-                if s_counts.is_empty() { 0.0 } else { counts_psi(&s_counts, &c_counts) };
+        if shadowed.answered() > 0 {
+            let served_buckets = served.predicted_histogram();
+            let prediction_psi = if served_buckets.is_empty() {
+                0.0
+            } else {
+                counts_psi(&served_buckets, &shadowed.predicted_histogram())
+            };
             rows.push(ShadowRow {
                 metric: metric.model_name().to_string(),
-                serving: s_correct as f64 / n as f64,
-                candidate: c_correct as f64 / n as f64,
+                serving: served.accuracy(),
+                candidate: shadowed.accuracy(),
                 prediction_psi,
             });
         }

@@ -21,8 +21,6 @@
 //!   (the XGBoost formulation: leaf value = -G / (H + lambda)), its
 //!   regression trees grown by `grow`.
 //! - [`fft`]: an iterative radix-2 FFT and a diurnal periodicity detector.
-//! - [`eval`]: confusion matrices, accuracy, precision/recall, and the
-//!   confidence-thresholded P-theta / R-theta of Table 4.
 //!
 //! All models implement [`Classifier`], predict class probabilities, and
 //! serialize with serde so the client library can cache them and account
@@ -30,7 +28,6 @@
 
 mod arena;
 pub mod dataset;
-pub mod eval;
 pub mod fft;
 pub mod forest;
 pub mod gbt;
@@ -39,7 +36,6 @@ pub mod pool;
 pub mod tree;
 
 pub use dataset::{BinnedDataset, Dataset};
-pub use eval::{ConfusionMatrix, ThresholdedEval};
 pub use fft::{
     detect_diurnal_periodicity, fft_in_place, Complex, PeriodicityConfig, PeriodicityDetector,
 };

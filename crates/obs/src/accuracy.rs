@@ -9,8 +9,8 @@
 //! - cumulative and **rolling** accuracy (the rolling side rides on
 //!   [`WindowedCounter`]s ticked by the same logical clock as the rest
 //!   of the windowed instruments — no wall clock anywhere);
-//! - a predicted × observed **confusion matrix** and a calibration
-//!   summary derived from it;
+//! - an observed × predicted [`Scorecard`], the cumulative side's
+//!   counts;
 //! - a [`DriftSignal`] comparing rolling accuracy against the
 //!   training-time accuracy recorded in the published manifest, with
 //!   hysteresis so one noisy epoch doesn't flap the signal.
@@ -24,12 +24,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
 
-use serde::Value;
-
 use crate::metrics::{Counter, Gauge, Registry};
 use crate::names::{
     ACC_BASELINE, ACC_CONFUSION, ACC_CUMULATIVE, ACC_DRIFT, ACC_DRIFT_TRANSITIONS, ACC_ROLLING,
 };
+use crate::scorecard::Scorecard;
 use crate::window::WindowedCounter;
 
 /// Unresolved predictions retained per metric before new ones are shed.
@@ -132,19 +131,6 @@ impl Default for DriftConfig {
     }
 }
 
-/// One calibration row: how predictions of bucket `predicted` fared.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibrationRow {
-    /// The predicted bucket.
-    pub predicted: usize,
-    /// Resolved outcomes for that prediction.
-    pub outcomes: u64,
-    /// Fraction where observed == predicted.
-    pub hit_rate: f64,
-    /// Mean observed bucket for that prediction.
-    pub mean_observed: f64,
-}
-
 /// Gauge name for a per-metric accuracy series (labels are embedded in
 /// the flat registry name; the syntax is valid Prometheus exposition).
 pub fn acc_gauge_name(series: &str, metric: &str) -> String {
@@ -160,11 +146,9 @@ struct MetricState {
     baseline: Option<f64>,
     /// id -> predicted bucket, awaiting its outcome.
     pending: BTreeMap<u64, usize>,
-    /// `confusion[predicted][observed]`, grown on demand.
-    confusion: Vec<Vec<u64>>,
+    /// Every resolved outcome, grown to the largest bucket seen.
+    card: Scorecard,
     predictions: u64,
-    outcomes: u64,
-    correct: u64,
     unmatched: u64,
     dropped_pending: u64,
     win_correct: WindowedCounter,
@@ -183,10 +167,8 @@ impl MetricState {
         MetricState {
             baseline: None,
             pending: BTreeMap::new(),
-            confusion: Vec::new(),
+            card: Scorecard::default(),
             predictions: 0,
-            outcomes: 0,
-            correct: 0,
             unmatched: 0,
             dropped_pending: 0,
             win_correct: WindowedCounter::new(config.window),
@@ -200,18 +182,6 @@ impl MetricState {
         }
     }
 
-    fn grow_to(&mut self, bucket: usize) {
-        let need = bucket + 1;
-        if self.confusion.len() < need {
-            for row in &mut self.confusion {
-                row.resize(need, 0);
-            }
-            while self.confusion.len() < need {
-                self.confusion.push(vec![0; need]);
-            }
-        }
-    }
-
     fn rolling(&self) -> Option<f64> {
         let outcomes = self.win_outcomes.window_sum();
         if outcomes == 0 {
@@ -221,15 +191,12 @@ impl MetricState {
     }
 
     fn cumulative(&self) -> Option<f64> {
-        if self.outcomes == 0 {
-            return None;
-        }
-        Some(self.correct as f64 / self.outcomes as f64)
+        (self.card.answered() > 0).then(|| self.card.accuracy())
     }
 }
 
 /// Pairs predictions with observed outcomes and tracks rolling accuracy,
-/// confusion, calibration, and drift per metric.
+/// a scorecard, and drift per metric.
 pub struct AccuracyTracker {
     registry: Registry,
     config: DriftConfig,
@@ -311,22 +278,40 @@ impl AccuracyTracker {
                 return false;
             };
             let observed = observed_bucket.min(MAX_BUCKETS - 1);
-            state.grow_to(predicted.max(observed));
-            state.confusion[predicted][observed] += 1;
-            state.outcomes += 1;
+            state.card.record(observed, predicted, true);
             state.win_outcomes.increment();
             if predicted == observed {
-                state.correct += 1;
                 state.win_correct.increment();
             }
-            if let Some(c) = state.cumulative() {
-                state.g_cumulative.set(c);
-            }
+            state.g_cumulative.set(state.card.accuracy());
             registry
                 .gauge(&acc_confusion_name(metric, predicted, observed))
-                .set(state.confusion[predicted][observed] as f64);
+                .set(state.card.count(observed, predicted) as f64);
             true
         })
+    }
+
+    /// Starts every metric afresh, as a new tracker on the same registry
+    /// would, then sets `baselines`. Unlike a new tracker, it first zeroes
+    /// every confusion gauge it exported, so no cell keeps counts from
+    /// before the reset. The control loop calls this on each model flip.
+    pub fn reset(&self, baselines: &[(String, f64)]) {
+        let mut metrics = self.metrics.lock().expect("accuracy lock");
+        for (metric, state) in metrics.iter() {
+            for observed in 0..state.card.k() {
+                for predicted in 0..state.card.k() {
+                    if state.card.count(observed, predicted) > 0 {
+                        let cell = acc_confusion_name(metric, predicted, observed);
+                        self.registry.gauge(&cell).set(0.0);
+                    }
+                }
+            }
+        }
+        metrics.clear();
+        drop(metrics);
+        for (metric, accuracy) in baselines {
+            self.set_baseline(metric, *accuracy);
+        }
     }
 
     /// Advances the logical clock: rotates every metric's rolling window
@@ -399,7 +384,7 @@ impl AccuracyTracker {
 
     /// Outcomes resolved against a pending prediction.
     pub fn outcomes(&self, metric: &str) -> u64 {
-        self.metrics.lock().expect("accuracy lock").get(metric).map_or(0, |s| s.outcomes)
+        self.metrics.lock().expect("accuracy lock").get(metric).map_or(0, |s| s.card.answered())
     }
 
     /// Outcomes that arrived with no pending prediction.
@@ -412,83 +397,20 @@ impl AccuracyTracker {
         self.metrics.lock().expect("accuracy lock").get(metric).map_or(0, |s| s.pending.len())
     }
 
-    /// The `confusion[predicted][observed]` matrix (square, possibly
-    /// empty).
-    pub fn confusion(&self, metric: &str) -> Vec<Vec<u64>> {
+    /// The observed × predicted scorecard of every resolved outcome
+    /// (empty when `metric` is unknown).
+    pub fn confusion(&self, metric: &str) -> Scorecard {
         self.metrics
             .lock()
             .expect("accuracy lock")
             .get(metric)
-            .map(|s| s.confusion.clone())
+            .map(|s| s.card.clone())
             .unwrap_or_default()
-    }
-
-    /// Per-predicted-bucket calibration derived from the confusion
-    /// matrix (rows with no outcomes are omitted).
-    pub fn calibration(&self, metric: &str) -> Vec<CalibrationRow> {
-        let metrics = self.metrics.lock().expect("accuracy lock");
-        let Some(state) = metrics.get(metric) else {
-            return Vec::new();
-        };
-        let mut rows = Vec::new();
-        for (p, row) in state.confusion.iter().enumerate() {
-            let n: u64 = row.iter().sum();
-            if n == 0 {
-                continue;
-            }
-            let weighted: u64 = row.iter().enumerate().map(|(o, c)| o as u64 * c).sum();
-            rows.push(CalibrationRow {
-                predicted: p,
-                outcomes: n,
-                hit_rate: row[p] as f64 / n as f64,
-                mean_observed: weighted as f64 / n as f64,
-            });
-        }
-        rows
     }
 
     /// Metrics the tracker has seen, ascending by name.
     pub fn metric_names(&self) -> Vec<String> {
         self.metrics.lock().expect("accuracy lock").keys().cloned().collect()
-    }
-
-    /// The whole tracker as one JSON value (per metric: counts, rolling
-    /// vs cumulative vs baseline accuracy, drift, confusion,
-    /// calibration) — the shape `rc_obs::report` embeds.
-    pub fn summary(&self) -> Value {
-        let metrics = self.metrics.lock().expect("accuracy lock");
-        let mut out = Vec::new();
-        for (name, state) in metrics.iter() {
-            let opt = |v: Option<f64>| v.map(Value::F64).unwrap_or(Value::Null);
-            let confusion = Value::Array(
-                state
-                    .confusion
-                    .iter()
-                    .map(|row| Value::Array(row.iter().map(|&c| Value::U64(c)).collect()))
-                    .collect(),
-            );
-            out.push((
-                name.clone(),
-                Value::Object(vec![
-                    ("predictions".to_string(), Value::U64(state.predictions)),
-                    ("outcomes".to_string(), Value::U64(state.outcomes)),
-                    ("correct".to_string(), Value::U64(state.correct)),
-                    ("unmatched".to_string(), Value::U64(state.unmatched)),
-                    ("pending".to_string(), Value::U64(state.pending.len() as u64)),
-                    ("rolling".to_string(), opt(state.rolling())),
-                    ("cumulative".to_string(), opt(state.cumulative())),
-                    ("baseline".to_string(), opt(state.baseline)),
-                    (
-                        "drift".to_string(),
-                        Value::Str(
-                            if state.drift.drifting() { "drifting" } else { "stable" }.to_string(),
-                        ),
-                    ),
-                    ("confusion".to_string(), confusion),
-                ]),
-            ));
-        }
-        Value::Object(out)
     }
 }
 
@@ -512,29 +434,32 @@ mod tests {
         assert_eq!(t.pending("m"), 0);
         assert_eq!(t.cumulative_accuracy("m"), Some(2.0 / 3.0));
         let c = t.confusion("m");
-        assert_eq!(c[0][0], 1);
-        assert_eq!(c[1][3], 1);
-        assert_eq!(c[1][1], 1);
-        // Row/column sums reconcile with outcomes.
-        let total: u64 = c.iter().flatten().sum();
-        assert_eq!(total, t.outcomes("m"));
+        assert_eq!(c.count(0, 0), 1);
+        assert_eq!(c.count(3, 1), 1);
+        assert_eq!(c.count(1, 1), 1);
+        assert_eq!(c.answered(), t.outcomes("m"));
+        assert_eq!(c.accuracy(), 2.0 / 3.0);
     }
 
+    /// A reset zeroes every confusion cell it exported, drops the
+    /// per-metric state and installs the new baselines.
     #[test]
-    fn calibration_rows_summarize_confusion_rows() {
-        let t = AccuracyTracker::new(DriftConfig::default());
-        for (id, (p, o)) in [(0usize, 0usize), (0, 0), (0, 2), (3, 3)].iter().enumerate() {
-            t.record_prediction("m", id as u64, *p);
-            t.record_outcome("m", id as u64, *o);
-        }
-        let rows = t.calibration("m");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].predicted, 0);
-        assert_eq!(rows[0].outcomes, 3);
-        assert!((rows[0].hit_rate - 2.0 / 3.0).abs() < 1e-12);
-        assert!((rows[0].mean_observed - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(rows[1].predicted, 3);
-        assert_eq!(rows[1].hit_rate, 1.0);
+    fn reset_zeroes_exported_cells_and_reseeds_baselines() {
+        let reg = Registry::new();
+        let t = AccuracyTracker::with_registry(reg.clone(), DriftConfig::default());
+        t.record_prediction("m", 1, 2);
+        t.record_outcome("m", 1, 0);
+        t.record_prediction("n", 2, 1);
+        t.record_outcome("n", 2, 1);
+        t.reset(&[("n".to_string(), 0.7)]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauge(&acc_confusion_name("m", 2, 0)), Some(0.0));
+        assert_eq!(snap.gauge(&acc_confusion_name("n", 1, 1)), Some(0.0));
+        assert_eq!((t.outcomes("m"), t.outcomes("n")), (0, 0));
+        assert_eq!((t.baseline("m"), t.baseline("n")), (None, Some(0.7)));
+        t.record_prediction("n", 3, 1);
+        t.record_outcome("n", 3, 1);
+        assert_eq!(reg.snapshot().gauge(&acc_confusion_name("n", 1, 1)), Some(1.0));
     }
 
     /// The trip/clear state machine both monitors share, one row per
@@ -705,15 +630,5 @@ mod tests {
         let text = snap.to_prometheus_text();
         assert!(text.contains("rc_acc_rolling{metric=\"m\"} 1"));
         assert!(text.contains("rc_acc_confusion{metric=\"m\",p=\"2\",o=\"2\"} 1"));
-    }
-
-    #[test]
-    fn summary_is_serializable_json() {
-        let t = AccuracyTracker::new(DriftConfig::default());
-        t.record_prediction("m", 1, 0);
-        t.record_outcome("m", 1, 1);
-        let v = t.summary();
-        let bytes = serde_json::to_vec(&v).expect("summary serializes");
-        assert!(!bytes.is_empty());
     }
 }

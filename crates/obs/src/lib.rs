@@ -16,9 +16,13 @@
 //!   [`WindowedHistogram`]): epoch-bucket rings advanced by an explicit
 //!   logical-clock `tick()` — rolling rates and p50/p95/p99 alongside
 //!   the cumulative views, with no wall clock involved.
+//! - **Scoring** ([`Scorecard`]): the one confusion matrix with
+//!   Table 4's accuracy, per-bucket precision/recall and `P^θ`/`R^θ`;
+//!   offline validation, live tracking and the control loop all count
+//!   through it.
 //! - **Accuracy tracking** ([`AccuracyTracker`]): pairs predicted
-//!   buckets with observed outcomes, maintains rolling accuracy and
-//!   per-bucket confusion, and raises a [`DriftSignal`] when rolling
+//!   buckets with observed outcomes, maintains rolling accuracy and a
+//!   per-metric [`Scorecard`], and raises a [`DriftSignal`] when rolling
 //!   accuracy falls away from the published training-time baseline.
 //! - **Bench reports** ([`report`]): the versioned `BENCH_*.json`
 //!   schema and writer the bench binaries use.
@@ -35,13 +39,13 @@ mod distribution;
 mod metrics;
 mod names;
 pub mod report;
+mod scorecard;
 mod snapshot;
 mod tracing;
 mod window;
 
 pub use accuracy::{
-    acc_confusion_name, acc_gauge_name, AccuracyTracker, CalibrationRow, DriftConfig, DriftSignal,
-    DEFAULT_BASELINE,
+    acc_confusion_name, acc_gauge_name, AccuracyTracker, DriftConfig, DriftSignal, DEFAULT_BASELINE,
 };
 pub use alloc::{thread_allocations, CountingAllocator};
 pub use distribution::{
@@ -51,6 +55,7 @@ pub use distribution::{
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use names::*;
 pub use report::BenchReport;
+pub use scorecard::Scorecard;
 pub use snapshot::{
     BucketCount, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot,
     WindowedCounterSnapshot, WindowedHistogramSnapshot,

@@ -10,18 +10,14 @@
 //! Baseline, Naive, RC-informed-soft/-hard, RC-soft-right and
 //! RC-soft-wrong.
 
-pub mod maintenance;
 pub mod policy;
-pub mod power;
 pub mod request;
 pub mod scheduler;
 pub mod server;
 pub mod simulator;
 pub mod stream_source;
 
-pub use maintenance::{plan_maintenance, MaintenancePlan, MigrationReason, ResidentVm};
 pub use policy::{NoSource, OracleSource, P95Source, PolicyKind, RcSource, WrongSource};
-pub use power::{apportion_power, PowerAssignment, PowerPlan, PoweredVm};
 pub use request::VmRequest;
 pub use scheduler::{Placement, Scheduler, SchedulerConfig};
 pub use server::{Server, ServerFleet, ServerKind};

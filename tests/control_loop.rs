@@ -6,6 +6,8 @@
 //!
 //! (a) a drift episode leads to retrain → shadow pass → promotion, and
 //!     end-to-end accuracy recovers past the frozen no-retrain baseline;
+//!     at every tick the confusion gauges hold the serving version's
+//!     outcomes only;
 //! (b) a degraded candidate is rejected in shadow with the store
 //!     byte-untouched;
 //! (c) a post-flip regression auto-rolls-back, and the quarantined
@@ -65,6 +67,21 @@ fn events(journal: &[TickEvent]) -> Vec<(u32, &LoopEvent)> {
     journal.iter().map(|e| (e.tick, &e.event)).collect()
 }
 
+/// The `rc_acc_confusion{metric,p,o}` gauges describe the serving
+/// version alone: each metric's cells sum to the outcomes the tracker
+/// holds, so a flip leaves no cell of the previous version behind.
+fn assert_confusion_gauges_match_outcomes(controller: &LoopController, tick: u32) {
+    let snapshot = controller.registry().snapshot();
+    for metric in rc_types::PredictionMetric::ALL {
+        let name = metric.model_name();
+        let prefix = format!("{}{{metric=\"{name}\",", rc_obs::ACC_CONFUSION);
+        let cells: f64 =
+            snapshot.gauges.iter().filter(|g| g.name.starts_with(&prefix)).map(|g| g.value).sum();
+        let outcomes = controller.tracker().outcomes(name);
+        assert_eq!(cells, outcomes as f64, "tick {tick}: {name} confusion gauges");
+    }
+}
+
 /// (a) Drift → retrain → shadow pass → promotion → recovery.
 #[test]
 fn drift_episode_retrains_and_accuracy_recovers() {
@@ -75,8 +92,9 @@ fn drift_episode_retrains_and_accuracy_recovers() {
     // label detector does.
     config.leading_observe_only = true;
     let mut controller = LoopController::new(config);
-    for _ in 0..9 {
+    for tick in 0..9 {
         controller.run_tick();
+        assert_confusion_gauges_match_outcomes(&controller, tick);
     }
     let summary = controller.summary();
 

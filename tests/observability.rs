@@ -123,8 +123,8 @@ fn mid_run_model_swap_trips_rolling_drift_but_not_cumulative() {
     assert!(global.to_prometheus_text().contains("rc_sched_placements_windowed_total"));
 }
 
-/// Satellite: the accuracy tracker's confusion matrix (row and column
-/// sums) reconciles exactly with the `rc_client_predictions` registry
+/// Satellite: the accuracy tracker's scorecard (its cells and its
+/// predicted-bucket histogram) reconciles exactly with the `rc_client_predictions` registry
 /// delta when the tracker is fed one pair per predicted response.
 #[test]
 fn confusion_sums_reconcile_with_client_prediction_deltas() {
@@ -171,13 +171,13 @@ fn confusion_sums_reconcile_with_client_prediction_deltas() {
     assert_eq!(delta, served, "rc_client_predictions counts exactly the Predicted responses");
 
     let confusion = tracker.confusion(model);
-    let row_total: u64 = confusion.iter().map(|row| row.iter().sum::<u64>()).sum();
-    let n_cols = confusion.iter().map(Vec::len).max().unwrap_or(0);
-    let col_total: u64 = (0..n_cols)
-        .map(|c| confusion.iter().map(|row| row.get(c).copied().unwrap_or(0)).sum::<u64>())
-        .sum();
-    assert_eq!(row_total, delta, "confusion row sums match the registry delta");
-    assert_eq!(col_total, delta, "confusion column sums match the registry delta");
+    let k = confusion.k();
+    let cells: u64 =
+        (0..k).flat_map(|o| (0..k).map(move |p| (o, p))).map(|(o, p)| confusion.count(o, p)).sum();
+    let predicted: u64 = confusion.predicted_histogram().iter().sum();
+    assert_eq!(cells, delta, "confusion cells match the registry delta");
+    assert_eq!(predicted, delta, "the predicted-bucket histogram matches the registry delta");
+    assert_eq!(confusion.answered(), delta);
     assert_eq!(tracker.outcomes(model), delta);
 
     // The client's in-flight gauge returned to zero once the replay

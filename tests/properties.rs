@@ -293,12 +293,15 @@ fn forest_probabilities_on_simplex_for_wild_inputs() {
 ///
 /// The six fitted models' bytes are pinned too: a change to the tree
 /// grower that moves one split, one leaf value or one importance bit
-/// moves a digest. Re-record only on purpose.
+/// moves a digest. So are the six Table 4 rows (accuracy, every bucket's
+/// share/precision/recall, `p_theta`, `r_theta`), bit for bit: a change
+/// to how validation scores moves the last digest. Re-record only on
+/// purpose.
 #[test]
 fn pipeline_models_predict_identically_through_stack_vec_and_wire() {
     use rc_core::{run_pipeline, PipelineConfig, TrainedModel};
     use rc_trace::{Trace, TraceConfig};
-    let golden: [(u64, [u64; 6]); 2] = [
+    let golden: [(u64, [u64; 6], u64); 2] = [
         (
             0x5059_2017,
             [
@@ -309,6 +312,7 @@ fn pipeline_models_predict_identically_through_stack_vec_and_wire() {
                 0x98bb_9efa_4e9d_f77e,
                 0x8df6_6405_8fe8_352a,
             ],
+            0x5213_8a5e_39d3_1e6c,
         ),
         (
             0xC0FFEE,
@@ -320,9 +324,10 @@ fn pipeline_models_predict_identically_through_stack_vec_and_wire() {
                 0xedc0_7fbd_eff6_4af7,
                 0x5d63_ae82_b834_e082,
             ],
+            0xdda1_d9a7_1353_dff8,
         ),
     ];
-    for (seed, digests) in golden {
+    for (seed, digests, table4) in golden {
         let trace = Trace::generate(&TraceConfig {
             seed,
             target_vms: 3_000,
@@ -335,6 +340,15 @@ fn pipeline_models_predict_identically_through_stack_vec_and_wire() {
         let got: Vec<u64> =
             output.models.iter().map(|m| rc_store::checksum(&rc_ml::to_bytes(m))).collect();
         assert_eq!(got, digests, "seed {seed:#x}: fitted model bytes moved");
+        let mut bits = Vec::new();
+        for r in &output.reports {
+            let shares = r.buckets.iter().flat_map(|b| [b.share, b.precision, b.recall]);
+            for x in std::iter::once(r.accuracy).chain(shares).chain([r.p_theta, r.r_theta]) {
+                bits.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+        let got = rc_store::checksum(&bits);
+        assert_eq!(got, table4, "seed {seed:#x}: Table 4 numbers moved ({got:#018x})");
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
