@@ -35,6 +35,10 @@
 //! - tick 39: the store fails mid-publish; the flip aborts with the
 //!   manifest consistent and the loop keeps running.
 //!
+//! After every tick the binary checks that each summary count, folded
+//! from the journal, equals its `rc_loop_*` counter, and exits nonzero
+//! on the first mismatch.
+//!
 //! The run is a pure function of `RC_LOOP_SEED`: stdout, the journal
 //! digest, the store fingerprint, and the deterministic sections of
 //! `BENCH_loop.json` are byte-identical across same-seed runs (CI
@@ -154,7 +158,40 @@ fn describe(event: &LoopEvent) -> String {
         LoopEvent::PublishRaceDetected { expected, actual } => {
             format!("publish race detected: expected manifest v{expected}, found v{actual}")
         }
+        LoopEvent::QuarantineSaveFailed { error } => format!("quarantine save failed: {error}"),
+        LoopEvent::FrozenLoadIncomplete { expected } => {
+            format!("frozen baseline load incomplete: expected manifest v{expected}")
+        }
     }
+}
+
+/// Every `LoopSummary` count beside the `rc_loop_*` counter that must
+/// equal it: the summary folds the journal, the counters move as events
+/// are journaled, so the two agree after every tick.
+fn fold_mismatches(controller: &LoopController) -> Vec<String> {
+    let summary = controller.summary();
+    let snapshot = controller.registry().snapshot();
+    [
+        (rc_obs::LOOP_TICKS, summary.ticks as u64),
+        (rc_obs::LOOP_WINDOWS_INGESTED, summary.windows_ingested),
+        (rc_obs::LOOP_RETRAINS, summary.retrains),
+        (rc_obs::LOOP_RETRAIN_FAILURES, summary.retrain_failures),
+        (rc_obs::LOOP_SHADOW_EVALS, summary.shadow_evals),
+        (rc_obs::LOOP_SHADOW_REJECTIONS, summary.shadow_rejections),
+        (rc_obs::LOOP_PROMOTIONS, summary.promotions),
+        (rc_obs::LOOP_ROLLBACKS, summary.rollbacks),
+        (rc_obs::LOOP_QUARANTINE_BLOCKED, summary.quarantine_blocked),
+        (rc_obs::LOOP_DEGRADED_TICKS, summary.degraded_ticks),
+        (rc_obs::LOOP_LEADING_TRIPS, summary.leading_trips),
+        (rc_obs::LOOP_PUBLISH_RACES, summary.publish_races),
+        (rc_obs::LOOP_CHAOS_INJECTED, summary.chaos_injected),
+    ]
+    .into_iter()
+    .filter_map(|(name, folded)| {
+        let counted = snapshot.counter(name).unwrap_or(0);
+        (counted != folded).then(|| format!("{name}: counter {counted}, journal fold {folded}"))
+    })
+    .collect()
 }
 
 fn main() {
@@ -177,6 +214,11 @@ fn main() {
         controller.run_tick();
         eprint!("\rtick {}/{ticks}", tick + 1);
         std::io::stderr().flush().ok();
+        let mismatches = fold_mismatches(&controller);
+        if !mismatches.is_empty() {
+            eprintln!("\nloop_soak: day {tick}: {}", mismatches.join("; "));
+            std::process::exit(1);
+        }
     }
     eprintln!();
     let after = controller.registry().snapshot();

@@ -238,28 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn dataset_export_carries_the_same_class_as_the_labels() {
-        // One §3.6 rule (`Trace::workload_class`) behind both the class
-        // model's labels and the public-dataset `vmcategory` column.
-        let t = trace();
-        let rows = rc_trace::vm_table(&t, 60);
-        let labels = label_vms(&t, 200);
-        assert_eq!(rows.len(), labels.len());
-        let mut classified = 0;
-        for (row, label) in rows.iter().zip(&labels) {
-            assert_eq!(row.vmid, label.vm_id.0);
-            let expect = match label.obs.class {
-                None => "Unknown",
-                Some(0) => "Delay-insensitive",
-                Some(_) => "Interactive",
-            };
-            assert_eq!(row.vmcategory, expect, "VM {}", row.vmid);
-            classified += usize::from(label.obs.class.is_some());
-        }
-        assert!(classified > 20, "need some classified VMs, got {classified}");
-    }
-
-    #[test]
     fn interactive_intent_mostly_matches_fft_labels() {
         // The FFT classifier should recover the generator's intent for
         // long-running VMs (validating §3.6's methodology end to end).

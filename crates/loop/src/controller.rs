@@ -15,7 +15,7 @@
 //! frozen baseline through push-mode clients over its own store. It
 //! scores their exact answers, past the result cache.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -26,12 +26,12 @@ use rc_core::{
     TrainedModel,
 };
 use rc_obs::{
-    acc_gauge_name, counts_psi, AccuracyTracker, Counter, DriftConfig, DriftSignal,
-    LeadingDriftConfig, LeadingDriftMonitor, Registry, Scorecard, WindowSketch,
+    acc_gauge_name, counts_psi, AccuracyTracker, DriftConfig, DriftSignal, LeadingDriftConfig,
+    LeadingDriftMonitor, Registry, Scorecard, WindowSketch,
 };
 use rc_store::{
-    checksum, manifest_models_digest, models_digest, rollback, Manifest, QuarantineSet, Store,
-    StoreBackend,
+    checksum, manifest_models_digest, models_digest, rollback, Manifest, QuarantineSet,
+    RollbackError, Store, StoreBackend,
 };
 use rc_trace::{DirtyPlan, DirtyVmStream, Trace, TraceConfig, VmStream};
 use rc_types::metrics::PredictionMetric;
@@ -203,9 +203,12 @@ pub enum RetrainReason {
     Cadence,
 }
 
-/// One journal entry. The journal is the soak's full audit trail and its
-/// reproducibility witness: the summary digests it, and the acceptance
-/// tests compare it bit-for-bit across same-seed runs.
+/// One journal entry. The journal is the soak's one record: every
+/// `rc_loop_*` counter moves when its event is journaled, a tick is
+/// degraded exactly when it journals a degrading event, and the summary's
+/// counts are a fold over it. It is also the reproducibility witness: the
+/// summary digests it, and the acceptance tests compare it bit-for-bit
+/// across same-seed runs.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum LoopEvent {
     /// A telemetry window was ingested (post-cleanup sizes).
@@ -254,6 +257,49 @@ pub enum LoopEvent {
     /// The manifest flip's compare-and-swap lost to a concurrent
     /// publish; the controller backed off without overwriting it.
     PublishRaceDetected { expected: u64, actual: u64 },
+    /// A rollback's quarantine set could not be persisted. The digest is
+    /// still quarantined in memory and the rollback goes on; the tick
+    /// degrades.
+    QuarantineSaveFailed { error: String },
+    /// The frozen baseline client's first load onto version `expected`
+    /// fell short. It stays unset, so the frozen side scores nothing
+    /// until the next promotion loads it; the tick degrades.
+    FrozenLoadIncomplete { expected: u64 },
+}
+
+impl LoopEvent {
+    /// The `rc_loop_*` counter journaling this event moves. None for
+    /// `LeadingDriftDetected`: the leading monitor moves
+    /// `rc_loop_leading_trips` itself when it trips.
+    fn counter(&self) -> Option<&'static str> {
+        Some(match self {
+            LoopEvent::WindowIngested { .. } => rc_obs::LOOP_WINDOWS_INGESTED,
+            LoopEvent::RetrainScheduled { .. } => rc_obs::LOOP_RETRAINS,
+            LoopEvent::RetrainFailed { .. } => rc_obs::LOOP_RETRAIN_FAILURES,
+            LoopEvent::ShadowEvaluated { .. } => rc_obs::LOOP_SHADOW_EVALS,
+            LoopEvent::ShadowRejected { .. } => rc_obs::LOOP_SHADOW_REJECTIONS,
+            LoopEvent::Promoted { .. } => rc_obs::LOOP_PROMOTIONS,
+            LoopEvent::RolledBack { .. } => rc_obs::LOOP_ROLLBACKS,
+            LoopEvent::QuarantineBlocked { .. } => rc_obs::LOOP_QUARANTINE_BLOCKED,
+            LoopEvent::PublishRaceDetected { .. } => rc_obs::LOOP_PUBLISH_RACES,
+            LoopEvent::ChaosInjected { .. } => rc_obs::LOOP_CHAOS_INJECTED,
+            _ => return None,
+        })
+    }
+
+    /// Whether the event degrades the tick it is journaled on.
+    fn degrades(&self) -> bool {
+        matches!(
+            self,
+            LoopEvent::RetrainFailed { .. }
+                | LoopEvent::PublishFailed { .. }
+                | LoopEvent::PublishRaceDetected { .. }
+                | LoopEvent::RollbackUnavailable
+                | LoopEvent::ServeReloadIncomplete { .. }
+                | LoopEvent::QuarantineSaveFailed { .. }
+                | LoopEvent::FrozenLoadIncomplete { .. }
+        )
+    }
 }
 
 /// A journal entry pinned to its tick.
@@ -301,7 +347,9 @@ pub struct LoopSummary {
     /// Candidate promotions refused because their content digest was
     /// quarantined by an earlier rollback.
     pub quarantine_blocked: u64,
-    /// Ticks on which a scheduled action failed and the loop degraded.
+    /// Ticks that journaled at least one degrading event (a failed
+    /// retrain, publish or rollback, a lost publish race, an incomplete
+    /// client load, an unsaved quarantine set).
     pub degraded_ticks: u64,
     /// Leading-monitor `Stable -> Drifting` transitions over the soak.
     pub leading_trips: u64,
@@ -369,43 +417,6 @@ enum Phase {
     Watching { remaining: u32 },
 }
 
-struct LoopCounters {
-    ticks: Counter,
-    windows: Counter,
-    retrains: Counter,
-    retrain_failures: Counter,
-    shadow_evals: Counter,
-    shadow_rejections: Counter,
-    promotions: Counter,
-    rollbacks: Counter,
-    quarantine_blocked: Counter,
-    degraded_ticks: Counter,
-    /// Same underlying counter the leading monitor increments.
-    leading_trips: Counter,
-    publish_races: Counter,
-    chaos_injected: Counter,
-}
-
-impl LoopCounters {
-    fn new(registry: &Registry) -> Self {
-        LoopCounters {
-            ticks: registry.counter(rc_obs::LOOP_TICKS),
-            windows: registry.counter(rc_obs::LOOP_WINDOWS_INGESTED),
-            retrains: registry.counter(rc_obs::LOOP_RETRAINS),
-            retrain_failures: registry.counter(rc_obs::LOOP_RETRAIN_FAILURES),
-            shadow_evals: registry.counter(rc_obs::LOOP_SHADOW_EVALS),
-            shadow_rejections: registry.counter(rc_obs::LOOP_SHADOW_REJECTIONS),
-            promotions: registry.counter(rc_obs::LOOP_PROMOTIONS),
-            rollbacks: registry.counter(rc_obs::LOOP_ROLLBACKS),
-            quarantine_blocked: registry.counter(rc_obs::LOOP_QUARANTINE_BLOCKED),
-            degraded_ticks: registry.counter(rc_obs::LOOP_DEGRADED_TICKS),
-            leading_trips: registry.counter(rc_obs::LOOP_LEADING_TRIPS),
-            publish_races: registry.counter(rc_obs::LOOP_PUBLISH_RACES),
-            chaos_injected: registry.counter(rc_obs::LOOP_CHAOS_INJECTED),
-        }
-    }
-}
-
 /// The controller. Construct with [`LoopController::new`], then either
 /// [`run`](LoopController::run) the whole soak or step it one
 /// [`run_tick`](LoopController::run_tick) at a time (the acceptance
@@ -417,7 +428,6 @@ pub struct LoopController {
     tracker: AccuracyTracker,
     /// Input-distribution monitor; baseline installed at promotion.
     leading: LeadingDriftMonitor,
-    counters: LoopCounters,
     /// Answers every live prediction; reloaded on each promotion and
     /// rollback, and empty (no prediction) before the first.
     serving: RcClient,
@@ -456,7 +466,6 @@ impl LoopController {
         let registry = Registry::new();
         let tracker = AccuracyTracker::with_registry(registry.clone(), config.drift.clone());
         let leading = LeadingDriftMonitor::with_registry(registry.clone(), config.leading.clone());
-        let counters = LoopCounters::new(&registry);
         let store = Arc::new(ChaosStore::new(store));
         let serving = loop_client(&store);
         LoopController {
@@ -465,7 +474,6 @@ impl LoopController {
             registry,
             tracker,
             leading,
-            counters,
             serving,
             reload_pending: None,
             frozen: None,
@@ -527,22 +535,22 @@ impl LoopController {
     /// lands back here: nothing a tick does can prevent the next one.
     pub fn run_tick(&mut self) {
         let tick = self.tick;
-        self.counters.ticks.increment();
-        let mut degraded = false;
+        self.registry.counter(rc_obs::LOOP_TICKS).increment();
+        let first_event = self.journal.len();
 
         // 0. Arm scheduled store-level chaos for the tick (healed at
         // tick end — nothing here can outlive the tick), then retry a
         // serving reload a flip left incomplete.
         if let Some(shard) = self.config.chaos.brownout_shard(tick) {
             self.store.arm_brownout(shard);
-            self.journal_chaos(tick, format!("brownout:shard{shard}"));
+            self.record(tick, LoopEvent::ChaosInjected { kind: format!("brownout:shard{shard}") });
         }
         if self.config.chaos.manual_publish(tick) {
             self.store.arm_manifest_race();
-            self.journal_chaos(tick, "manual_publish".to_string());
+            self.record(tick, LoopEvent::ChaosInjected { kind: "manual_publish".to_string() });
         }
         if let Some(expected) = self.reload_pending {
-            self.load_serving(tick, expected, &mut degraded);
+            self.load_serving(tick, expected);
         }
 
         // 1. Ingest the next rolling window, sketch its feature
@@ -577,20 +585,15 @@ impl LoopController {
         let span = tracer.span("loop.react");
         for obs in self.leading.observe(&sketch) {
             if obs.tripped {
-                self.journal.push(TickEvent {
-                    tick,
-                    event: LoopEvent::LeadingDriftDetected { feature: obs.feature, psi: obs.psi },
-                });
+                let event = LoopEvent::LeadingDriftDetected { feature: obs.feature, psi: obs.psi };
+                self.record(tick, event);
             }
         }
 
         // 3b. Consult the label-based drift monitor.
         let drifting = self.drifting_metrics();
         for metric in &drifting {
-            self.journal.push(TickEvent {
-                tick,
-                event: LoopEvent::DriftDetected { metric: metric.clone() },
-            });
+            self.record(tick, LoopEvent::DriftDetected { metric: metric.clone() });
         }
 
         // 4. React: rollback while watching, retrain otherwise. Only
@@ -599,7 +602,7 @@ impl LoopController {
         // freshly promoted model regressed.
         if let Phase::Watching { remaining } = self.phase {
             if !drifting.is_empty() {
-                self.do_rollback(tick, &mut degraded);
+                self.do_rollback(tick);
             } else if remaining <= 1 {
                 self.phase = Phase::Steady;
             } else {
@@ -614,23 +617,30 @@ impl LoopController {
                     eval_vms: &eval_vms,
                     eval_deps: &eval_deps,
                 };
-                self.do_retrain(tick, reason, &ingested, &mut degraded);
+                self.do_retrain(tick, reason, &ingested);
             }
         }
         span.finish();
 
-        // 5. Close the tick: heal chaos, refresh gauges.
+        // 5. Close the tick: heal chaos, count it degraded if it journaled
+        // a degrading event, refresh gauges.
         self.store.heal();
-        if degraded {
-            self.counters.degraded_ticks.increment();
+        if self.journal[first_event..].iter().any(|e| e.event.degrades()) {
+            self.registry.counter(rc_obs::LOOP_DEGRADED_TICKS).increment();
         }
         self.registry.gauge(rc_obs::LOOP_SERVING_VERSION).set(self.serving_version() as f64);
         self.tick += 1;
     }
 
-    /// Final accounting. Callable at any point; [`run`](Self::run) calls
-    /// it after the last tick.
+    /// Final accounting, folded from the journal and the scorecards.
+    /// Callable at any point; [`run`](Self::run) calls it after the last
+    /// tick.
     pub fn summary(&self) -> LoopSummary {
+        let count = |is: fn(&LoopEvent) -> bool| {
+            self.journal.iter().filter(|e| is(&e.event)).count() as u64
+        };
+        let degraded: HashSet<u32> =
+            self.journal.iter().filter(|e| e.event.degrades()).map(|e| e.tick).collect();
         let per_metric = PredictionMetric::ALL
             .iter()
             .map(|&m| MetricAccuracy {
@@ -648,18 +658,18 @@ impl LoopController {
         LoopSummary {
             seed: self.config.seed,
             ticks: self.tick,
-            windows_ingested: self.counters.windows.get(),
-            retrains: self.counters.retrains.get(),
-            retrain_failures: self.counters.retrain_failures.get(),
-            shadow_evals: self.counters.shadow_evals.get(),
-            shadow_rejections: self.counters.shadow_rejections.get(),
-            promotions: self.counters.promotions.get(),
-            rollbacks: self.counters.rollbacks.get(),
-            quarantine_blocked: self.counters.quarantine_blocked.get(),
-            degraded_ticks: self.counters.degraded_ticks.get(),
-            leading_trips: self.counters.leading_trips.get(),
-            publish_races: self.counters.publish_races.get(),
-            chaos_injected: self.counters.chaos_injected.get(),
+            windows_ingested: count(|e| matches!(e, LoopEvent::WindowIngested { .. })),
+            retrains: count(|e| matches!(e, LoopEvent::RetrainScheduled { .. })),
+            retrain_failures: count(|e| matches!(e, LoopEvent::RetrainFailed { .. })),
+            shadow_evals: count(|e| matches!(e, LoopEvent::ShadowEvaluated { .. })),
+            shadow_rejections: count(|e| matches!(e, LoopEvent::ShadowRejected { .. })),
+            promotions: count(|e| matches!(e, LoopEvent::Promoted { .. })),
+            rollbacks: count(|e| matches!(e, LoopEvent::RolledBack { .. })),
+            quarantine_blocked: count(|e| matches!(e, LoopEvent::QuarantineBlocked { .. })),
+            degraded_ticks: degraded.len() as u64,
+            leading_trips: count(|e| matches!(e, LoopEvent::LeadingDriftDetected { .. })),
+            publish_races: count(|e| matches!(e, LoopEvent::PublishRaceDetected { .. })),
+            chaos_injected: count(|e| matches!(e, LoopEvent::ChaosInjected { .. })),
             final_version: self.serving_version(),
             live_accuracy: merged(&self.live).accuracy(),
             frozen_accuracy: merged(&self.frozen_scores).accuracy(),
@@ -706,25 +716,20 @@ impl LoopController {
             for (i, util) in trace.util.iter_mut().enumerate() {
                 model.degrade_util(i as u64, severity, util);
             }
-            self.journal_chaos(tick, format!("degrade_telemetry:{severity:.2}"));
+            let kind = format!("degrade_telemetry:{severity:.2}");
+            self.record(tick, LoopEvent::ChaosInjected { kind });
         }
         if self.config.chaos.skews_clock(tick) {
             let model = self.config.chaos.telemetry_degrade;
             for (i, vm) in trace.vms.iter_mut().enumerate() {
                 model.skew_clock(i as u64, 1.0, vm);
             }
-            self.journal_chaos(tick, "clock_skew".to_string());
+            self.record(tick, LoopEvent::ChaosInjected { kind: "clock_skew".to_string() });
         }
         let (cleaned, report) = cleanup(&trace);
         let cleaned = cleaned.into_owned();
-        self.counters.windows.increment();
-        self.journal.push(TickEvent {
-            tick,
-            event: LoopEvent::WindowIngested {
-                vms: cleaned.vms.len() as u64,
-                quarantined: report.quarantined() + quarantined_stream,
-            },
-        });
+        let quarantined = report.quarantined() + quarantined_stream;
+        self.record(tick, LoopEvent::WindowIngested { vms: cleaned.vms.len() as u64, quarantined });
         cleaned
     }
 
@@ -764,7 +769,7 @@ impl LoopController {
     }
 
     fn retrain_reason(&self, tick: u32, drifting: &[String]) -> Option<RetrainReason> {
-        if self.counters.promotions.get() == 0 {
+        if self.promoted_baselines.is_empty() {
             return Some(RetrainReason::Bootstrap);
         }
         if !drifting.is_empty() {
@@ -788,10 +793,13 @@ impl LoopController {
         None
     }
 
-    /// Journals a chaos injection and bumps its counter.
-    fn journal_chaos(&mut self, tick: u32, kind: String) {
-        self.counters.chaos_injected.increment();
-        self.journal.push(TickEvent { tick, event: LoopEvent::ChaosInjected { kind } });
+    /// Journals `event` and moves its `rc_loop_*` counter: the one
+    /// write path, so the counters can never disagree with the journal.
+    fn record(&mut self, tick: u32, event: LoopEvent) {
+        if let Some(name) = event.counter() {
+            self.registry.counter(name).increment();
+        }
+        self.journal.push(TickEvent { tick, event });
     }
 }
 
@@ -808,17 +816,10 @@ struct IngestedWindow<'a> {
 impl LoopController {
     /// Train → shadow-evaluate → (maybe) promote. Every early return is
     /// a contained failure: the store's manifest has not moved.
-    fn do_retrain(
-        &mut self,
-        tick: u32,
-        reason: RetrainReason,
-        ingested: &IngestedWindow<'_>,
-        degraded: &mut bool,
-    ) {
+    fn do_retrain(&mut self, tick: u32, reason: RetrainReason, ingested: &IngestedWindow<'_>) {
         let IngestedWindow { window, sketch, eval_vms, eval_deps } = *ingested;
-        self.counters.retrains.increment();
         self.last_retrain_tick = Some(tick);
-        self.journal.push(TickEvent { tick, event: LoopEvent::RetrainScheduled { reason } });
+        self.record(tick, LoopEvent::RetrainScheduled { reason });
 
         // Train — on a sabotaged copy of the window when chaos says so.
         let train_trace;
@@ -833,25 +834,17 @@ impl LoopController {
         let output = match run_pipeline(train_on, &pipeline_config) {
             Ok(output) => output,
             Err(e) => {
-                self.counters.retrain_failures.increment();
-                self.journal.push(TickEvent {
-                    tick,
-                    event: LoopEvent::RetrainFailed { error: format!("{e:?}") },
-                });
-                *degraded = true;
+                self.record(tick, LoopEvent::RetrainFailed { error: format!("{e:?}") });
                 return;
             }
         };
         for (metric, _) in &output.quarantined_metrics {
-            self.journal.push(TickEvent {
-                tick,
-                event: LoopEvent::MetricQuarantined { metric: metric.model_name().to_string() },
-            });
+            let metric = metric.model_name().to_string();
+            self.record(tick, LoopEvent::MetricQuarantined { metric });
         }
 
         // Shadow-evaluate the candidate against the serving client on the
         // replay slice. No store write, no tracker write: invisible.
-        self.counters.shadow_evals.increment();
         let comparison = shadow_compare(
             &self.serving,
             Predictor::new(&output.models, &output.feature_data),
@@ -866,17 +859,11 @@ impl LoopController {
                 .gauge(&acc_gauge_name(rc_obs::LOOP_SHADOW_PREDICTION_PSI, &row.metric))
                 .set(row.prediction_psi);
         }
-        self.journal.push(TickEvent {
-            tick,
-            event: LoopEvent::ShadowEvaluated {
-                serving_mean: comparison.serving_mean,
-                candidate_mean: comparison.candidate_mean,
-            },
-        });
+        let ShadowComparison { serving_mean, candidate_mean, .. } = comparison;
+        self.record(tick, LoopEvent::ShadowEvaluated { serving_mean, candidate_mean });
         if self.serving_version() > 0 {
             if let Some(reason) = comparison.rejection(&self.config) {
-                self.counters.shadow_rejections.increment();
-                self.journal.push(TickEvent { tick, event: LoopEvent::ShadowRejected { reason } });
+                self.record(tick, LoopEvent::ShadowRejected { reason });
                 return;
             }
         }
@@ -888,8 +875,7 @@ impl LoopController {
             output.models.iter().map(|m| (m.spec.store_key(), checksum(&rc_ml::to_bytes(m)))),
         );
         if self.quarantine.contains_digest(digest) {
-            self.counters.quarantine_blocked.increment();
-            self.journal.push(TickEvent { tick, event: LoopEvent::QuarantineBlocked { digest } });
+            self.record(tick, LoopEvent::QuarantineBlocked { digest });
             return;
         }
 
@@ -900,9 +886,8 @@ impl LoopController {
         }
         match output.publish_gated(self.store(), self.config.gate) {
             Ok(version) => {
-                self.counters.promotions.increment();
-                self.journal.push(TickEvent { tick, event: LoopEvent::Promoted { version } });
-                self.load_serving(tick, version, degraded);
+                self.record(tick, LoopEvent::Promoted { version });
+                self.load_serving(tick, version);
                 // The promoted models trained on this window, so its
                 // sketch becomes the leading monitor's new reference
                 // frame — persisted next to the version so a rollback
@@ -929,7 +914,7 @@ impl LoopController {
                     if reload(&frozen, version) {
                         self.frozen = Some(frozen);
                     } else {
-                        *degraded = true;
+                        self.record(tick, LoopEvent::FrozenLoadIncomplete { expected: version });
                     }
                 }
                 self.phase = Phase::Watching { remaining: self.config.watch_ticks };
@@ -940,58 +925,38 @@ impl LoopController {
                 // overwriting) is the whole contract: the racer's
                 // version keeps serving, and the next tick's drift
                 // evidence decides whether to retrain again.
-                self.counters.publish_races.increment();
-                self.journal.push(TickEvent {
-                    tick,
-                    event: LoopEvent::PublishRaceDetected {
-                        expected: race.expected,
-                        actual: race.actual,
-                    },
-                });
-                *degraded = true;
+                let (expected, actual) = (race.expected, race.actual);
+                self.record(tick, LoopEvent::PublishRaceDetected { expected, actual });
             }
-            Err(e) => {
-                self.journal.push(TickEvent {
-                    tick,
-                    event: LoopEvent::PublishFailed { error: format!("{e:?}") },
-                });
-                *degraded = true;
-            }
+            Err(e) => self.record(tick, LoopEvent::PublishFailed { error: format!("{e:?}") }),
         }
     }
 
     /// Post-flip regression: quarantine the content digest the manifest
     /// pointer names (the version just promoted), then roll the pointer
     /// back to `last_good`.
-    fn do_rollback(&mut self, tick: u32, degraded: &mut bool) {
+    fn do_rollback(&mut self, tick: u32) {
         self.phase = Phase::Steady;
         let manifest = match Manifest::read_current(self.store()) {
             Ok(Some(m)) => m,
-            _ => {
-                *degraded = true;
-                return;
-            }
+            Ok(None) => return self.rollback_failed(tick, RollbackError::NoManifest),
+            Err(e) => return self.rollback_failed(tick, RollbackError::Store(e)),
         };
         if !manifest.can_rollback() {
-            // Satellite: nothing to roll back *to*. Degrade the tick,
-            // keep serving, never wedge.
-            self.journal.push(TickEvent { tick, event: LoopEvent::RollbackUnavailable });
-            *degraded = true;
+            // Nothing to roll back *to*. Degrade the tick, keep serving,
+            // never wedge.
+            self.record(tick, LoopEvent::RollbackUnavailable);
             return;
         }
         let digest = manifest_models_digest(&manifest);
         self.quarantine.insert(manifest.version, digest);
-        if self.quarantine.save(self.store()).is_err() {
-            *degraded = true;
+        if let Err(e) = self.quarantine.save(self.store()) {
+            self.record(tick, LoopEvent::QuarantineSaveFailed { error: format!("{e:?}") });
         }
         match rollback(self.store()) {
             Ok(to_version) => {
-                self.counters.rollbacks.increment();
-                self.journal.push(TickEvent {
-                    tick,
-                    event: LoopEvent::RolledBack { to_version, quarantined_digest: digest },
-                });
-                self.load_serving(tick, to_version, degraded);
+                self.record(tick, LoopEvent::RolledBack { to_version, quarantined_digest: digest });
+                self.load_serving(tick, to_version);
                 // Same reasoning as promotion: the bad model's outcomes
                 // must not be held against the restored one. Fresh
                 // monitor, restored version's own expectations.
@@ -1008,28 +973,26 @@ impl LoopController {
                     .and_then(|rec| WindowSketch::from_bytes(&rec.data));
                 self.leading.set_baseline(restored);
             }
-            Err(e) => {
-                self.journal.push(TickEvent {
-                    tick,
-                    event: LoopEvent::PublishFailed { error: format!("rollback: {e:?}") },
-                });
-                *degraded = true;
-            }
+            Err(e) => self.rollback_failed(tick, e),
         }
+    }
+
+    /// A rollback that could not run journals as a failed publish: the
+    /// manifest did not move.
+    fn rollback_failed(&mut self, tick: u32, e: RollbackError) {
+        self.record(tick, LoopEvent::PublishFailed { error: format!("rollback: {e:?}") });
     }
 
     /// Reloads the serving client onto version `expected`: after a flip,
     /// and on every later tick until a reload completes. An incomplete
-    /// one is journaled and degrades the tick.
-    fn load_serving(&mut self, tick: u32, expected: u64, degraded: &mut bool) {
+    /// one is journaled, which degrades the tick.
+    fn load_serving(&mut self, tick: u32, expected: u64) {
         if reload(&self.serving, expected) {
             self.reload_pending = None;
         } else {
-            let event =
-                LoopEvent::ServeReloadIncomplete { expected, serving: self.serving_version() };
-            self.journal.push(TickEvent { tick, event });
+            let serving = self.serving_version();
+            self.record(tick, LoopEvent::ServeReloadIncomplete { expected, serving });
             self.reload_pending = Some(expected);
-            *degraded = true;
         }
     }
 }

@@ -21,7 +21,6 @@
 
 pub mod arrival;
 pub mod calibration;
-pub mod dataset;
 pub mod degrade;
 pub mod dirty;
 pub mod generator;
@@ -32,7 +31,6 @@ pub mod trace;
 pub mod utilization;
 
 pub use arrival::{ArrivalIter, ArrivalProcess};
-pub use dataset::{read_vm_table, vm_table, write_cpu_readings, write_vm_table, VmTableRow};
 pub use degrade::{ramp_severity, TelemetryDegrade};
 pub use dirty::{trace_fingerprint, DirtyPlan, DirtyReport};
 pub use generator::TraceConfig;

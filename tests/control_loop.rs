@@ -25,7 +25,12 @@
 //! (h) a rollback whose target payload is corrupt, or browned out, keeps
 //!     the loop serving and evaluating: the incomplete reload is
 //!     journaled, degrades the tick and is retried on the next one, and
-//!     no bootstrap retrain is ever scheduled.
+//!     no bootstrap retrain is ever scheduled; a rollback whose quarantine
+//!     set cannot be saved, or whose manifest cannot be read, journals why
+//!     its tick degraded.
+//!
+//! (f) and (h) also check after every tick that each summary count,
+//! folded from the journal, equals its `rc_loop_*` counter.
 //!
 //! Tests that script the *label* pathway pin `leading_observe_only` so
 //! the leading monitor (which otherwise reacts first, by design) records
@@ -79,6 +84,33 @@ fn assert_confusion_gauges_match_outcomes(controller: &LoopController, tick: u32
             snapshot.gauges.iter().filter(|g| g.name.starts_with(&prefix)).map(|g| g.value).sum();
         let outcomes = controller.tracker().outcomes(name);
         assert_eq!(cells, outcomes as f64, "tick {tick}: {name} confusion gauges");
+    }
+}
+
+/// Every `LoopSummary` count equals its `rc_loop_*` counter after
+/// `ticks_run` ticks: the summary folds the journal, and journaling an
+/// event is what moves a counter. Every tick ingests exactly one window.
+fn assert_fold_matches_counters(controller: &LoopController, ticks_run: u32) {
+    let summary = controller.summary();
+    assert_eq!((summary.ticks, summary.windows_ingested), (ticks_run, ticks_run as u64));
+    let snapshot = controller.registry().snapshot();
+    let folded = [
+        (rc_obs::LOOP_TICKS, summary.ticks as u64),
+        (rc_obs::LOOP_WINDOWS_INGESTED, summary.windows_ingested),
+        (rc_obs::LOOP_RETRAINS, summary.retrains),
+        (rc_obs::LOOP_RETRAIN_FAILURES, summary.retrain_failures),
+        (rc_obs::LOOP_SHADOW_EVALS, summary.shadow_evals),
+        (rc_obs::LOOP_SHADOW_REJECTIONS, summary.shadow_rejections),
+        (rc_obs::LOOP_PROMOTIONS, summary.promotions),
+        (rc_obs::LOOP_ROLLBACKS, summary.rollbacks),
+        (rc_obs::LOOP_QUARANTINE_BLOCKED, summary.quarantine_blocked),
+        (rc_obs::LOOP_DEGRADED_TICKS, summary.degraded_ticks),
+        (rc_obs::LOOP_LEADING_TRIPS, summary.leading_trips),
+        (rc_obs::LOOP_PUBLISH_RACES, summary.publish_races),
+        (rc_obs::LOOP_CHAOS_INJECTED, summary.chaos_injected),
+    ];
+    for (name, count) in folded {
+        assert_eq!(snapshot.counter(name).unwrap_or(0), count, "after {ticks_run} ticks: {name}");
     }
 }
 
@@ -367,8 +399,9 @@ fn widened_chaos_plan_journals_every_fault_and_never_wedges() {
 
     let run = || {
         let mut controller = LoopController::new(config());
-        for _ in 0..8 {
+        for tick in 1..=8 {
             controller.run_tick();
+            assert_fold_matches_counters(&controller, tick);
         }
         let journal: Vec<TickEvent> = controller.journal().to_vec();
         let summary = controller.summary();
@@ -497,8 +530,9 @@ fn before_rollback() -> (LoopController, u32, u64) {
         found.expect("test (c)'s scenario rolls back")
     };
     let mut controller = LoopController::new(config());
-    for _ in 0..rollback_tick {
+    for tick in 1..=rollback_tick {
         controller.run_tick();
+        assert_fold_matches_counters(&controller, tick);
     }
     let manifest = Manifest::read_current(controller.store()).unwrap().expect("published");
     assert!(manifest.version > to_version, "the regressing version is serving");
@@ -573,6 +607,7 @@ fn browned_out_rollback_target_is_reloaded_once_the_shard_is_back() {
 
     controller.store().arm_brownout(shard);
     controller.run_tick();
+    assert_fold_matches_counters(&controller, rollback_tick + 1);
     let journal = events(controller.journal());
     assert!(
         journal.iter().any(|(t, e)| *t == rollback_tick
@@ -587,7 +622,9 @@ fn browned_out_rollback_target_is_reloaded_once_the_shard_is_back() {
     // retry can reload the client.
     controller.store().arm_brownout(shard);
     controller.run_tick();
+    assert_fold_matches_counters(&controller, rollback_tick + 2);
     controller.run_tick();
+    assert_fold_matches_counters(&controller, rollback_tick + 3);
     let journal = events(controller.journal());
     assert!(
         !journal.iter().any(|(t, e)| *t > rollback_tick
@@ -600,4 +637,48 @@ fn browned_out_rollback_target_is_reloaded_once_the_shard_is_back() {
         "retried under the brownout, completed once it healed"
     );
     assert_eq!(controller.serving_version(), to_version);
+}
+
+/// (h) A brownout of the quarantine set's shard on the rollback tick: the
+/// rollback itself goes through and the digest is quarantined for the
+/// run, but the set cannot be saved. The tick degrades, and the journal
+/// says why. (The shard also holds some of the restored version's
+/// feature records, so the tick journals an incomplete reload too.)
+#[test]
+fn unsaved_quarantine_set_on_the_rollback_tick_is_journaled_and_degrades() {
+    let (mut controller, rollback_tick, to_version) = before_rollback();
+    let degraded = controller.summary().degraded_ticks;
+
+    controller.store().arm_brownout(brownout_shard_of(QUARANTINE_KEY));
+    controller.run_tick();
+    assert_fold_matches_counters(&controller, rollback_tick + 1);
+    let journal = events(controller.journal());
+    let on_tick =
+        |pred: fn(&LoopEvent) -> bool| journal.iter().any(|(t, e)| *t == rollback_tick && pred(e));
+    assert!(on_tick(|e| matches!(e, LoopEvent::RolledBack { .. })), "{journal:?}");
+    assert!(on_tick(|e| matches!(e, LoopEvent::QuarantineSaveFailed { .. })), "{journal:?}");
+    assert_eq!(controller.quarantined_digests().len(), 1, "quarantined in memory");
+    assert_eq!(controller.summary().degraded_ticks, degraded + 1, "the rollback tick degrades");
+    assert_eq!(controller.serving_version(), to_version);
+}
+
+/// (h) The manifest pointer is corrupted before the rollback tick, so
+/// the rollback cannot read what to quarantine and aborts. The tick
+/// degrades, and the journal says why.
+#[test]
+fn unreadable_manifest_on_the_rollback_tick_is_journaled_and_degrades() {
+    let (mut controller, rollback_tick, _) = before_rollback();
+    let degraded = controller.summary().degraded_ticks;
+    controller.store().inner().put(MANIFEST_KEY, b"not a manifest".to_vec().into()).unwrap();
+
+    controller.run_tick();
+    assert_fold_matches_counters(&controller, rollback_tick + 1);
+    let journal = events(controller.journal());
+    assert!(
+        journal.iter().any(|(t, e)| *t == rollback_tick
+            && matches!(e, LoopEvent::PublishFailed { error } if error.starts_with("rollback:"))),
+        "{journal:?}"
+    );
+    assert_eq!(controller.summary().degraded_ticks, degraded + 1, "the rollback tick degrades");
+    assert!(controller.quarantined_digests().is_empty(), "nothing was read to quarantine");
 }
