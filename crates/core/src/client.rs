@@ -30,7 +30,7 @@ use std::time::{Duration as StdDuration, Instant, SystemTime};
 use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
-use rc_obs::{Counter, Gauge, Histogram, WindowedCounter, WindowedHistogram};
+use rc_obs::{Counter, Gauge, Histogram};
 use rc_store::{checksum, Manifest, ModelEntry, Store, StoreBackend, MANIFEST_KEY};
 use rc_types::vm::SubscriptionId;
 
@@ -121,6 +121,31 @@ impl Default for ClientConfig {
     }
 }
 
+/// One event this client counts for itself: its own cell and the
+/// process-wide registry total move together. The `*_count()` accessors
+/// read the client's own cell, so two clients in one process each report
+/// only their own events.
+struct Tally {
+    own: Counter,
+    total: Counter,
+}
+
+impl Tally {
+    fn new(total: Counter) -> Self {
+        Tally { own: Counter::new(), total }
+    }
+
+    #[inline]
+    fn increment(&self) {
+        self.own.increment();
+        self.total.increment();
+    }
+
+    fn get(&self) -> u64 {
+        self.own.get()
+    }
+}
+
 /// Registry handles for the predict path, resolved once at client
 /// construction so every per-request update is a plain atomic op (no
 /// registry lock on the hot path).
@@ -135,25 +160,26 @@ struct ClientMetrics {
     model_cache_misses: Counter,
     feature_cache_hits: Counter,
     feature_cache_misses: Counter,
-    store_fallbacks: Counter,
+    store_fallbacks: Tally,
     disk_recoveries: Counter,
-    no_predictions: Counter,
-    model_execs: Counter,
-    background_refreshes: Counter,
+    model_execs: Tally,
+    background_refreshes: Tally,
     batch_predicts: Counter,
     workers_started: Counter,
     workers_stopped: Counter,
-    lookups: Counter,
-    fresh_fetches: Counter,
-    stale_serves: Counter,
-    defaults: Counter,
-    retries: Counter,
-    corrupt_payloads: Counter,
-    model_rejected: Counter,
+    lookups: Tally,
+    fresh_fetches: Tally,
+    stale_serves: Tally,
+    /// Lookups answered with no prediction.
+    defaults: Tally,
+    retries: Tally,
+    corrupt_payloads: Tally,
+    model_rejected: Tally,
+    /// Manifest-named payloads the store did not return; the registry
+    /// has no name for it.
+    unfetched_payloads: Counter,
     predictions: Counter,
     inflight: Gauge,
-    lookups_windowed: WindowedCounter,
-    predict_latency_windowed: WindowedHistogram,
     serve_publishes: Counter,
     serve_generation: Gauge,
     serve_retired: Gauge,
@@ -165,6 +191,7 @@ struct ClientMetrics {
 impl ClientMetrics {
     fn new() -> Self {
         let reg = rc_obs::global();
+        let tally = |name: &str| Tally::new(reg.counter(name));
         ClientMetrics {
             hit_latency: reg.histogram(rc_obs::CLIENT_PREDICT_HIT_LATENCY_NS),
             miss_latency: reg.histogram(rc_obs::CLIENT_PREDICT_MISS_LATENCY_NS),
@@ -176,26 +203,23 @@ impl ClientMetrics {
             model_cache_misses: reg.counter(rc_obs::CLIENT_MODEL_CACHE_MISSES),
             feature_cache_hits: reg.counter(rc_obs::CLIENT_FEATURE_CACHE_HITS),
             feature_cache_misses: reg.counter(rc_obs::CLIENT_FEATURE_CACHE_MISSES),
-            store_fallbacks: reg.counter(rc_obs::CLIENT_STORE_FALLBACKS),
+            store_fallbacks: tally(rc_obs::CLIENT_STORE_FALLBACKS),
             disk_recoveries: reg.counter(rc_obs::CLIENT_DISK_CACHE_RECOVERIES),
-            no_predictions: reg.counter(rc_obs::CLIENT_NO_PREDICTIONS),
-            model_execs: reg.counter(rc_obs::CLIENT_MODEL_EXECS),
-            background_refreshes: reg.counter(rc_obs::CLIENT_BACKGROUND_REFRESHES),
+            model_execs: tally(rc_obs::CLIENT_MODEL_EXECS),
+            background_refreshes: tally(rc_obs::CLIENT_BACKGROUND_REFRESHES),
             batch_predicts: reg.counter(rc_obs::CLIENT_BATCH_PREDICTS),
             workers_started: reg.counter(rc_obs::CLIENT_WORKERS_STARTED),
             workers_stopped: reg.counter(rc_obs::CLIENT_WORKERS_STOPPED),
-            lookups: reg.counter(rc_obs::CLIENT_LOOKUPS),
-            fresh_fetches: reg.counter(rc_obs::CLIENT_FRESH_FETCHES),
-            stale_serves: reg.counter(rc_obs::CLIENT_STALE_SERVES),
-            defaults: reg.counter(rc_obs::CLIENT_DEFAULTS),
-            retries: reg.counter(rc_obs::CLIENT_RETRIES),
-            corrupt_payloads: reg.counter(rc_obs::CLIENT_CORRUPT_PAYLOADS),
-            model_rejected: reg.counter(rc_obs::CLIENT_MODEL_REJECTED),
+            lookups: tally(rc_obs::CLIENT_LOOKUPS),
+            fresh_fetches: tally(rc_obs::CLIENT_FRESH_FETCHES),
+            stale_serves: tally(rc_obs::CLIENT_STALE_SERVES),
+            defaults: tally(rc_obs::CLIENT_DEFAULTS),
+            retries: tally(rc_obs::CLIENT_RETRIES),
+            corrupt_payloads: tally(rc_obs::CLIENT_CORRUPT_PAYLOADS),
+            model_rejected: tally(rc_obs::CLIENT_MODEL_REJECTED),
+            unfetched_payloads: Counter::new(),
             predictions: reg.counter(rc_obs::CLIENT_PREDICTIONS),
             inflight: reg.gauge(rc_obs::CLIENT_INFLIGHT),
-            lookups_windowed: reg.windowed_counter(rc_obs::CLIENT_LOOKUPS_WINDOWED),
-            predict_latency_windowed: reg
-                .windowed_histogram(rc_obs::CLIENT_PREDICT_LATENCY_WINDOWED_NS),
             serve_publishes: reg.counter(rc_obs::CLIENT_SERVE_SNAPSHOT_PUBLISHES),
             serve_generation: reg.gauge(rc_obs::CLIENT_SERVE_SNAPSHOT_GENERATION),
             serve_retired: reg.gauge(rc_obs::CLIENT_SERVE_SNAPSHOT_RETIRED),
@@ -310,17 +334,6 @@ struct Shared {
     /// FNV fingerprint over (key, version) pairs at the last load; the
     /// push watcher reloads when the store's fingerprint changes.
     store_fingerprint: AtomicU64,
-    model_rejected: AtomicU64,
-    refreshes: AtomicU64,
-    model_execs: AtomicU64,
-    no_predictions: AtomicU64,
-    store_fallbacks: AtomicU64,
-    lookups: AtomicU64,
-    fresh_fetches: AtomicU64,
-    stale_serves: AtomicU64,
-    retries: AtomicU64,
-    corrupt_payloads: AtomicU64,
-    unfetched_payloads: AtomicU64,
     /// First observed degradation since the last all-clear.
     degraded: Mutex<Option<(SystemTime, DegradedReason)>>,
     breakers: CircuitBreakers,
@@ -398,17 +411,6 @@ impl RcClient {
             initialized: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             store_fingerprint: AtomicU64::new(0),
-            model_rejected: AtomicU64::new(0),
-            refreshes: AtomicU64::new(0),
-            model_execs: AtomicU64::new(0),
-            no_predictions: AtomicU64::new(0),
-            store_fallbacks: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            fresh_fetches: AtomicU64::new(0),
-            stale_serves: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            corrupt_payloads: AtomicU64::new(0),
-            unfetched_payloads: AtomicU64::new(0),
             degraded: Mutex::new(None),
             breakers,
             jitter,
@@ -605,7 +607,6 @@ fn validate_model_payload(
 
 /// Records one rejected model payload (poisoned-model containment).
 fn note_rejected(shared: &Shared, model_name: &str) {
-    shared.model_rejected.fetch_add(1, Ordering::Relaxed);
     shared.metrics.model_rejected.increment();
     let mut span = rc_obs::global_tracer().span("client.model_rejected");
     span.record("model", model_name);
@@ -614,13 +615,12 @@ fn note_rejected(shared: &Shared, model_name: &str) {
 
 /// Records one corrupt/undecodable payload (store pull or disk entry).
 fn note_corrupt(shared: &Shared) {
-    shared.corrupt_payloads.fetch_add(1, Ordering::Relaxed);
     shared.metrics.corrupt_payloads.increment();
 }
 
 /// Records one manifest-named payload the store did not return.
 fn note_unfetched(shared: &Shared) {
-    shared.unfetched_payloads.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.unfetched_payloads.increment();
 }
 
 /// Marks the client degraded (first cause wins until the next all-clear).
@@ -755,9 +755,7 @@ impl RcClient {
         let start = Instant::now();
         let metrics = &self.shared.metrics;
         let _inflight = InflightGuard::enter(&metrics.inflight);
-        self.shared.lookups.fetch_add(1, Ordering::Relaxed);
         metrics.lookups.increment();
-        metrics.lookups_windowed.increment();
         if !self.shared.initialized.load(Ordering::SeqCst) {
             let generation = self.shared.serve.with(|s| s.generation);
             return (self.no_prediction(), Served::Default, generation);
@@ -767,7 +765,6 @@ impl RcClient {
             metrics.result_hits.increment();
             metrics.predictions.increment();
             metrics.hit_latency.record_duration(start.elapsed());
-            metrics.predict_latency_windowed.record_duration(start.elapsed());
             let generation = self.shared.serve.with(|s| s.generation);
             return (PredictionResponse::Predicted(hit), Served::Hit, generation);
         }
@@ -795,7 +792,6 @@ impl RcClient {
             }
         };
         metrics.miss_latency.record_duration(start.elapsed());
-        metrics.predict_latency_windowed.record_duration(start.elapsed());
         (response, served, generation)
     }
 
@@ -804,12 +800,10 @@ impl RcClient {
     /// the prediction, so no extra lock (or pin) is taken here.
     fn count_serve_stale(&self, stale: bool) -> Served {
         if stale {
-            self.shared.stale_serves.fetch_add(1, Ordering::Relaxed);
             self.shared.metrics.stale_serves.increment();
             note_degraded(&self.shared, DegradedReason::StaleData);
             Served::Stale
         } else {
-            self.shared.fresh_fetches.fetch_add(1, Ordering::Relaxed);
             self.shared.metrics.fresh_fetches.increment();
             Served::Fresh
         }
@@ -925,8 +919,6 @@ impl RcClient {
     }
 
     fn no_prediction(&self) -> PredictionResponse {
-        self.shared.no_predictions.fetch_add(1, Ordering::Relaxed);
-        self.shared.metrics.no_predictions.increment();
         self.shared.metrics.defaults.increment();
         PredictionResponse::NoPrediction
     }
@@ -953,7 +945,7 @@ impl RcClient {
 
     /// Model executions so far (each one is a result-cache fill).
     pub fn model_exec_count(&self) -> u64 {
-        self.shared.model_execs.load(Ordering::Relaxed)
+        self.shared.metrics.model_execs.get()
     }
 
     /// Drops only the result cache, keeping models and feature data.
@@ -966,47 +958,47 @@ impl RcClient {
 
     /// No-prediction replies so far.
     pub fn no_prediction_count(&self) -> u64 {
-        self.shared.no_predictions.load(Ordering::Relaxed)
+        self.shared.metrics.defaults.get()
     }
 
     /// Pull-mode model fetches that fell back to the disk cache because
     /// the store pull failed. Successful store pulls do not count.
     pub fn store_fallback_count(&self) -> u64 {
-        self.shared.store_fallbacks.load(Ordering::Relaxed)
+        self.shared.metrics.store_fallbacks.get()
     }
 
     /// Lookups so far — every `predict_single` call and every element of
     /// a `predict_many` batch.
     pub fn lookup_count(&self) -> u64 {
-        self.shared.lookups.load(Ordering::Relaxed)
+        self.shared.metrics.lookups.get()
     }
 
     /// Lookups resolved by executing a model against fresh data.
     pub fn fresh_fetch_count(&self) -> u64 {
-        self.shared.fresh_fetches.load(Ordering::Relaxed)
+        self.shared.metrics.fresh_fetches.get()
     }
 
     /// Lookups resolved against stale (grace-window) disk data.
     pub fn stale_serve_count(&self) -> u64 {
-        self.shared.stale_serves.load(Ordering::Relaxed)
+        self.shared.metrics.stale_serves.get()
     }
 
     /// Store-pull retries performed beyond first attempts.
     pub fn retry_count(&self) -> u64 {
-        self.shared.retries.load(Ordering::Relaxed)
+        self.shared.metrics.retries.get()
     }
 
     /// Corrupt or undecodable payloads skipped (store pulls and disk
     /// entries).
     pub fn corrupt_payload_count(&self) -> u64 {
-        self.shared.corrupt_payloads.load(Ordering::Relaxed)
+        self.shared.metrics.corrupt_payloads.get()
     }
 
     /// Fetched model payloads rejected by the pre-swap sanity check
     /// (checksum mismatch, wrong model in the slot, non-finite outputs).
     /// Each rejection left the previously resident model serving.
     pub fn model_rejected_count(&self) -> u64 {
-        self.shared.model_rejected.load(Ordering::Relaxed)
+        self.shared.metrics.model_rejected.get()
     }
 
     /// Payloads a manifest load named but the store did not return. A
@@ -1014,7 +1006,7 @@ impl RcClient {
     /// feature record left its subscription without data until the next
     /// load.
     pub fn unfetched_payload_count(&self) -> u64 {
-        self.shared.unfetched_payloads.load(Ordering::Relaxed)
+        self.shared.metrics.unfetched_payloads.get()
     }
 
     /// The manifest version the resident caches were loaded through;
@@ -1037,7 +1029,7 @@ impl RcClient {
 
     /// Background cache refreshes performed by the push watcher.
     pub fn background_refresh_count(&self) -> u64 {
-        self.shared.refreshes.load(Ordering::Relaxed)
+        self.shared.metrics.background_refreshes.get()
     }
 
     /// Blocks until the pull worker has completed every admitted refresh
@@ -1111,7 +1103,6 @@ fn push_watcher(shared: Arc<Shared>, interval: StdDuration) {
             && load_from_store_shared(&shared)
         {
             shared.results.clear();
-            shared.refreshes.fetch_add(1, Ordering::Relaxed);
             shared.metrics.background_refreshes.increment();
         }
     }
@@ -1152,7 +1143,6 @@ fn execute(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<E
         Some((model, sub, snap.generation, stale))
     });
     let (model, sub, generation, stale) = resolved?;
-    shared.model_execs.fetch_add(1, Ordering::Relaxed);
     metrics.model_execs.increment();
     Some(Executed { prediction: model.predict_for(inputs, &sub), generation, stale })
 }
@@ -1268,7 +1258,6 @@ fn resilient_get<T>(
         if start.elapsed() + backoff >= policy.call_deadline {
             break;
         }
-        shared.retries.fetch_add(1, Ordering::Relaxed);
         shared.metrics.retries.increment();
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
@@ -1345,7 +1334,6 @@ fn resilient_fetch_model(shared: &Shared, model_name: &str) -> Option<Arc<Traine
             // `store_fallbacks`; a successful store pull is the normal
             // pull-mode path, not a fallback.
             shared.metrics.store_fallbacks.increment();
-            shared.store_fallbacks.fetch_add(1, Ordering::Relaxed);
             let (bytes, stale) = disk_fallback(shared, "model", &logical)?;
             install_disk_model(shared, model_name, &bytes, stale)
         }
@@ -1418,11 +1406,13 @@ fn resilient_fetch_features(shared: &Shared, sub: SubscriptionId) -> bool {
         FetchOutcome::NotFound => false,
         FetchOutcome::Failed => {
             shared.metrics.store_fallbacks.increment();
-            shared.store_fallbacks.fetch_add(1, Ordering::Relaxed);
             let Some((bytes, stale)) = disk_fallback(shared, "features", &logical) else {
                 return false;
             };
-            let Some(features) = decode(&bytes) else {
+            // Like a disk model, a disk record is checked by its own
+            // frame, not against the current manifest: it may be an
+            // older version's copy, which is still a good fallback.
+            let Ok(features) = serde_json::from_slice::<SubscriptionFeatures>(&bytes) else {
                 note_corrupt(shared);
                 return false;
             };

@@ -576,7 +576,6 @@ impl LoopController {
         let span = tracer.span("loop.evaluate");
         self.evaluate_live(tick, &eval_vms, &eval_deps);
         self.tracker.tick();
-        self.registry.tick();
         span.finish();
 
         // 3a. Consult the leading (input-distribution) monitor — this

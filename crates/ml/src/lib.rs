@@ -68,7 +68,7 @@ pub trait Classifier {
 
     /// Most likely class and its probability (the "confidence score" the
     /// Resource Central client exposes to callers); the lowest index wins
-    /// a tie. Allocation-free up to [`STACK_CLASSES`] classes.
+    /// a tie. Allocation-free up to `STACK_CLASSES` (16) classes.
     fn predict(&self, features: &[f64]) -> (usize, f64) {
         let k = self.n_classes();
         let mut stack = [0.0; STACK_CLASSES];

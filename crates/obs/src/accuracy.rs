@@ -6,9 +6,9 @@
 //! The tracker pairs them by caller-supplied id and maintains, per
 //! metric:
 //!
-//! - cumulative and **rolling** accuracy (the rolling side rides on
-//!   [`WindowedCounter`]s ticked by the same logical clock as the rest
-//!   of the windowed instruments — no wall clock anywhere);
+//! - cumulative and **rolling** accuracy (the rolling side is a ring of
+//!   per-epoch counts advanced by [`AccuracyTracker::tick`] — no wall
+//!   clock anywhere);
 //! - an observed × predicted [`Scorecard`], the cumulative side's
 //!   counts;
 //! - a [`DriftSignal`] comparing rolling accuracy against the
@@ -29,7 +29,6 @@ use crate::names::{
     ACC_BASELINE, ACC_CONFUSION, ACC_CUMULATIVE, ACC_DRIFT, ACC_DRIFT_TRANSITIONS, ACC_ROLLING,
 };
 use crate::scorecard::Scorecard;
-use crate::window::WindowedCounter;
 
 /// Unresolved predictions retained per metric before new ones are shed.
 const MAX_PENDING: usize = 1 << 16;
@@ -121,7 +120,7 @@ pub struct DriftConfig {
 impl Default for DriftConfig {
     fn default() -> Self {
         DriftConfig {
-            window: crate::window::DEFAULT_WINDOW,
+            window: 8,
             tolerance: 0.10,
             clear_margin: 0.05,
             trip_ticks: 2,
@@ -151,8 +150,10 @@ struct MetricState {
     predictions: u64,
     unmatched: u64,
     dropped_pending: u64,
-    win_correct: WindowedCounter,
-    win_outcomes: WindowedCounter,
+    /// `(correct, outcomes)` per epoch, one slot per epoch of the
+    /// rolling window; `epoch % len` is the current one.
+    ring: Box<[(u64, u64)]>,
+    epoch: usize,
     drift: Hysteresis,
     /// Signal flips in either direction since this state was created.
     transitions: u64,
@@ -171,8 +172,8 @@ impl MetricState {
             predictions: 0,
             unmatched: 0,
             dropped_pending: 0,
-            win_correct: WindowedCounter::new(config.window),
-            win_outcomes: WindowedCounter::new(config.window),
+            ring: vec![(0, 0); config.window.max(1)].into_boxed_slice(),
+            epoch: 0,
             drift: Hysteresis::default(),
             transitions: 0,
             g_rolling: registry.gauge(&acc_gauge_name(ACC_ROLLING, metric)),
@@ -182,12 +183,20 @@ impl MetricState {
         }
     }
 
+    /// `(correct, outcomes)` summed over the rolling window.
+    fn window_sums(&self) -> (u64, u64) {
+        self.ring.iter().fold((0, 0), |(c, o), &(ec, eo)| (c + ec, o + eo))
+    }
+
     fn rolling(&self) -> Option<f64> {
-        let outcomes = self.win_outcomes.window_sum();
-        if outcomes == 0 {
-            return None;
-        }
-        Some(self.win_correct.window_sum() as f64 / outcomes as f64)
+        let (correct, outcomes) = self.window_sums();
+        (outcomes > 0).then(|| correct as f64 / outcomes as f64)
+    }
+
+    /// Starts the next epoch in the slot the oldest one held.
+    fn advance(&mut self) {
+        self.epoch += 1;
+        self.ring[self.epoch % self.ring.len()] = (0, 0);
     }
 
     fn cumulative(&self) -> Option<f64> {
@@ -279,10 +288,9 @@ impl AccuracyTracker {
             };
             let observed = observed_bucket.min(MAX_BUCKETS - 1);
             state.card.record(observed, predicted, true);
-            state.win_outcomes.increment();
-            if predicted == observed {
-                state.win_correct.increment();
-            }
+            let slot = state.epoch % state.ring.len();
+            state.ring[slot].0 += u64::from(predicted == observed);
+            state.ring[slot].1 += 1;
             state.g_cumulative.set(state.card.accuracy());
             registry
                 .gauge(&acc_confusion_name(metric, predicted, observed))
@@ -319,9 +327,8 @@ impl AccuracyTracker {
     pub fn tick(&self) {
         let mut metrics = self.metrics.lock().expect("accuracy lock");
         for state in metrics.values_mut() {
-            state.win_correct.tick();
-            state.win_outcomes.tick();
-            let window_outcomes = state.win_outcomes.window_sum();
+            state.advance();
+            let (_, window_outcomes) = state.window_sums();
             if let Some(rolling) = state.rolling() {
                 state.g_rolling.set(rolling);
                 // A metric never seeded from a manifest still gets a
@@ -611,6 +618,51 @@ mod tests {
         assert_eq!(per_metric, 3);
         let after = reg.snapshot().counter(ACC_DRIFT_TRANSITIONS).unwrap_or(0);
         assert_eq!(after - before, per_metric, "registry delta must reconcile");
+    }
+
+    /// Rolling accuracy is a recount over the current epoch and the
+    /// `window - 1` before it: after every record and every tick the
+    /// tracker agrees with a plain per-epoch `Vec` tally, across several
+    /// full ring rotations, including empty epochs and `window = 1`.
+    #[test]
+    fn rolling_accuracy_matches_a_per_epoch_recount() {
+        for window in [1, DriftConfig::default().window] {
+            let t = AccuracyTracker::new(DriftConfig { window, ..DriftConfig::default() });
+            // (correct, outcomes) per epoch; the last entry is current.
+            let mut epochs: Vec<(u64, u64)> = vec![(0, 0)];
+            let recount = |epochs: &[(u64, u64)]| {
+                let live = &epochs[epochs.len().saturating_sub(window)..];
+                let (correct, outcomes) =
+                    live.iter().fold((0, 0), |(c, o), &(ec, eo)| (c + ec, o + eo));
+                (outcomes > 0).then(|| correct as f64 / outcomes as f64)
+            };
+            let mut id = 0u64;
+            for epoch in 0..(3 * window as u64 + 5) {
+                // Scripted: some epochs are empty, some all-miss, some mixed.
+                let hits = (epoch * 7) % 5;
+                let misses = if epoch % 6 == 4 { 0 } else { (epoch * 3) % 4 };
+                for i in 0..hits + misses {
+                    t.record_prediction("m", id, 1);
+                    t.record_outcome("m", id, if i < hits { 1 } else { 2 });
+                    id += 1;
+                }
+                let current = epochs.last_mut().expect("current epoch");
+                current.0 += hits;
+                current.1 += hits + misses;
+                assert_eq!(
+                    t.rolling_accuracy("m"),
+                    recount(&epochs),
+                    "window {window}, epoch {epoch}"
+                );
+                t.tick();
+                epochs.push((0, 0));
+                assert_eq!(
+                    t.rolling_accuracy("m"),
+                    recount(&epochs),
+                    "window {window}, after tick {epoch}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,6 @@
 //!   lines; spans nest via [`Tracer::child_span`]. Spans are for the
 //!   coarse-grained paths (pipeline stages, publishes), not
 //!   per-prediction work.
-//! - **Windowed instruments** ([`WindowedCounter`],
-//!   [`WindowedHistogram`]): epoch-bucket rings advanced by an explicit
-//!   logical-clock `tick()` — rolling rates and p50/p95/p99 alongside
-//!   the cumulative views, with no wall clock involved.
 //! - **Scoring** ([`Scorecard`]): the one confusion matrix with
 //!   Table 4's accuracy, per-bucket precision/recall and `P^θ`/`R^θ`;
 //!   offline validation, live tracking and the control loop all count
@@ -42,7 +38,6 @@ pub mod report;
 mod scorecard;
 mod snapshot;
 mod tracing;
-mod window;
 
 pub use accuracy::{
     acc_confusion_name, acc_gauge_name, AccuracyTracker, DriftConfig, DriftSignal, DEFAULT_BASELINE,
@@ -58,10 +53,8 @@ pub use report::BenchReport;
 pub use scorecard::Scorecard;
 pub use snapshot::{
     BucketCount, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot,
-    WindowedCounterSnapshot, WindowedHistogramSnapshot,
 };
 pub use tracing::{Span, SpanRecord, TraceEvent, Tracer};
-pub use window::{WindowedCounter, WindowedHistogram, DEFAULT_WINDOW};
 
 use std::sync::OnceLock;
 

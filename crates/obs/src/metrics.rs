@@ -15,7 +15,6 @@ use crossbeam::utils::CachePadded;
 use crate::snapshot::{
     BucketCount, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot,
 };
-use crate::window::{WindowedCounter, WindowedHistogram};
 
 /// A monotonically increasing count.
 ///
@@ -114,11 +113,11 @@ impl Gauge {
 const SUB_BITS: u32 = 5;
 const SUB: u64 = 1 << SUB_BITS; // 32
 const MAX_EXP: u32 = 42;
-pub(crate) const N_BUCKETS: usize = ((MAX_EXP - SUB_BITS) as usize) * SUB as usize + SUB as usize;
+const N_BUCKETS: usize = ((MAX_EXP - SUB_BITS) as usize) * SUB as usize + SUB as usize;
 
 /// Maps a recorded value to its bucket index.
 #[inline]
-pub(crate) fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < SUB {
         v as usize
     } else {
@@ -250,8 +249,6 @@ struct RegistryInner {
     counters: RwLock<BTreeMap<String, Counter>>,
     gauges: RwLock<BTreeMap<String, Gauge>>,
     histograms: RwLock<BTreeMap<String, Histogram>>,
-    windowed_counters: RwLock<BTreeMap<String, WindowedCounter>>,
-    windowed_histograms: RwLock<BTreeMap<String, WindowedHistogram>>,
 }
 
 impl Registry {
@@ -304,48 +301,6 @@ impl Registry {
             .clone()
     }
 
-    /// The windowed counter named `name`, registering it on first use
-    /// with the default window length.
-    pub fn windowed_counter(&self, name: &str) -> WindowedCounter {
-        if let Some(c) = self.inner.windowed_counters.read().expect("registry lock").get(name) {
-            return c.clone();
-        }
-        self.inner
-            .windowed_counters
-            .write()
-            .expect("registry lock")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// The windowed histogram named `name`, registering it on first use
-    /// with the default window length.
-    pub fn windowed_histogram(&self, name: &str) -> WindowedHistogram {
-        if let Some(h) = self.inner.windowed_histograms.read().expect("registry lock").get(name) {
-            return h.clone();
-        }
-        self.inner
-            .windowed_histograms
-            .write()
-            .expect("registry lock")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// Advances the logical clock of every windowed instrument by one
-    /// epoch. What an epoch *is* (a simulated day, a bench phase, …) is
-    /// the caller's contract — the registry only rotates the rings.
-    pub fn tick(&self) {
-        for c in self.inner.windowed_counters.read().expect("registry lock").values() {
-            c.tick();
-        }
-        for h in self.inner.windowed_histograms.read().expect("registry lock").values() {
-            h.tick();
-        }
-    }
-
     /// Captures every instrument's current state.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = self
@@ -372,23 +327,7 @@ impl Registry {
             .iter()
             .map(|(name, h)| h.snapshot(name))
             .collect();
-        let windowed_counters = self
-            .inner
-            .windowed_counters
-            .read()
-            .expect("registry lock")
-            .iter()
-            .map(|(name, c)| c.snapshot(name))
-            .collect();
-        let windowed_histograms = self
-            .inner
-            .windowed_histograms
-            .read()
-            .expect("registry lock")
-            .iter()
-            .map(|(name, h)| h.snapshot(name))
-            .collect();
-        MetricsSnapshot { counters, gauges, histograms, windowed_counters, windowed_histograms }
+        MetricsSnapshot { counters, gauges, histograms }
     }
 }
 
@@ -511,25 +450,6 @@ mod tests {
             }
         });
         assert_eq!(g.get(), (THREADS * PER_THREAD * 2) as f64);
-    }
-
-    #[test]
-    fn registry_ticks_windowed_instruments_together() {
-        let reg = Registry::new();
-        let c = reg.windowed_counter("w_ops");
-        let h = reg.windowed_histogram("w_lat");
-        c.add(5);
-        h.record(100);
-        assert_eq!(reg.windowed_counter("w_ops").total(), 5, "handles are shared");
-        reg.tick();
-        assert_eq!(c.epoch(), 1);
-        assert_eq!(h.epoch(), 1);
-        let snap = reg.snapshot();
-        let wc = snap.windowed_counter("w_ops").expect("windowed counter in snapshot");
-        assert_eq!(wc.total, 5);
-        assert_eq!(wc.window_sum + wc.expired, wc.total);
-        let wh = snap.windowed_histogram("w_lat").expect("windowed histogram in snapshot");
-        assert_eq!(wh.cumulative.count, 1);
     }
 
     #[test]

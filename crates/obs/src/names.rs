@@ -32,14 +32,14 @@ pub const CLIENT_FEATURE_CACHE_HITS: &str = "rc_client_feature_cache_hits";
 /// Feature-cache misses: no feature record for the subscription
 /// (counter).
 pub const CLIENT_FEATURE_CACHE_MISSES: &str = "rc_client_feature_cache_misses";
-/// Pull-mode model fetches whose store pull failed and fell back to the
-/// local disk cache (counter). Successful store pulls do not count.
+/// On-demand model and feature-record pulls whose store pull failed and
+/// fell back to the local disk cache (counter). Successful store pulls
+/// do not count.
 pub const CLIENT_STORE_FALLBACKS: &str = "rc_client_store_fallbacks";
-/// Models recovered from the on-disk cache while the store was
-/// unavailable (counter).
+/// Recoveries from the on-disk cache while the store was unavailable:
+/// each on-demand model or feature record served from disk, and each
+/// `initialize` that loaded the whole cache from disk (counter).
 pub const CLIENT_DISK_CACHE_RECOVERIES: &str = "rc_client_disk_cache_recoveries";
-/// Predict calls answered with "no prediction" (counter).
-pub const CLIENT_NO_PREDICTIONS: &str = "rc_client_no_predictions";
 /// Model executions — result-cache misses that ran a model (counter).
 pub const CLIENT_MODEL_EXECS: &str = "rc_client_model_execs";
 /// Background model refreshes applied by pull/push workers (counter).
@@ -56,16 +56,10 @@ pub const CLIENT_WORKERS_STARTED: &str = "rc_client_workers_started";
 pub const CLIENT_WORKERS_STOPPED: &str = "rc_client_workers_stopped";
 /// Lookups answered with a concrete predicted bucket — every
 /// `Predicted` response, cached or freshly executed (counter).
-/// Reconciles: `predictions == lookups - no_predictions`.
+/// Reconciles: `predictions == lookups - defaults`.
 pub const CLIENT_PREDICTIONS: &str = "rc_client_predictions";
 /// Predict calls currently executing, across all threads (gauge).
 pub const CLIENT_INFLIGHT: &str = "rc_client_inflight";
-/// Predict lookups over the rolling window (windowed counter; epochs
-/// are whatever drives `Registry::tick`).
-pub const CLIENT_LOOKUPS_WINDOWED: &str = "rc_client_lookups_windowed";
-/// Predict-path latency over the rolling window, hits and misses
-/// together (windowed histogram, ns).
-pub const CLIENT_PREDICT_LATENCY_WINDOWED_NS: &str = "rc_client_predict_latency_windowed_ns";
 
 // --- rc-core client (lock-free serve path) ---
 
@@ -228,12 +222,6 @@ pub const SCHED_UTIL_CAP_REJECTIONS: &str = "rc_sched_util_cap_rejections";
 pub const SCHED_OVERLOADED_READINGS: &str = "rc_sched_overloaded_readings";
 /// All utilization readings sampled by the simulator (counter).
 pub const SCHED_READINGS: &str = "rc_sched_readings";
-/// Placements over the rolling window (windowed counter; the simulator
-/// ticks it once per `obs_tick_secs` of simulated time).
-pub const SCHED_PLACEMENTS_WINDOWED: &str = "rc_sched_placements_windowed";
-/// Overloaded (≥100%) readings over the rolling window (windowed
-/// counter).
-pub const SCHED_OVERLOADED_WINDOWED: &str = "rc_sched_overloaded_readings_windowed";
 
 // --- rc-loop lifecycle controller ---
 

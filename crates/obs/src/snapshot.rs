@@ -106,42 +106,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// A windowed counter's cumulative and rolling state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowedCounterSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Cumulative count since creation.
-    pub total: u64,
-    /// Sum over the live window.
-    pub window_sum: u64,
-    /// Count retired out of the window by ticks
-    /// (`window_sum + expired == total` at quiescence).
-    pub expired: u64,
-    /// Logical-clock epoch at capture time.
-    pub epoch: u64,
-    /// Ring length in epochs.
-    pub window_len: u64,
-    /// `window_sum` averaged over the epochs covered so far.
-    pub rate_per_tick: f64,
-}
-
-/// A windowed histogram's cumulative and rolling distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowedHistogramSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Logical-clock epoch at capture time.
-    pub epoch: u64,
-    /// Ring length in epochs.
-    pub window_len: u64,
-    /// Distribution since creation.
-    pub cumulative: HistogramSnapshot,
-    /// The live window's epochs merged (rolling p50/p95/p99 come from
-    /// here).
-    pub rolling: HistogramSnapshot,
-}
-
 /// Everything a registry held at capture time.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -151,10 +115,6 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<GaugeSnapshot>,
     /// All histograms, ascending by name.
     pub histograms: Vec<HistogramSnapshot>,
-    /// All windowed counters, ascending by name.
-    pub windowed_counters: Vec<WindowedCounterSnapshot>,
-    /// All windowed histograms, ascending by name.
-    pub windowed_histograms: Vec<WindowedHistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -173,25 +133,13 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// Looks up a windowed counter by name.
-    pub fn windowed_counter(&self, name: &str) -> Option<&WindowedCounterSnapshot> {
-        self.windowed_counters.iter().find(|c| c.name == name)
-    }
-
-    /// Looks up a windowed histogram by name.
-    pub fn windowed_histogram(&self, name: &str) -> Option<&WindowedHistogramSnapshot> {
-        self.windowed_histograms.iter().find(|h| h.name == name)
-    }
-
     /// Serializes the snapshot as JSON.
     pub fn to_json(&self) -> Vec<u8> {
         serde_json::to_vec(self).expect("snapshot contains no non-finite floats")
     }
 
-    /// Renders Prometheus text exposition: counters, gauges, cumulative
-    /// histogram series with `le` labels, and the windowed instruments
-    /// (totals plus `_window_sum`/`_window_rate` gauges and rolling
-    /// quantile gauges).
+    /// Renders Prometheus text exposition: counters, gauges, and
+    /// cumulative histogram series with `le` labels.
     pub fn to_prometheus_text(&self) -> String {
         use std::fmt::Write;
 
@@ -199,24 +147,6 @@ impl MetricsSnapshot {
         // the TYPE line must name the bare metric, once per family.
         fn base(name: &str) -> &str {
             name.split('{').next().unwrap_or(name)
-        }
-        fn write_histogram(out: &mut String, h: &HistogramSnapshot, name: &str) {
-            writeln!(out, "# TYPE {name} histogram").expect("write to String");
-            let mut cumulative = 0u64;
-            for b in &h.buckets {
-                cumulative += b.count;
-                writeln!(
-                    out,
-                    "{}_bucket{{le=\"{}\"}} {}",
-                    name,
-                    bucket_upper_bound(b.index as usize),
-                    cumulative
-                )
-                .expect("write to String");
-            }
-            writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count).expect("write to String");
-            writeln!(out, "{name}_sum {}", h.sum).expect("write to String");
-            writeln!(out, "{name}_count {}", h.count).expect("write to String");
         }
 
         let mut out = String::new();
@@ -234,23 +164,18 @@ impl MetricsSnapshot {
             writeln!(out, "{} {}", g.name, g.value).expect("write to String");
         }
         for h in &self.histograms {
-            write_histogram(&mut out, h, &h.name);
-        }
-        for w in &self.windowed_counters {
-            writeln!(out, "# TYPE {}_total counter", w.name).expect("write to String");
-            writeln!(out, "{}_total {}", w.name, w.total).expect("write to String");
-            writeln!(out, "# TYPE {}_window_sum gauge", w.name).expect("write to String");
-            writeln!(out, "{}_window_sum {}", w.name, w.window_sum).expect("write to String");
-            writeln!(out, "# TYPE {}_window_rate gauge", w.name).expect("write to String");
-            writeln!(out, "{}_window_rate {}", w.name, w.rate_per_tick).expect("write to String");
-        }
-        for w in &self.windowed_histograms {
-            write_histogram(&mut out, &w.cumulative, &w.name);
-            for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                writeln!(out, "# TYPE {}_rolling_{label} gauge", w.name).expect("write to String");
-                writeln!(out, "{}_rolling_{label} {}", w.name, w.rolling.quantile(q))
+            let name = &h.name;
+            writeln!(out, "# TYPE {name} histogram").expect("write to String");
+            let mut cumulative = 0u64;
+            for b in &h.buckets {
+                cumulative += b.count;
+                let le = bucket_upper_bound(b.index as usize);
+                writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}")
                     .expect("write to String");
             }
+            writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count).expect("write to String");
+            writeln!(out, "{name}_sum {}", h.sum).expect("write to String");
+            writeln!(out, "{name}_count {}", h.count).expect("write to String");
         }
         out
     }
@@ -308,21 +233,14 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_covers_windowed_instruments_and_labeled_gauges() {
+    fn prometheus_text_types_each_labeled_gauge_family_once() {
         let reg = Registry::new();
         reg.gauge("rc_acc_rolling{metric=\"a\"}").set(0.75);
         reg.gauge("rc_acc_rolling{metric=\"b\"}").set(0.5);
-        reg.windowed_counter("rc_test_w").add(9);
-        let wh = reg.windowed_histogram("rc_test_wlat");
-        wh.record(1_000);
         let text = reg.snapshot().to_prometheus_text();
         // One TYPE line per gauge family, bare name, both series present.
         assert_eq!(text.matches("# TYPE rc_acc_rolling gauge").count(), 1);
         assert!(text.contains("rc_acc_rolling{metric=\"a\"} 0.75"));
         assert!(text.contains("rc_acc_rolling{metric=\"b\"} 0.5"));
-        assert!(text.contains("rc_test_w_total 9"));
-        assert!(text.contains("rc_test_w_window_sum 9"));
-        assert!(text.contains("rc_test_wlat_count 1"));
-        assert!(text.contains("rc_test_wlat_rolling_p95"));
     }
 }

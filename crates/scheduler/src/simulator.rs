@@ -12,7 +12,7 @@
 //! * Requests arrive through an iterator ([`simulate_stream`]), so a
 //!   trace never needs to be materialized — peak memory tracks the peak
 //!   number of *concurrently live* VMs, not total arrivals.
-//! * Live VMs sit in a slot arena ([`LiveVm`] slab + free list); each one
+//! * Live VMs sit in a slot arena (`LiveVm` slab + free list); each one
 //!   carries a backlink to its position in its server's residency list,
 //!   so completion is an O(1) swap-remove rather than a linear
 //!   `position()` scan.
@@ -56,8 +56,8 @@ pub struct SimConfig {
     /// larger strides trade reading counts for speed in tests).
     pub tick_stride: u64,
     /// Simulated seconds between observability epochs: each one ticks
-    /// the accuracy tracker and the global registry's windowed
-    /// instruments on the simulation's logical clock (0 disables).
+    /// the accuracy tracker's rolling window on the simulation's logical
+    /// clock (0 disables).
     pub obs_tick_secs: u64,
     /// Accuracy tracker fed `(predicted, observed)` P95 bucket pairs as
     /// VMs place and resolve; `None` uses the process-global tracker.
@@ -338,9 +338,6 @@ where
     // Accuracy feedback loop: record the predicted P95 bucket at
     // placement, feed back the trace's true bucket when the VM resolves,
     // and advance the observability epoch on the simulated clock.
-    let registry = rc_obs::global();
-    let placements_windowed = registry.windowed_counter(rc_obs::SCHED_PLACEMENTS_WINDOWED);
-    let overloaded_windowed = registry.windowed_counter(rc_obs::SCHED_OVERLOADED_WINDOWED);
     let mut next_obs_tick = if config.obs_tick_secs == 0 {
         u64::MAX
     } else {
@@ -349,7 +346,6 @@ where
     let mut advance_obs = |upto: u64| {
         while next_obs_tick <= upto {
             tracker.tick();
-            registry.tick();
             next_obs_tick += config.obs_tick_secs;
         }
     };
@@ -377,7 +373,6 @@ where
             state.process_completions(next_tick);
             let (above, util_sum) = state.tick(next_tick);
             readings_above_100 += above;
-            overloaded_windowed.add(above);
             total_readings += config.n_servers as u64;
             sum_util_fraction += util_sum / fleet_cores;
             sum_alloc_fraction += state.scheduler.total_alloc_cores() / fleet_cores;
@@ -404,7 +399,6 @@ where
                 if let Some(bucket) = placement.predicted_p95 {
                     tracker.record_prediction(p95_metric, req.vm_id.0, bucket);
                 }
-                placements_windowed.increment();
                 state.admit(req, placement, arrival_seq);
                 peak_alloc = peak_alloc.max(state.scheduler.total_alloc_cores());
                 peak_live = peak_live.max(state.live());
@@ -425,6 +419,7 @@ where
 
     // Bulk-add the run's readings to the global registry; the scheduler
     // already counted placements/failures/relaxations as they happened.
+    let registry = rc_obs::global();
     registry.counter(rc_obs::SCHED_READINGS).add(total_readings);
     registry.counter(rc_obs::SCHED_OVERLOADED_READINGS).add(readings_above_100);
 
@@ -460,7 +455,7 @@ where
 ///
 /// Per-cluster runs force `obs_tick_secs = 0` — observability epochs
 /// ticking concurrently from several workers would race the shared
-/// registry/tracker windows — which keeps the merged report identical
+/// tracker's rolling windows — which keeps the merged report identical
 /// for every worker count, including 1.
 pub fn simulate_partitioned(
     requests: &[VmRequest],

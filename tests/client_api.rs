@@ -29,16 +29,18 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Models RC's next offline run publishing feature data for one more
-/// subscription: writes the payload under the current version prefix and
-/// flips an updated manifest listing it.
-fn append_feature_record(store: &Store, features: &rc_core::SubscriptionFeatures) {
+/// Models RC's next offline run publishing feature data for one
+/// subscription, new or already listed: writes the payload under the
+/// current version prefix and flips an updated manifest whose entry for
+/// it carries the new checksum.
+fn put_feature_record(store: &Store, features: &rc_core::SubscriptionFeatures) {
     use rc_store::{checksum, FeatureEntry, Manifest, MANIFEST_KEY};
     let m = Manifest::read_current(store).expect("store up").expect("published manifest");
     let logical = rc_core::feature_store_key(features.subscription);
     let bytes = serde_json::to_vec(features).unwrap();
     store.put(&m.versioned_key(&logical), bytes.clone().into()).unwrap();
-    let mut feature_entries = m.features.clone();
+    let mut feature_entries: Vec<FeatureEntry> =
+        m.features.iter().filter(|e| e.key != logical).cloned().collect();
     feature_entries.push(FeatureEntry { key: logical, checksum: checksum(&bytes) });
     let updated = Manifest::new(
         m.version,
@@ -232,7 +234,7 @@ fn force_reload_picks_up_new_feature_data() {
     // RC's next offline run publishes feature data for the new
     // subscription; a push refresh makes it predictable.
     let features = rc_core::SubscriptionFeatures::new(fresh_sub);
-    append_feature_record(&store, &features);
+    put_feature_record(&store, &features);
     client.force_reload_cache();
     assert!(client.predict_single("VM_AVGUTIL", &inputs).is_predicted());
 }
@@ -318,6 +320,43 @@ fn disk_cache_survives_store_outage_and_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Regression: the disk rung checked a feature record against the
+/// manifest's checksum of the *current* store payload, so once a flip
+/// rewrote the record, the older disk copy was refused as corrupt and
+/// the lookup answered the default. The disk copy's own frame checksum
+/// is its check, as it is for a disk model.
+#[test]
+fn older_disk_feature_record_serves_through_a_store_outage() {
+    let (trace, store) = world();
+    let dir = temp_dir("disk_features");
+    let config = ClientConfig {
+        mode: CacheMode::PullSync,
+        disk_cache_dir: Some(dir.clone()),
+        ..ClientConfig::default()
+    };
+    let client = RcClient::new(store.clone(), config);
+    assert!(client.initialize());
+    let inputs = vm_inputs(&trace, VmId(5));
+    // The fetch mirrors the subscription's record to disk.
+    assert!(client.predict_single("VM_P95UTIL", &inputs).is_predicted());
+
+    // RC's next run rewrites that record (and its manifest checksum).
+    let m = rc_store::Manifest::read_current(&store).expect("store up").expect("manifest");
+    let logical = rc_core::feature_store_key(inputs.subscription);
+    let rec = store.get_latest(&m.versioned_key(&logical)).expect("record published");
+    let mut features: rc_core::SubscriptionFeatures = serde_json::from_slice(&rec.data).unwrap();
+    features.n_vms += 1;
+    put_feature_record(&store, &features);
+    client.force_reload_cache();
+
+    store.set_available(false);
+    let corrupt = client.corrupt_payload_count();
+    assert!(client.predict_single("VM_P95UTIL", &inputs).is_predicted());
+    assert_eq!(client.corrupt_payload_count(), corrupt, "the older disk copy is not corrupt");
+    assert_eq!(client.store_fallback_count(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn push_watcher_picks_up_new_publications() {
     let (trace, store) = world();
@@ -336,7 +375,7 @@ fn push_watcher_picks_up_new_publications() {
     // RC's next offline run publishes its feature data; the watcher
     // notices the version change and refreshes the caches by itself.
     let features = rc_core::SubscriptionFeatures::new(SubscriptionId(777_777));
-    append_feature_record(&store, &features);
+    put_feature_record(&store, &features);
     let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
     loop {
         if client.predict_single("VM_AVGUTIL", &inputs).is_predicted() {

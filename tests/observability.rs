@@ -113,14 +113,63 @@ fn mid_run_model_swap_trips_rolling_drift_but_not_cumulative() {
     assert!(text.contains("rc_acc_rolling{metric=\"VM_P95UTIL\"}"));
     assert!(text.contains("rc_acc_confusion{metric=\"VM_P95UTIL\""));
 
-    // The simulator's windowed instruments landed in the global registry
-    // and show up in both snapshot and exposition formats.
+    // The simulator's placements landed in the global registry and show
+    // up in both snapshot and exposition formats.
     let global = rc_obs::global().snapshot();
-    let placements = global
-        .windowed_counter(rc_obs::SCHED_PLACEMENTS_WINDOWED)
-        .expect("windowed placements registered");
-    assert!(placements.total >= 1440);
-    assert!(global.to_prometheus_text().contains("rc_sched_placements_windowed_total"));
+    let placements =
+        global.counter(rc_obs::SCHED_PLACEMENTS).expect("placements counter registered");
+    assert!(placements >= 1440);
+    assert!(global.to_prometheus_text().contains("# TYPE rc_sched_placements counter"));
+}
+
+/// Expands one catalog spelling into the metric names it stands for: a
+/// `prefix_{a,b}` group yields `prefix_a` and `prefix_b`, and a trailing
+/// `{metric}` or `{metric,p,o}` is a label set, not part of the name.
+fn catalog_names(spelling: &str) -> Vec<String> {
+    let Some(open) = spelling.find('{') else {
+        return vec![spelling.to_string()];
+    };
+    let close = open + spelling[open..].find('}').expect("closed brace");
+    let (head, group, tail) =
+        (&spelling[..open], &spelling[open + 1..close], &spelling[close + 1..]);
+    if !head.ends_with('_') {
+        assert!(tail.is_empty(), "a label set ends the name: {spelling}");
+        return vec![head.to_string()];
+    }
+    group.split(',').flat_map(|alt| catalog_names(&format!("{head}{alt}{tail}"))).collect()
+}
+
+/// README.md's metric catalog and `rc_obs::names` list the same metrics:
+/// every `pub const` has a catalog row, and every name a row spells is a
+/// constant.
+#[test]
+fn readme_metric_catalog_matches_the_name_constants() {
+    let constants: std::collections::BTreeSet<String> = include_str!("../crates/obs/src/names.rs")
+        .lines()
+        .filter(|line| line.starts_with("pub const "))
+        .map(|line| line.split('"').nth(1).expect("a string constant").to_string())
+        .collect();
+    let readme = include_str!("../README.md");
+    let table = readme
+        .split_once("Metric catalog (all names in `rc_obs::names`):")
+        .expect("catalog heading")
+        .1
+        .trim_start()
+        .lines()
+        .take_while(|line| line.starts_with('|'))
+        .skip(2);
+    let mut cataloged = std::collections::BTreeSet::new();
+    for row in table {
+        let first_cell = row.split('|').nth(1).expect("a name cell");
+        let spellings: Vec<&str> = first_cell.split('`').skip(1).step_by(2).collect();
+        assert!(!spellings.is_empty(), "row names no metric: {row}");
+        for name in spellings.iter().flat_map(|s| catalog_names(s)) {
+            assert!(constants.contains(&name), "catalog row names no constant: {name}");
+            cataloged.insert(name);
+        }
+    }
+    let missing: Vec<&String> = constants.difference(&cataloged).collect();
+    assert!(missing.is_empty(), "constants missing from the README catalog: {missing:?}");
 }
 
 /// Satellite: the accuracy tracker's scorecard (its cells and its
