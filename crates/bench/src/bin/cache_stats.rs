@@ -12,7 +12,7 @@ use rc_obs::BenchReport;
 use rc_scheduler::{
     simulate, suggest_server_count, OracleSource, PolicyKind, SchedulerConfig, SimConfig, VmRequest,
 };
-use rc_store::{LatencyModel, Store};
+use rc_store::{LatencyModel, Store, StoreBackend};
 use rc_types::time::Timestamp;
 use rc_types::PredictionMetric;
 use serde::Value;

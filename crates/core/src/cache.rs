@@ -8,6 +8,7 @@ use std::time::{Duration as StdDuration, SystemTime};
 
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
+use rc_types::fnv1a;
 
 use crate::prediction::Prediction;
 
@@ -453,13 +454,14 @@ pub enum DiskLoadResult {
 /// Frame magic for disk-cache entries ("RC cache v1").
 const DISK_MAGIC: [u8; 4] = *b"RCC1";
 
-/// FNV-1a over a payload — the disk frame's integrity checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h = (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Whether `fname` is a name [`DiskCache`] writes: a record
+/// (`<kind>_<escaped name>.bin`) or a temp file (`.tmp_*`).
+fn is_cache_file(fname: &str) -> bool {
+    fname.starts_with(".tmp_")
+        || fname
+            .strip_suffix(".bin")
+            .and_then(|stem| stem.split_once('_'))
+            .is_some_and(|(kind, _)| !kind.is_empty())
 }
 
 /// The local disk cache. RC "stores the content of the model and feature
@@ -580,10 +582,14 @@ impl DiskCache {
         names
     }
 
-    /// Removes every record.
+    /// Removes every record and leftover temp file, and nothing else: a
+    /// directory the cache shares keeps the files it did not write.
     pub fn flush(&self) {
-        if let Ok(dir) = std::fs::read_dir(&self.dir) {
-            for entry in dir.filter_map(|e| e.ok()) {
+        let Ok(dir) = std::fs::read_dir(&self.dir) else {
+            return;
+        };
+        for entry in dir.filter_map(|e| e.ok()) {
+            if entry.file_name().to_str().is_some_and(is_cache_file) {
                 let _ = std::fs::remove_file(entry.path());
             }
         }

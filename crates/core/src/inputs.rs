@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use rc_types::time::Timestamp;
 use rc_types::vm::{OsType, Party, ProdTag, SubscriptionId, VmRole, VmType};
+use rc_types::Fnv1a;
 
 /// The client-input record for one prediction request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -48,43 +49,31 @@ impl ClientInputs {
     /// FNV-1a over a canonical byte encoding: stable across processes and
     /// platforms, unlike `std::hash`.
     pub fn cache_key(&self, model_name: &str) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |byte: u8| {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        };
-        for b in model_name.as_bytes() {
-            eat(*b);
-        }
-        for b in self.subscription.0.to_le_bytes() {
-            eat(b);
-        }
-        eat(match self.party {
+        let mut h = Fnv1a::new();
+        h.write(model_name.as_bytes());
+        h.write(&self.subscription.0.to_le_bytes());
+        h.write_u8(match self.party {
             Party::First => 0,
             Party::Third => 1,
         });
-        eat(self.role.index() as u8);
-        eat(match self.prod {
+        h.write_u8(self.role.index() as u8);
+        h.write_u8(match self.prod {
             ProdTag::Production => 0,
             ProdTag::NonProduction => 1,
         });
-        eat(match self.os {
+        h.write_u8(match self.os {
             OsType::Windows => 0,
             OsType::Linux => 1,
         });
-        eat(self.sku_index as u8);
+        h.write_u8(self.sku_index as u8);
         // §4.2: result caching "works well when the client does not
         // provide any rapidly changing inputs" — so the key buckets the
         // timestamp by day and the deployment-size hint by power of two,
         // rather than hashing their raw values.
-        for b in self.deployment_time.day_index().to_le_bytes() {
-            eat(b);
-        }
-        eat(32 - self.deployment_size_hint.leading_zeros() as u8);
-        eat(self.service.map_or(0xff, |s| s));
-        h
+        h.write(&self.deployment_time.day_index().to_le_bytes());
+        h.write_u8(32 - self.deployment_size_hint.leading_zeros() as u8);
+        h.write_u8(self.service.map_or(0xff, |s| s));
+        h.finish()
     }
 }
 

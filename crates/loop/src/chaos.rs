@@ -1,28 +1,16 @@
-//! Deterministic chaos injection for the control loop.
+//! Deterministic chaos schedules for the control loop.
 //!
-//! Two pieces: a [`ChaosPlan`] describing *when* each fault fires on the
-//! simulated clock, and a [`ChaosStore`] — a [`StoreBackend`] wrapper
-//! with armable faults on its read and write paths:
+//! A [`ChaosPlan`] says *when* each fault fires on the simulated clock.
+//! The controller applies it: dirty or degraded telemetry and sabotaged
+//! candidates go into the ingest and retrain paths, training panics into
+//! the pipeline, and the store faults — a put outage mid-flip, a
+//! brownout of one key shard, a manual publish racing the manifest
+//! flip — are armed on the loop's [`rc_store::FaultyStore`] for one tick
+//! and healed at tick end.
 //!
-//! - a **put outage** failing every write after a budget of successes —
-//!   exactly the window the two-phase publish protocol must survive
-//!   (phase-one payloads may land; the manifest pointer must not move);
-//! - a **correlated brownout** taking out one key *shard* — every key
-//!   hashing to the browned-out shard fails reads and writes together,
-//!   the way a lost partition fails, rather than as independent
-//!   per-operation coin flips;
-//! - a **manual-publish race**: the next manifest flip is preceded by
-//!   an interposed re-publish of the current manifest bytes, modelling
-//!   an operator's `publish --force` landing between the controller's
-//!   read of the pointer and its compare-and-swap.
-//!
-//! Every fault is armed/disarmed explicitly, so a soak is reproducible:
-//! the same plan against the same seed produces the same journal.
+//! Every schedule is data, so a soak is reproducible: the same plan
+//! against the same seed produces the same journal.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use bytes::Bytes;
-use rc_store::{Store, StoreBackend, StoreError, VersionedRecord, MANIFEST_KEY};
 use rc_trace::TelemetryDegrade;
 use rc_types::metrics::PredictionMetric;
 
@@ -49,7 +37,7 @@ pub struct ChaosPlan {
     /// the real workload, and only the shadow comparison can catch it.
     pub degrade_candidate_at: Vec<u32>,
     /// `(tick, shard)`: a correlated store brownout at `tick` — every
-    /// key hashing into `shard` (of [`BROWNOUT_SHARDS`]) fails reads
+    /// key hashing into `shard` (of [`rc_store::BROWNOUT_SHARDS`]) fails reads
     /// *and* writes together until tick-end heal, the way a lost
     /// partition fails rather than as independent per-op faults.
     pub brownout_at: Vec<(u32, u32)>,
@@ -72,22 +60,6 @@ pub struct ChaosPlan {
     /// The degradation model the `degrade_telemetry` and
     /// `clock_skew_at` schedules apply.
     pub telemetry_degrade: TelemetryDegrade,
-}
-
-/// Number of key shards a brownout partitions the store into.
-pub const BROWNOUT_SHARDS: u32 = 8;
-
-/// The brownout shard a key hashes into (FNV-1a, mod
-/// [`BROWNOUT_SHARDS`]) — exposed so plans and tests can pick the shard
-/// that covers a given key.
-pub fn brownout_shard_of(key: &str) -> u32 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in key.bytes() {
-        h = (h ^ b as u64).wrapping_mul(PRIME);
-    }
-    (h % BROWNOUT_SHARDS as u64) as u32
 }
 
 impl ChaosPlan {
@@ -146,256 +118,9 @@ impl ChaosPlan {
     }
 }
 
-const NO_FAULT: u64 = u64::MAX;
-
-/// A [`StoreBackend`] wrapper with an armable write-path fault: after the
-/// configured number of further successful puts, every put fails with
-/// [`StoreError::Unavailable`] until [`ChaosStore::heal`]. Reads always
-/// pass through — the outage models losing write quorum, the failure
-/// mode a mid-publish crash exposes.
-pub struct ChaosStore {
-    inner: Store,
-    /// Remaining successful puts before writes fail; [`NO_FAULT`] means
-    /// the fault is disarmed.
-    puts_until_fail: AtomicU64,
-    /// Browned-out key shard; [`NO_FAULT`] means no brownout.
-    brownout_shard: AtomicU64,
-    /// When set, the next manifest CAS is raced by an interposed
-    /// re-publish of the current manifest bytes.
-    manifest_race_armed: AtomicBool,
-}
-
-impl ChaosStore {
-    /// Wraps a store with every fault disarmed.
-    pub fn new(inner: Store) -> Self {
-        ChaosStore {
-            inner,
-            puts_until_fail: AtomicU64::new(NO_FAULT),
-            brownout_shard: AtomicU64::new(NO_FAULT),
-            manifest_race_armed: AtomicBool::new(false),
-        }
-    }
-
-    /// Arms the write fault: the next `budget` puts succeed, everything
-    /// after fails until [`ChaosStore::heal`].
-    pub fn arm_put_outage(&self, budget: u64) {
-        self.puts_until_fail.store(budget, Ordering::SeqCst);
-    }
-
-    /// Arms a correlated brownout of one key shard: every key with
-    /// `brownout_shard_of(key) == shard` fails reads and writes with
-    /// [`StoreError::Unavailable`] until [`ChaosStore::heal`].
-    pub fn arm_brownout(&self, shard: u32) {
-        self.brownout_shard.store((shard % BROWNOUT_SHARDS) as u64, Ordering::SeqCst);
-    }
-
-    /// Arms the manual-publish race: the next `put_if_version` against
-    /// the manifest pointer is preceded by an interposed plain `put` of
-    /// the *current* manifest bytes (an operator re-publish), so the
-    /// caller's compare-and-swap observes a moved pointer and fails
-    /// with a typed race. One-shot: the arm clears once it fires.
-    pub fn arm_manifest_race(&self) {
-        self.manifest_race_armed.store(true, Ordering::SeqCst);
-    }
-
-    /// Disarms every fault.
-    pub fn heal(&self) {
-        self.puts_until_fail.store(NO_FAULT, Ordering::SeqCst);
-        self.brownout_shard.store(NO_FAULT, Ordering::SeqCst);
-        self.manifest_race_armed.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether the active brownout (if any) covers `key`.
-    pub fn browned_out(&self, key: &str) -> bool {
-        let shard = self.brownout_shard.load(Ordering::SeqCst);
-        shard != NO_FAULT && brownout_shard_of(key) as u64 == shard
-    }
-
-    /// The wrapped store, for direct inspection in tests.
-    pub fn inner(&self) -> &Store {
-        &self.inner
-    }
-}
-
-impl ChaosStore {
-    /// Consumes one unit of the put-outage budget, failing once it is
-    /// exhausted. A disarmed fault always admits.
-    fn admit_put(&self) -> Result<(), StoreError> {
-        let mut remaining = self.puts_until_fail.load(Ordering::SeqCst);
-        loop {
-            if remaining == NO_FAULT {
-                return Ok(());
-            }
-            if remaining == 0 {
-                return Err(StoreError::Unavailable);
-            }
-            match self.puts_until_fail.compare_exchange(
-                remaining,
-                remaining - 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return Ok(()),
-                Err(actual) => remaining = actual,
-            }
-        }
-    }
-}
-
-impl StoreBackend for ChaosStore {
-    fn is_available(&self) -> bool {
-        self.inner.is_available()
-    }
-
-    fn keys(&self) -> Vec<String> {
-        self.inner.keys()
-    }
-
-    fn get_latest(&self, key: &str) -> Result<VersionedRecord, StoreError> {
-        if self.browned_out(key) {
-            return Err(StoreError::Unavailable);
-        }
-        self.inner.get_latest(key)
-    }
-
-    fn get_version(&self, key: &str, version: u64) -> Result<VersionedRecord, StoreError> {
-        if self.browned_out(key) {
-            return Err(StoreError::Unavailable);
-        }
-        self.inner.get_version(key, version)
-    }
-
-    fn latest_version(&self, key: &str) -> Option<u64> {
-        // `Option` has no error channel; a browned-out shard reads as
-        // absent, exactly what a lost partition looks like.
-        if self.browned_out(key) {
-            return None;
-        }
-        self.inner.latest_version(key)
-    }
-
-    fn put(&self, key: &str, data: Bytes) -> Result<u64, StoreError> {
-        if self.browned_out(key) {
-            return Err(StoreError::Unavailable);
-        }
-        self.admit_put()?;
-        self.inner.put(key, data)
-    }
-
-    fn put_if_version(
-        &self,
-        key: &str,
-        data: Bytes,
-        expected_current: u64,
-    ) -> Result<u64, StoreError> {
-        if self.browned_out(key) {
-            return Err(StoreError::Unavailable);
-        }
-        self.admit_put()?;
-        if key == MANIFEST_KEY
-            && self
-                .manifest_race_armed
-                .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            // The manual operator's re-publish lands first: same bytes,
-            // new version — invisible to a last-writer-wins flip, fatal
-            // to a compare-and-swap.
-            if let Ok(current) = self.inner.get_latest(MANIFEST_KEY) {
-                self.inner.put(MANIFEST_KEY, current.data)?;
-            }
-        }
-        self.inner.put_if_version(key, data, expected_current)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outage_fires_after_budget_and_heals() {
-        let store = ChaosStore::new(Store::in_memory());
-        store.arm_put_outage(2);
-        assert!(store.put("a", Bytes::from(vec![1])).is_ok());
-        assert!(store.put("b", Bytes::from(vec![2])).is_ok());
-        assert_eq!(store.put("c", Bytes::from(vec![3])).unwrap_err(), StoreError::Unavailable);
-        assert_eq!(store.put("d", Bytes::from(vec![4])).unwrap_err(), StoreError::Unavailable);
-        // Reads keep working through the outage.
-        assert!(store.get_latest("a").is_ok());
-        store.heal();
-        assert!(store.put("c", Bytes::from(vec![3])).is_ok());
-        assert_eq!(store.keys(), vec!["a".to_string(), "b".to_string(), "c".to_string()]);
-    }
-
-    #[test]
-    fn brownout_fails_reads_and_writes_for_one_shard_only() {
-        let store = ChaosStore::new(Store::in_memory());
-        // Find two keys in different shards.
-        let covered = "models/lifetime";
-        let shard = brownout_shard_of(covered);
-        let other = (0..64)
-            .map(|i| format!("models/other-{i}"))
-            .find(|k| brownout_shard_of(k) != shard)
-            .expect("some key lands in another shard");
-        store.put(covered, Bytes::from(vec![1])).unwrap();
-        store.put(&other, Bytes::from(vec![2])).unwrap();
-
-        store.arm_brownout(shard);
-        assert!(store.browned_out(covered));
-        assert!(!store.browned_out(&other));
-        // Covered shard: reads AND writes fail together.
-        assert_eq!(store.get_latest(covered).unwrap_err(), StoreError::Unavailable);
-        assert_eq!(store.put(covered, Bytes::from(vec![9])).unwrap_err(), StoreError::Unavailable);
-        assert_eq!(store.latest_version(covered), None);
-        assert_eq!(
-            store.put_if_version(covered, Bytes::from(vec![9]), 1).unwrap_err(),
-            StoreError::Unavailable
-        );
-        // Other shards are untouched.
-        assert!(store.get_latest(&other).is_ok());
-        assert!(store.put(&other, Bytes::from(vec![3])).is_ok());
-
-        store.heal();
-        assert_eq!(store.get_latest(covered).unwrap().data.as_ref(), &[1]);
-        assert_eq!(store.latest_version(covered), Some(1));
-    }
-
-    #[test]
-    fn manifest_race_defeats_cas_exactly_once() {
-        let store = ChaosStore::new(Store::in_memory());
-        store.put(MANIFEST_KEY, Bytes::from(vec![1])).unwrap();
-
-        store.arm_manifest_race();
-        // The armed race interposes a re-publish (same bytes, version 2),
-        // so a CAS expecting version 1 loses with a typed race.
-        let err = store.put_if_version(MANIFEST_KEY, Bytes::from(vec![2]), 1).unwrap_err();
-        match err {
-            StoreError::Race(race) => {
-                assert_eq!(race.expected, 1);
-                assert_eq!(race.actual, 2);
-            }
-            other => panic!("expected a race, got {other:?}"),
-        }
-        // One-shot: re-reading the pointer and retrying succeeds.
-        let current = store.latest_version(MANIFEST_KEY).unwrap();
-        assert_eq!(current, 2);
-        assert!(store.put_if_version(MANIFEST_KEY, Bytes::from(vec![2]), current).is_ok());
-        // The interposed copy kept the original bytes.
-        assert_eq!(store.get_version(MANIFEST_KEY, 2).unwrap().data.as_ref(), &[1]);
-    }
-
-    #[test]
-    fn put_if_version_respects_the_outage_budget() {
-        let store = ChaosStore::new(Store::in_memory());
-        store.put("k", Bytes::from(vec![1])).unwrap();
-        store.arm_put_outage(1);
-        assert!(store.put_if_version("k", Bytes::from(vec![2]), 1).is_ok());
-        assert_eq!(
-            store.put_if_version("k", Bytes::from(vec![3]), 2).unwrap_err(),
-            StoreError::Unavailable
-        );
-    }
 
     #[test]
     fn degrade_severity_ramps_across_the_episode() {

@@ -30,15 +30,15 @@ use rc_obs::{
     LeadingDriftMonitor, Registry, Scorecard, WindowSketch,
 };
 use rc_store::{
-    checksum, manifest_models_digest, models_digest, rollback, Manifest, QuarantineSet,
-    RollbackError, Store, StoreBackend,
+    checksum, manifest_models_digest, models_digest, rollback, FaultPlan, FaultyStore, Manifest,
+    QuarantineSet, RollbackError, Store, StoreBackend,
 };
 use rc_trace::{DirtyPlan, DirtyVmStream, Trace, TraceConfig, VmStream};
 use rc_types::metrics::PredictionMetric;
 use rc_types::vm::SubscriptionId;
 use serde::Serialize;
 
-use crate::chaos::{ChaosPlan, ChaosStore};
+use crate::chaos::ChaosPlan;
 
 /// A deterministic workload-distribution shift: every window ingested in
 /// `[from_tick, until_tick)` has its per-VM utilization parameters
@@ -423,7 +423,7 @@ enum Phase {
 /// tests do, to inspect mid-soak state).
 pub struct LoopController {
     config: LoopConfig,
-    store: Arc<ChaosStore>,
+    store: FaultyStore,
     registry: Registry,
     tracker: AccuracyTracker,
     /// Input-distribution monitor; baseline installed at promotion.
@@ -455,18 +455,13 @@ pub struct LoopController {
 }
 
 impl LoopController {
-    /// A controller over a fresh in-memory store.
+    /// A controller over a fresh in-memory store, wrapped in a fault
+    /// layer that injects nothing until the chaos plan arms it.
     pub fn new(config: LoopConfig) -> Self {
-        Self::with_store(config, Store::in_memory())
-    }
-
-    /// A controller over a caller-supplied store (tests pre-seed or
-    /// inspect it).
-    pub fn with_store(config: LoopConfig, store: Store) -> Self {
         let registry = Registry::new();
         let tracker = AccuracyTracker::with_registry(registry.clone(), config.drift.clone());
         let leading = LeadingDriftMonitor::with_registry(registry.clone(), config.leading.clone());
-        let store = Arc::new(ChaosStore::new(store));
+        let store = FaultyStore::new(Store::in_memory(), FaultPlan::reliable(0));
         let serving = loop_client(&store);
         LoopController {
             config,
@@ -503,8 +498,8 @@ impl LoopController {
         &self.leading
     }
 
-    /// The chaos-wrapped store the loop publishes through.
-    pub fn store(&self) -> &ChaosStore {
+    /// The fault-wrapped store the loop publishes through.
+    pub fn store(&self) -> &FaultyStore {
         &self.store
     }
 
@@ -1180,9 +1175,9 @@ fn garble(trace: &Trace) -> Trace {
 /// A push-mode client over the loop's store: no disk cache, no watcher.
 /// The loop only predicts through [`predict`], which bypasses the result
 /// cache, so it gets the smallest one the client accepts.
-fn loop_client(store: &Arc<ChaosStore>) -> RcClient {
+fn loop_client(store: &FaultyStore) -> RcClient {
     RcClient::with_backend(
-        store.clone(),
+        Arc::new(store.clone()),
         ClientConfig {
             mode: CacheMode::Push,
             result_cache_capacity: 1,
@@ -1217,12 +1212,7 @@ fn predict(client: &RcClient, metric: PredictionMetric, inputs: &ClientInputs) -
 
 /// FNV-1a over the serialized journal: the reproducibility witness.
 pub(crate) fn journal_digest(journal: &[TickEvent]) -> u64 {
-    let bytes = serde_json::to_vec(&journal.to_vec()).unwrap_or_default();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    rc_types::fnv1a(&serde_json::to_vec(&journal.to_vec()).unwrap_or_default())
 }
 
 #[cfg(test)]

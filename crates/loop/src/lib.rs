@@ -35,7 +35,7 @@
 pub mod chaos;
 pub mod controller;
 
-pub use chaos::{brownout_shard_of, ChaosPlan, ChaosStore, BROWNOUT_SHARDS};
+pub use chaos::ChaosPlan;
 pub use controller::{
     LoopConfig, LoopController, LoopEvent, LoopSummary, MetricAccuracy, RetrainReason, TickEvent,
     WorkloadShift,

@@ -2,15 +2,36 @@
 //!
 //! §4.3 of the paper insists RC must be non-mission-critical: consumers
 //! keep working (degraded) when the store misbehaves. To *demonstrate*
-//! that, this module wraps a [`Store`] in a [`FaultyStore`] driven by a
-//! seeded [`FaultPlan`]: per-operation unavailability, transient error
-//! bursts, latency spikes (composing with any [`crate::LatencyModel`]
-//! already attached to the wrapped store), and payload corruption on
-//! reads. Every decision comes from one seeded RNG drawing a fixed number
-//! of uniforms per operation, so a schedule is bit-reproducible across
-//! runs given the same sequence of store calls.
+//! that, this module wraps a [`Store`] in a [`FaultyStore`], the one
+//! fault layer every experiment uses. It injects two kinds of fault:
+//!
+//! - **seeded** faults from a [`FaultPlan`]: per-operation
+//!   unavailability, transient error bursts, latency spikes (composing
+//!   with any [`crate::LatencyModel`] already attached to the wrapped
+//!   store), and payload corruption on reads. Every decision comes from
+//!   one seeded RNG drawing a fixed number of uniforms per operation, so
+//!   a schedule is bit-reproducible across runs given the same sequence
+//!   of store calls;
+//! - **armed** faults, switched on and off explicitly by the caller (the
+//!   control loop arms them from its chaos plan):
+//!   - a **put outage** failing every write after a budget of
+//!     successes — exactly the window the two-phase publish protocol must
+//!     survive (phase-one payloads may land; the manifest pointer must
+//!     not move);
+//!   - a **correlated brownout** taking out one key *shard* — every key
+//!     hashing to the browned-out shard fails reads and writes together,
+//!     the way a lost partition fails, rather than as independent
+//!     per-operation coin flips;
+//!   - a **manual-publish race**: the next manifest flip is preceded by
+//!     an interposed re-publish of the current manifest bytes, modelling
+//!     an operator's `publish --force` landing between a publisher's read
+//!     of the pointer and its compare-and-swap.
+//!
+//! On every data-plane operation the seeded decision runs first, so the
+//! seeded schedule is the same whatever is armed; the armed faults apply
+//! after it, in the order brownout, put budget, manifest race.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,8 +40,10 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rc_obs::Counter;
+use rc_types::fnv1a;
 
 use crate::kv::{Store, StoreBackend, StoreError, VersionedRecord};
+use crate::manifest::MANIFEST_KEY;
 
 /// A seeded schedule of store misbehaviour.
 ///
@@ -71,13 +94,13 @@ impl FaultPlan {
 
 /// What the injector decided for one operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultDecision {
+pub(crate) struct FaultDecision {
     /// Injected failure, if any; the wrapped store is not consulted.
-    pub error: Option<StoreError>,
+    error: Option<StoreError>,
     /// Extra latency to pay before the operation (spike).
-    pub extra_latency: Option<Duration>,
+    extra_latency: Option<Duration>,
     /// `Some(salt)` corrupts a GET payload deterministically from `salt`.
-    pub corrupt_salt: Option<u64>,
+    corrupt_salt: Option<u64>,
 }
 
 /// Exact counts of injected faults, by kind.
@@ -101,7 +124,21 @@ impl InjectedFaults {
     }
 }
 
-/// The deterministic decision engine behind a [`FaultyStore`].
+/// Number of key shards a brownout partitions the store into.
+pub const BROWNOUT_SHARDS: u32 = 8;
+
+/// The brownout shard a key hashes into (FNV-1a, mod
+/// [`BROWNOUT_SHARDS`]) — exposed so plans and tests can pick the shard
+/// that covers a given key.
+pub fn brownout_shard_of(key: &str) -> u32 {
+    (fnv1a(key.as_bytes()) % BROWNOUT_SHARDS as u64) as u32
+}
+
+/// Marks an armed fault as disarmed.
+const DISARMED: u64 = u64::MAX;
+
+/// The decision engine behind a [`FaultyStore`]: the seeded schedule and
+/// the armed faults, shared by every clone of the store.
 pub struct FaultInjector {
     plan: FaultPlan,
     state: Mutex<InjectorState>,
@@ -110,6 +147,13 @@ pub struct FaultInjector {
     latency_spikes: AtomicU64,
     corruptions: AtomicU64,
     metrics: InjectorMetrics,
+    /// Remaining successful puts before writes fail; [`DISARMED`] = no
+    /// outage.
+    puts_until_fail: AtomicU64,
+    /// Browned-out key shard; [`DISARMED`] = no brownout.
+    brownout_shard: AtomicU64,
+    /// The next manifest compare-and-swap is raced by a re-publish.
+    manifest_race: AtomicBool,
 }
 
 struct InjectorState {
@@ -139,7 +183,7 @@ impl InjectorMetrics {
 }
 
 impl FaultInjector {
-    /// Builds an injector for a plan.
+    /// Builds an injector for a plan, with every armed fault disarmed.
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             state: Mutex::new(InjectorState {
@@ -152,13 +196,16 @@ impl FaultInjector {
             latency_spikes: AtomicU64::new(0),
             corruptions: AtomicU64::new(0),
             metrics: InjectorMetrics::new(),
+            puts_until_fail: AtomicU64::new(DISARMED),
+            brownout_shard: AtomicU64::new(DISARMED),
+            manifest_race: AtomicBool::new(false),
         }
     }
 
-    /// Decides one operation's fate. Always consumes exactly five RNG
-    /// draws, whatever the outcome, so two injectors with the same plan
-    /// stay in lock-step across any sequence of outcomes.
-    pub fn decide(&self, is_get: bool) -> FaultDecision {
+    /// Decides one operation's seeded fate. Always consumes exactly five
+    /// RNG draws, whatever the outcome, so two injectors with the same
+    /// plan stay in lock-step across any sequence of outcomes.
+    fn decide(&self, is_get: bool) -> FaultDecision {
         let plan = &self.plan;
         let (u_unavail, u_transient, u_latency, u_corrupt, salt, in_burst) = {
             let mut state = self.state.lock();
@@ -211,12 +258,7 @@ impl FaultInjector {
         FaultDecision { error, extra_latency, corrupt_salt }
     }
 
-    /// The plan this injector runs.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Exact injected-fault counts so far.
+    /// Exact injected-fault counts so far (seeded faults only).
     pub fn injected(&self) -> InjectedFaults {
         InjectedFaults {
             unavailable: self.unavailable.load(Ordering::Relaxed),
@@ -225,12 +267,30 @@ impl FaultInjector {
             corruptions: self.corruptions.load(Ordering::Relaxed),
         }
     }
+
+    /// Whether the armed brownout (if any) covers `key`.
+    fn browned_out(&self, key: &str) -> bool {
+        let shard = self.brownout_shard.load(Ordering::SeqCst);
+        shard != DISARMED && brownout_shard_of(key) as u64 == shard
+    }
+
+    /// Consumes one unit of the armed put budget, failing once it is
+    /// spent. A disarmed outage always admits.
+    fn take_put_budget(&self) -> Result<(), StoreError> {
+        let taken = self.puts_until_fail.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+            (n != DISARMED && n > 0).then(|| n - 1)
+        });
+        match taken {
+            Ok(_) | Err(DISARMED) => Ok(()),
+            Err(_) => Err(StoreError::Unavailable),
+        }
+    }
 }
 
 /// Deterministically mangles a payload so it can never decode: truncate
 /// to half (at least one byte) and XOR a salt-derived pattern over what
 /// remains. JSON and any framed format fail validation immediately.
-pub fn corrupt_payload(data: &Bytes, salt: u64) -> Bytes {
+fn corrupt_payload(data: &Bytes, salt: u64) -> Bytes {
     let keep = (data.len() / 2).max(1).min(data.len());
     let mut out = Vec::with_capacity(keep);
     let mut x = salt | 1;
@@ -244,13 +304,15 @@ pub fn corrupt_payload(data: &Bytes, salt: u64) -> Bytes {
     Bytes::from(out)
 }
 
-/// A [`Store`] wrapper that injects faults per a seeded [`FaultPlan`].
+/// A [`Store`] wrapper that injects seeded and armed faults.
 ///
 /// Cheap to clone; clones share the wrapped store *and* the injector, so
-/// the fault schedule is global across handles. Data-plane operations
-/// (`get_latest`, `get_version`, `put`) pass through the injector;
-/// metadata scans (`keys`, `latest_version`) do not — they model the
-/// cheap, cached version check the client's push watcher performs.
+/// the seeded schedule and the armed faults are global across handles.
+/// Data-plane operations (`get_latest`, `get_version`, `put`,
+/// `put_if_version`) pass through the injector; metadata scans (`keys`,
+/// `latest_version`) skip the seeded schedule — they model the cheap,
+/// cached version check the client's push watcher performs — but a
+/// browned-out key reads as absent.
 #[derive(Clone)]
 pub struct FaultyStore {
     store: Store,
@@ -258,7 +320,7 @@ pub struct FaultyStore {
 }
 
 impl FaultyStore {
-    /// Wraps `store` with a fault plan.
+    /// Wraps `store` with a fault plan and nothing armed.
     pub fn new(store: Store, plan: FaultPlan) -> Self {
         FaultyStore { store, injector: Arc::new(FaultInjector::new(plan)) }
     }
@@ -273,121 +335,127 @@ impl FaultyStore {
         &self.injector
     }
 
-    fn pay(&self, decision: &FaultDecision) {
+    /// Arms the put outage: the next `budget` writes succeed, every one
+    /// after fails with [`StoreError::Unavailable`] until
+    /// [`FaultyStore::heal`]. Reads keep working — the outage models
+    /// losing write quorum, the failure mode a mid-publish crash exposes.
+    pub fn arm_put_outage(&self, budget: u64) {
+        self.injector.puts_until_fail.store(budget, Ordering::SeqCst);
+    }
+
+    /// Arms a correlated brownout of one key shard: every key with
+    /// `brownout_shard_of(key) == shard` fails reads and writes with
+    /// [`StoreError::Unavailable`] until [`FaultyStore::heal`].
+    pub fn arm_brownout(&self, shard: u32) {
+        self.injector.brownout_shard.store((shard % BROWNOUT_SHARDS) as u64, Ordering::SeqCst);
+    }
+
+    /// Arms the manual-publish race: the next `put_if_version` against
+    /// the manifest pointer is preceded by an interposed plain `put` of
+    /// the *current* manifest bytes (an operator re-publish), so the
+    /// caller's compare-and-swap observes a moved pointer and fails
+    /// with a typed race. One-shot: the arm clears once it fires.
+    pub fn arm_manifest_race(&self) {
+        self.injector.manifest_race.store(true, Ordering::SeqCst);
+    }
+
+    /// Disarms every armed fault; the seeded schedule runs on.
+    pub fn heal(&self) {
+        self.injector.puts_until_fail.store(DISARMED, Ordering::SeqCst);
+        self.injector.brownout_shard.store(DISARMED, Ordering::SeqCst);
+        self.injector.manifest_race.store(false, Ordering::SeqCst);
+    }
+
+    /// The faults a data-plane operation on `key` meets first: the
+    /// seeded decision (paying its spike), then an armed brownout. `Ok`
+    /// carries the corruption salt a read applies to its payload.
+    fn admit(&self, key: &str, is_get: bool) -> Result<Option<u64>, StoreError> {
+        let decision = self.injector.decide(is_get);
         if let Some(extra) = decision.extra_latency {
             std::thread::sleep(extra);
         }
-    }
-
-    /// `put` with injection (corruption does not apply to writes).
-    pub fn put(&self, key: &str, data: Bytes) -> Result<u64, StoreError> {
-        let decision = self.injector.decide(false);
-        self.pay(&decision);
         if let Some(err) = decision.error {
             return Err(err);
         }
-        self.store.put(key, data)
+        if self.injector.browned_out(key) {
+            return Err(StoreError::Unavailable);
+        }
+        Ok(decision.corrupt_salt)
     }
 
-    /// Conditional `put` with injection: the fault decision fires first,
-    /// then the compare-and-swap is delegated to the wrapped store so it
-    /// stays atomic across handles.
-    pub fn put_if_version(
+    /// A read through [`FaultyStore::admit`], corrupting the payload when
+    /// the seeded decision says so.
+    fn read(
         &self,
         key: &str,
-        data: Bytes,
-        expected_current: u64,
-    ) -> Result<u64, StoreError> {
-        let decision = self.injector.decide(false);
-        self.pay(&decision);
-        if let Some(err) = decision.error {
-            return Err(err);
-        }
-        self.store.put_if_version(key, data, expected_current)
-    }
-
-    /// `get_latest` with injection.
-    pub fn get_latest(&self, key: &str) -> Result<VersionedRecord, StoreError> {
-        let decision = self.injector.decide(true);
-        self.pay(&decision);
-        if let Some(err) = decision.error {
-            return Err(err);
-        }
-        let mut rec = self.store.get_latest(key)?;
-        if let Some(salt) = decision.corrupt_salt {
+        read: impl FnOnce(&Store) -> Result<VersionedRecord, StoreError>,
+    ) -> Result<VersionedRecord, StoreError> {
+        let salt = self.admit(key, true)?;
+        let mut rec = read(&self.store)?;
+        if let Some(salt) = salt {
             rec.data = corrupt_payload(&rec.data, salt);
         }
         Ok(rec)
     }
 
-    /// `get_version` with injection.
-    pub fn get_version(&self, key: &str, version: u64) -> Result<VersionedRecord, StoreError> {
-        let decision = self.injector.decide(true);
-        self.pay(&decision);
-        if let Some(err) = decision.error {
-            return Err(err);
-        }
-        let mut rec = self.store.get_version(key, version)?;
-        if let Some(salt) = decision.corrupt_salt {
-            rec.data = corrupt_payload(&rec.data, salt);
-        }
-        Ok(rec)
-    }
-
-    /// Whether the wrapped store accepts requests (the binary switch; the
-    /// injector's per-op unavailability is separate).
-    pub fn is_available(&self) -> bool {
-        self.store.is_available()
-    }
-
-    /// Flips the wrapped store's binary availability switch.
-    pub fn set_available(&self, available: bool) {
-        self.store.set_available(available);
-    }
-
-    /// Keys of the wrapped store (not injected).
-    pub fn keys(&self) -> Vec<String> {
-        self.store.keys()
-    }
-
-    /// Latest version in the wrapped store (not injected).
-    pub fn latest_version(&self, key: &str) -> Option<u64> {
-        self.store.latest_version(key)
+    /// A write's faults: [`FaultyStore::admit`], then the put budget.
+    fn admit_put(&self, key: &str) -> Result<(), StoreError> {
+        self.admit(key, false)?;
+        self.injector.take_put_budget()
     }
 }
 
 impl StoreBackend for FaultyStore {
+    /// The wrapped store's binary switch; the injector's per-operation
+    /// unavailability is separate.
     fn is_available(&self) -> bool {
-        FaultyStore::is_available(self)
+        self.store.is_available()
     }
 
     fn keys(&self) -> Vec<String> {
-        FaultyStore::keys(self)
+        self.store.keys()
     }
 
     fn get_latest(&self, key: &str) -> Result<VersionedRecord, StoreError> {
-        FaultyStore::get_latest(self, key)
+        self.read(key, |store| store.get_latest(key))
     }
 
     fn get_version(&self, key: &str, version: u64) -> Result<VersionedRecord, StoreError> {
-        FaultyStore::get_version(self, key, version)
+        self.read(key, |store| store.get_version(key, version))
     }
 
     fn latest_version(&self, key: &str) -> Option<u64> {
-        FaultyStore::latest_version(self, key)
+        // `Option` has no error channel; a browned-out shard reads as
+        // absent, exactly what a lost partition looks like.
+        if self.injector.browned_out(key) {
+            return None;
+        }
+        self.store.latest_version(key)
     }
 
     fn put(&self, key: &str, data: Bytes) -> Result<u64, StoreError> {
-        FaultyStore::put(self, key, data)
+        self.admit_put(key)?;
+        self.store.put(key, data)
     }
 
+    /// The faults fire first, then the compare-and-swap is delegated to
+    /// the wrapped store so it stays atomic across handles.
     fn put_if_version(
         &self,
         key: &str,
         data: Bytes,
         expected_current: u64,
     ) -> Result<u64, StoreError> {
-        FaultyStore::put_if_version(self, key, data, expected_current)
+        self.admit_put(key)?;
+        if key == MANIFEST_KEY && self.injector.manifest_race.swap(false, Ordering::SeqCst) {
+            // The manual operator's re-publish lands first: same bytes,
+            // new version — invisible to a last-writer-wins flip, fatal
+            // to a compare-and-swap.
+            if let Ok(current) = self.store.get_latest(MANIFEST_KEY) {
+                self.store.put(MANIFEST_KEY, current.data)?;
+            }
+        }
+        self.store.put_if_version(key, data, expected_current)
     }
 }
 
@@ -524,5 +592,89 @@ mod tests {
         let _ = a.get_latest("k");
         let _ = b.get_latest("k");
         assert_eq!(a.injector().injected().unavailable, 2);
+    }
+
+    #[test]
+    fn outage_fires_after_budget_and_heals() {
+        let store = FaultyStore::new(Store::in_memory(), FaultPlan::reliable(0));
+        store.arm_put_outage(2);
+        assert!(store.put("a", Bytes::from(vec![1])).is_ok());
+        assert!(store.put("b", Bytes::from(vec![2])).is_ok());
+        assert_eq!(store.put("c", Bytes::from(vec![3])).unwrap_err(), StoreError::Unavailable);
+        assert_eq!(store.put("d", Bytes::from(vec![4])).unwrap_err(), StoreError::Unavailable);
+        // Reads keep working through the outage.
+        assert!(store.get_latest("a").is_ok());
+        store.heal();
+        assert!(store.put("c", Bytes::from(vec![3])).is_ok());
+        assert_eq!(store.keys(), vec!["a".to_string(), "b".to_string(), "c".to_string()]);
+    }
+
+    #[test]
+    fn brownout_fails_reads_and_writes_for_one_shard_only() {
+        let store = FaultyStore::new(Store::in_memory(), FaultPlan::reliable(0));
+        // Find two keys in different shards.
+        let covered = "models/lifetime";
+        let shard = brownout_shard_of(covered);
+        let other = (0..64)
+            .map(|i| format!("models/other-{i}"))
+            .find(|k| brownout_shard_of(k) != shard)
+            .expect("some key lands in another shard");
+        store.put(covered, Bytes::from(vec![1])).unwrap();
+        store.put(&other, Bytes::from(vec![2])).unwrap();
+
+        store.arm_brownout(shard);
+        assert!(store.injector().browned_out(covered));
+        assert!(!store.injector().browned_out(&other));
+        // Covered shard: reads AND writes fail together.
+        assert_eq!(store.get_latest(covered).unwrap_err(), StoreError::Unavailable);
+        assert_eq!(store.put(covered, Bytes::from(vec![9])).unwrap_err(), StoreError::Unavailable);
+        assert_eq!(store.latest_version(covered), None);
+        assert_eq!(
+            store.put_if_version(covered, Bytes::from(vec![9]), 1).unwrap_err(),
+            StoreError::Unavailable
+        );
+        // Other shards are untouched.
+        assert!(store.get_latest(&other).is_ok());
+        assert!(store.put(&other, Bytes::from(vec![3])).is_ok());
+
+        store.heal();
+        assert_eq!(store.get_latest(covered).unwrap().data.as_ref(), &[1]);
+        assert_eq!(store.latest_version(covered), Some(1));
+    }
+
+    #[test]
+    fn manifest_race_defeats_cas_exactly_once() {
+        let store = FaultyStore::new(Store::in_memory(), FaultPlan::reliable(0));
+        store.put(MANIFEST_KEY, Bytes::from(vec![1])).unwrap();
+
+        store.arm_manifest_race();
+        // The armed race interposes a re-publish (same bytes, version 2),
+        // so a CAS expecting version 1 loses with a typed race.
+        let err = store.put_if_version(MANIFEST_KEY, Bytes::from(vec![2]), 1).unwrap_err();
+        match err {
+            StoreError::Race(race) => {
+                assert_eq!(race.expected, 1);
+                assert_eq!(race.actual, 2);
+            }
+            other => panic!("expected a race, got {other:?}"),
+        }
+        // One-shot: re-reading the pointer and retrying succeeds.
+        let current = store.latest_version(MANIFEST_KEY).unwrap();
+        assert_eq!(current, 2);
+        assert!(store.put_if_version(MANIFEST_KEY, Bytes::from(vec![2]), current).is_ok());
+        // The interposed copy kept the original bytes.
+        assert_eq!(store.get_version(MANIFEST_KEY, 2).unwrap().data.as_ref(), &[1]);
+    }
+
+    #[test]
+    fn put_if_version_respects_the_outage_budget() {
+        let store = FaultyStore::new(Store::in_memory(), FaultPlan::reliable(0));
+        store.put("k", Bytes::from(vec![1])).unwrap();
+        store.arm_put_outage(1);
+        assert!(store.put_if_version("k", Bytes::from(vec![2]), 1).is_ok());
+        assert_eq!(
+            store.put_if_version("k", Bytes::from(vec![3]), 2).unwrap_err(),
+            StoreError::Unavailable
+        );
     }
 }

@@ -8,14 +8,16 @@
 //! no-prediction).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rc_obs::{Counter, Histogram};
+use rc_types::Fnv1a;
 
 use crate::latency::LatencyModel;
 
@@ -122,41 +124,6 @@ pub trait StoreBackend: Send + Sync {
     }
 }
 
-impl StoreBackend for Store {
-    fn is_available(&self) -> bool {
-        Store::is_available(self)
-    }
-
-    fn keys(&self) -> Vec<String> {
-        Store::keys(self)
-    }
-
-    fn get_latest(&self, key: &str) -> Result<VersionedRecord, StoreError> {
-        Store::get_latest(self, key)
-    }
-
-    fn get_version(&self, key: &str, version: u64) -> Result<VersionedRecord, StoreError> {
-        Store::get_version(self, key, version)
-    }
-
-    fn latest_version(&self, key: &str) -> Option<u64> {
-        Store::latest_version(self, key)
-    }
-
-    fn put(&self, key: &str, data: Bytes) -> Result<u64, StoreError> {
-        Store::put(self, key, data)
-    }
-
-    fn put_if_version(
-        &self,
-        key: &str,
-        data: Bytes,
-        expected_current: u64,
-    ) -> Result<u64, StoreError> {
-        Store::put_if_version(self, key, data, expected_current)
-    }
-}
-
 /// A versioned record.
 #[derive(Debug, Clone)]
 pub struct VersionedRecord {
@@ -164,19 +131,6 @@ pub struct VersionedRecord {
     pub version: u64,
     /// Record payload.
     pub data: Bytes,
-}
-
-/// Statistics counters for store accesses.
-#[derive(Debug, Default)]
-pub struct StoreStats {
-    /// Successful GETs.
-    pub gets: AtomicU64,
-    /// Successful PUTs.
-    pub puts: AtomicU64,
-    /// GETs rejected because the store was unavailable.
-    pub unavailable_errors: AtomicU64,
-    /// Accumulated simulated latency in nanoseconds.
-    pub simulated_latency_ns: AtomicU64,
 }
 
 /// The simulated highly available store.
@@ -195,7 +149,6 @@ struct StoreInner {
     available: AtomicBool,
     latency: Option<LatencyModel>,
     latency_rng: parking_lot::Mutex<StdRng>,
-    stats: StoreStats,
     metrics: StoreMetrics,
 }
 
@@ -238,7 +191,6 @@ impl Store {
                 available: AtomicBool::new(true),
                 latency,
                 latency_rng: parking_lot::Mutex::new(StdRng::seed_from_u64(0x5709)),
-                stats: StoreStats::default(),
                 metrics: StoreMetrics::new(),
             }),
         }
@@ -249,168 +201,124 @@ impl Store {
         self.inner.available.store(available, Ordering::SeqCst);
     }
 
-    /// Whether the store currently accepts requests.
-    pub fn is_available(&self) -> bool {
-        self.inner.available.load(Ordering::SeqCst)
-    }
-
     /// Spin for one sampled latency, if a model is attached.
     fn pay_latency(&self) {
         if let Some(model) = &self.inner.latency {
-            let d = {
-                let mut rng = self.inner.latency_rng.lock();
-                model.sample(&mut *rng)
-            };
-            self.inner.stats.simulated_latency_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-            let start = std::time::Instant::now();
+            let d = model.sample(&mut *self.inner.latency_rng.lock());
+            let start = Instant::now();
             while start.elapsed() < d {
                 std::hint::spin_loop();
             }
         }
     }
 
-    /// Writes a new version of `key`, returning the assigned version.
-    pub fn put(&self, key: &str, data: Bytes) -> Result<u64, StoreError> {
+    /// What every get and put does first: refuse (and count) while
+    /// unavailable, else pay one sampled latency. Returns the access's
+    /// start, for its latency histogram.
+    fn begin(&self) -> Result<Instant, StoreError> {
         if !self.is_available() {
-            self.inner.stats.unavailable_errors.fetch_add(1, Ordering::Relaxed);
             self.inner.metrics.unavailable.increment();
             return Err(StoreError::Unavailable);
         }
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         self.pay_latency();
-        let mut records = self.inner.records.write();
-        let versions = records.entry(key.to_owned()).or_default();
-        let version = versions.last().map_or(1, |r| r.version + 1);
-        if version > 1 {
-            self.inner.metrics.version_bumps.increment();
-        }
-        versions.push(VersionedRecord { version, data });
-        self.inner.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.inner.metrics.puts.increment();
-        self.inner.metrics.put_latency.record_duration(start.elapsed());
-        Ok(version)
+        Ok(start)
     }
 
-    /// Conditional write, decided atomically under the write lock: the
-    /// new version is appended only if the key's latest version still
-    /// equals `expected_current` (0 = key absent). Exactly one of two
-    /// racing writers that read the same current version wins; the other
-    /// gets [`StoreError::Race`] with the version that beat it.
-    pub fn put_if_version(
+    /// Reads the version of `key` that `pick` selects from its history.
+    fn read(
         &self,
         key: &str,
-        data: Bytes,
-        expected_current: u64,
-    ) -> Result<u64, StoreError> {
-        if !self.is_available() {
-            self.inner.stats.unavailable_errors.fetch_add(1, Ordering::Relaxed);
-            self.inner.metrics.unavailable.increment();
-            return Err(StoreError::Unavailable);
-        }
-        let start = std::time::Instant::now();
-        self.pay_latency();
+        pick: impl FnOnce(&[VersionedRecord]) -> Option<&VersionedRecord>,
+    ) -> Result<VersionedRecord, StoreError> {
+        let start = self.begin()?;
+        let rec = self.inner.records.read().get(key).and_then(|v| pick(v)).cloned();
+        let rec = rec.ok_or(StoreError::NotFound)?;
+        self.inner.metrics.gets.increment();
+        self.inner.metrics.get_latency.record_duration(start.elapsed());
+        Ok(rec)
+    }
+
+    /// Appends the next version of `key`, decided under the write lock.
+    /// With `expected = Some(v)` the append happens only if the latest
+    /// version is still `v` (0 = key absent); a loser gets
+    /// [`StoreError::Race`] and leaves no trace, not even the key.
+    fn append(&self, key: &str, data: Bytes, expected: Option<u64>) -> Result<u64, StoreError> {
+        let start = self.begin()?;
         let mut records = self.inner.records.write();
-        let actual = records.get(key).and_then(|v| v.last()).map_or(0, |r| r.version);
-        if actual != expected_current {
-            return Err(StoreError::Race(PublishRace { expected: expected_current, actual }));
+        let versions = records.get_mut(key);
+        let actual = versions.as_ref().and_then(|v| v.last()).map_or(0, |r| r.version);
+        if let Some(expected) = expected.filter(|&e| e != actual) {
+            return Err(StoreError::Race(PublishRace { expected, actual }));
         }
-        let versions = records.entry(key.to_owned()).or_default();
-        let version = actual + 1;
-        if version > 1 {
-            self.inner.metrics.version_bumps.increment();
+        let record = VersionedRecord { version: actual + 1, data };
+        match versions {
+            Some(versions) => {
+                self.inner.metrics.version_bumps.increment();
+                versions.push(record);
+            }
+            None => {
+                records.insert(key.to_owned(), vec![record]);
+            }
         }
-        versions.push(VersionedRecord { version, data });
-        self.inner.stats.puts.fetch_add(1, Ordering::Relaxed);
         self.inner.metrics.puts.increment();
         self.inner.metrics.put_latency.record_duration(start.elapsed());
-        Ok(version)
+        Ok(actual + 1)
+    }
+}
+
+impl StoreBackend for Store {
+    fn is_available(&self) -> bool {
+        self.inner.available.load(Ordering::SeqCst)
     }
 
-    /// Reads the latest version of `key`.
-    pub fn get_latest(&self, key: &str) -> Result<VersionedRecord, StoreError> {
-        if !self.is_available() {
-            self.inner.stats.unavailable_errors.fetch_add(1, Ordering::Relaxed);
-            self.inner.metrics.unavailable.increment();
-            return Err(StoreError::Unavailable);
-        }
-        let start = std::time::Instant::now();
-        self.pay_latency();
-        let records = self.inner.records.read();
-        let rec = records.get(key).and_then(|v| v.last()).cloned().ok_or(StoreError::NotFound)?;
-        self.inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-        self.inner.metrics.gets.increment();
-        self.inner.metrics.get_latency.record_duration(start.elapsed());
-        Ok(rec)
-    }
-
-    /// Reads a specific version of `key`.
-    pub fn get_version(&self, key: &str, version: u64) -> Result<VersionedRecord, StoreError> {
-        if !self.is_available() {
-            self.inner.stats.unavailable_errors.fetch_add(1, Ordering::Relaxed);
-            self.inner.metrics.unavailable.increment();
-            return Err(StoreError::Unavailable);
-        }
-        let start = std::time::Instant::now();
-        self.pay_latency();
-        let records = self.inner.records.read();
-        let rec = records
-            .get(key)
-            .and_then(|v| v.iter().find(|r| r.version == version))
-            .cloned()
-            .ok_or(StoreError::NotFound)?;
-        self.inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-        self.inner.metrics.gets.increment();
-        self.inner.metrics.get_latency.record_duration(start.elapsed());
-        Ok(rec)
-    }
-
-    /// Latest version number of `key`, if any.
-    pub fn latest_version(&self, key: &str) -> Option<u64> {
-        self.inner.records.read().get(key).and_then(|v| v.last()).map(|r| r.version)
-    }
-
-    /// All keys with at least one version, sorted.
-    pub fn keys(&self) -> Vec<String> {
+    fn keys(&self) -> Vec<String> {
         let mut keys: Vec<String> = self.inner.records.read().keys().cloned().collect();
         keys.sort();
         keys
     }
 
-    /// Successful GET count.
-    pub fn get_count(&self) -> u64 {
-        self.inner.stats.gets.load(Ordering::Relaxed)
+    fn get_latest(&self, key: &str) -> Result<VersionedRecord, StoreError> {
+        self.read(key, |versions| versions.last())
     }
 
-    /// Successful PUT count.
-    pub fn put_count(&self) -> u64 {
-        self.inner.stats.puts.load(Ordering::Relaxed)
+    fn get_version(&self, key: &str, version: u64) -> Result<VersionedRecord, StoreError> {
+        self.read(key, |versions| versions.iter().find(|r| r.version == version))
     }
 
-    /// Count of accesses rejected while unavailable.
-    pub fn unavailable_count(&self) -> u64 {
-        self.inner.stats.unavailable_errors.load(Ordering::Relaxed)
+    fn latest_version(&self, key: &str) -> Option<u64> {
+        self.inner.records.read().get(key).and_then(|v| v.last()).map(|r| r.version)
+    }
+
+    fn put(&self, key: &str, data: Bytes) -> Result<u64, StoreError> {
+        self.append(key, data, None)
+    }
+
+    /// Decided atomically under the write lock: exactly one of two
+    /// racing writers that read the same current version wins; the other
+    /// gets [`StoreError::Race`] with the version that beat it.
+    fn put_if_version(
+        &self,
+        key: &str,
+        data: Bytes,
+        expected_current: u64,
+    ) -> Result<u64, StoreError> {
+        self.append(key, data, Some(expected_current))
     }
 }
 
 /// FNV-1a fingerprint over every `(key, latest version)` pair in the
-/// store. [`Store::keys`] returns keys sorted, so the fingerprint is
+/// store. [`StoreBackend::keys`] returns keys sorted, so the fingerprint is
 /// stable for a given store state; any publish, rollback, or new key
 /// changes it. Clients poll this to notice publications; tests use it to
 /// prove a blocked operation left the store untouched.
 pub fn fingerprint<B: StoreBackend + ?Sized>(store: &B) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = Fnv1a::new();
     for key in store.keys() {
-        for b in key.as_bytes() {
-            h = (h ^ *b as u64).wrapping_mul(PRIME);
-        }
-        let v = store.latest_version(&key).unwrap_or(0);
-        for b in v.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
+        h.write(key.as_bytes());
+        h.write_u64(store.latest_version(&key).unwrap_or(0));
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]
@@ -442,10 +350,12 @@ mod tests {
     fn unavailability_fails_everything() {
         let store = Store::in_memory();
         store.put("k", Bytes::from_static(b"v")).unwrap();
+        let refused = rc_obs::global().counter(rc_obs::STORE_UNAVAILABLE);
+        let before = refused.get();
         store.set_available(false);
         assert!(matches!(store.get_latest("k"), Err(StoreError::Unavailable)));
         assert!(matches!(store.put("k", Bytes::from_static(b"w")), Err(StoreError::Unavailable)));
-        assert!(store.unavailable_count() >= 2);
+        assert!(refused.get() - before >= 2);
         store.set_available(true);
         assert!(store.get_latest("k").is_ok());
     }

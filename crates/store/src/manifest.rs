@@ -27,13 +27,7 @@ pub const MANIFEST_KEY: &str = "manifest/current";
 
 /// FNV-1a over a payload — the checksum recorded per manifest entry.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in bytes {
-        h = (h ^ *b as u64).wrapping_mul(PRIME);
-    }
-    h
+    rc_types::fnv1a(bytes)
 }
 
 /// One published model payload.

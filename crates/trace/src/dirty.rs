@@ -26,6 +26,7 @@ use rand::{Rng, SeedableRng};
 use rc_types::telemetry::VmRecord;
 use rc_types::time::Timestamp;
 use rc_types::vm::DeploymentId;
+use rc_types::Fnv1a;
 
 use crate::trace::Trace;
 use crate::utilization::UtilParams;
@@ -258,14 +259,8 @@ impl<T: Corruptible> Corruption<T> {
 /// traces whose NaNs JSON cannot encode. Two traces with the same
 /// fingerprint are bit-identical for the pipeline's purposes.
 pub fn trace_fingerprint(trace: &Trace) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a::new();
+    let mut mix = |v: u64| h.write_u64(v);
     for (vm, util) in trace.vms.iter().zip(&trace.util) {
         mix(vm.vm_id.0);
         mix(vm.subscription.0 as u64);
@@ -287,7 +282,7 @@ pub fn trace_fingerprint(trace: &Trace) -> u64 {
         mix(dep.n_vms as u64);
         mix(dep.n_cores as u64);
     }
-    h
+    h.finish()
 }
 
 /// Exact counts of corrupted records, by category.

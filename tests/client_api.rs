@@ -222,6 +222,26 @@ fn flush_cache_drops_everything() {
     assert!(client.predict_single("VM_AVGUTIL", &inputs).is_predicted());
 }
 
+/// `flush_cache` empties the disk cache without touching files it never
+/// wrote: a client pointed at a shared directory must not delete them.
+#[test]
+fn flush_cache_spares_files_the_disk_cache_did_not_write() {
+    let (_, store) = world();
+    let dir = temp_dir("flush_shared");
+    let config = ClientConfig { disk_cache_dir: Some(dir.clone()), ..ClientConfig::default() };
+    let client = RcClient::new(store, config.clone());
+    assert!(client.initialize());
+    let disk = rc_core::DiskCache::new(dir.clone(), config.disk_cache_expiry);
+    assert!(!disk.list("model").is_empty(), "initialize mirrors the models to disk");
+    let unrelated = dir.join("operator-notes.txt");
+    std::fs::write(&unrelated, b"not the cache's").unwrap();
+
+    client.flush_cache();
+    assert!(disk.list("model").is_empty(), "every cached model is gone");
+    assert_eq!(std::fs::read(&unrelated).unwrap(), b"not the cache's");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn force_reload_picks_up_new_feature_data() {
     let (trace, store) = world();

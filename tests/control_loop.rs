@@ -37,11 +37,10 @@
 //! but does not preempt the episode.
 
 use resource_central::lifecycle::{
-    brownout_shard_of, ChaosPlan, LoopConfig, LoopController, LoopEvent, RetrainReason, TickEvent,
-    WorkloadShift,
+    ChaosPlan, LoopConfig, LoopController, LoopEvent, RetrainReason, TickEvent, WorkloadShift,
 };
 use resource_central::prelude::*;
-use resource_central::store::{fingerprint, MANIFEST_KEY, QUARANTINE_KEY};
+use resource_central::store::{brownout_shard_of, fingerprint, MANIFEST_KEY, QUARANTINE_KEY};
 
 /// The soak shape shrunk to integration-test size: drift-only retrains
 /// (no cadence) unless a test opts back in, and windows just big enough

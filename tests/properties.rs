@@ -6,6 +6,7 @@ use rc_analysis::{spearman, Cdf};
 use rc_core::{Prediction, ShardedResultCache};
 use rc_ml::fft::{fft_in_place, Complex};
 use rc_ml::Classifier;
+use rc_store::StoreBackend;
 use rc_trace::arrival::gamma_fn;
 use rc_trace::UtilParams;
 use rc_types::buckets::{
