@@ -82,17 +82,6 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
-/// Percentile of a sorted slice (`q` in `[0, 1]`).
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "need samples");
-    let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx]
-}
-
 /// How much a counter grew between two registry snapshots (0 when absent).
 pub fn counter_delta(
     after: &rc_obs::MetricsSnapshot,

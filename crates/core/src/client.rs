@@ -21,8 +21,15 @@
 //! counted and treated as fetch failures; and when nothing is loadable at
 //! all, every lookup still answers the no-prediction default. The
 //! [`RcClient::health`] probe summarizes the ladder for schedulers.
+//!
+//! Models and feature records climb that ladder through one path: a
+//! private `Payload` trait holds what differs by kind (store key,
+//! manifest entry, decode and sanity check, resident map, disk kind, the
+//! counter a rejection moves), and the fetch, verify, install and disk
+//! read steps are each written once over it.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant, SystemTime};
@@ -31,7 +38,7 @@ use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
 use rc_obs::{Counter, Gauge, Histogram};
-use rc_store::{checksum, Manifest, ModelEntry, Store, StoreBackend, MANIFEST_KEY};
+use rc_store::{checksum, Manifest, Store, StoreBackend, VersionedRecord, MANIFEST_KEY};
 use rc_types::vm::SubscriptionId;
 
 use crate::admission::{AdmissionQueue, SubmitOutcome};
@@ -257,37 +264,159 @@ impl Drop for InflightGuard<'_> {
 /// versions within one prediction (no torn reads). Writers clone the
 /// current snapshot under [`Shared::serve_write`], mutate the copy, and
 /// publish it with a single pointer store.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct ServeSnapshot {
-    models: HashMap<String, Arc<TrainedModel>>,
+    models: Resident<TrainedModel>,
     /// Per-subscription feature records, individually `Arc`ed so cloning
     /// the snapshot (and refreshing one subscription) copies pointers,
     /// not feature payloads.
-    features: HashMap<SubscriptionId, Arc<SubscriptionFeatures>>,
+    features: Resident<SubscriptionFeatures>,
     /// The publish manifest the resident caches were loaded through;
     /// directs on-demand fetches to the right version and carries the
     /// checksums payloads are verified against. `None` until a store read
     /// finds one (a disk-loaded client starts without).
     manifest: Option<Manifest>,
-    /// Model names currently resident from *stale* disk data.
-    stale_models: HashSet<String>,
-    /// Subscriptions whose resident feature record is stale disk data.
-    stale_subs: HashSet<SubscriptionId>,
     /// Monotone publish count; responses attribute to the generation they
     /// resolved against (the swap-race regression test's oracle).
     generation: u64,
 }
 
-impl ServeSnapshot {
-    fn empty() -> Self {
-        ServeSnapshot {
-            models: HashMap::new(),
-            features: HashMap::new(),
-            manifest: None,
-            stale_models: HashSet::new(),
-            stale_subs: HashSet::new(),
-            generation: 0,
+/// One payload kind's resident values, and which of them are stale disk
+/// data. A load replaces both together.
+#[derive(Clone)]
+struct Resident<P: Payload> {
+    values: HashMap<P::Key, Arc<P>>,
+    stale: HashSet<P::Key>,
+}
+
+impl<P: Payload> Default for Resident<P> {
+    fn default() -> Self {
+        Resident { values: HashMap::new(), stale: HashSet::new() }
+    }
+}
+
+impl<P: Payload> Resident<P> {
+    /// The one install step: puts `value` in and marks it stale or fresh.
+    fn install(&mut self, key: P::Key, value: Arc<P>, stale: bool) {
+        if stale {
+            self.stale.insert(key.clone());
+        } else {
+            self.stale.remove(&key);
         }
+        self.values.insert(key, value);
+    }
+}
+
+/// What differs between the two payload kinds the client serves: a model
+/// and a subscription's feature record. The on-demand ladder ([`fetch`]),
+/// the verify step ([`verify`]), the install step ([`Resident::install`])
+/// and the disk read ([`read_disk`]) are written once over it.
+trait Payload: Sized {
+    /// The resident map's key: a model name or a subscription.
+    type Key: Eq + Hash + Clone;
+    /// The disk-cache kind the payload is mirrored under.
+    const DISK_KIND: &'static str;
+
+    /// The flat logical store key; it also names the manifest entry and
+    /// the disk-cache entry.
+    fn logical_key(key: &Self::Key) -> String;
+
+    /// The checksum the manifest records for `logical`, if it lists it.
+    fn listed_sum(manifest: &Manifest, logical: &str) -> Option<u64>;
+
+    /// Decodes one payload. A payload `checked` against the manifest
+    /// entry for that logical key also passes the kind's sanity check.
+    fn decode(bytes: &[u8], checked: Option<&str>) -> Option<Self>;
+
+    /// Counts one payload that failed verification against its manifest
+    /// entry. An `on_demand` pull also counts it corrupt, in
+    /// [`resilient_get`].
+    fn note_rejected(shared: &Shared, logical: &str, on_demand: bool);
+
+    /// The kind's resident values in a serve snapshot.
+    fn resident(snap: &mut ServeSnapshot) -> &mut Resident<Self>;
+
+    /// Notes a value the on-demand ladder installed from the disk cache.
+    fn note_disk_install(_key: &Self::Key) {}
+}
+
+impl Payload for TrainedModel {
+    type Key = String;
+    const DISK_KIND: &'static str = "model";
+
+    fn logical_key(name: &String) -> String {
+        format!("model/{name}")
+    }
+
+    fn listed_sum(manifest: &Manifest, logical: &str) -> Option<u64> {
+        manifest.model_entry(logical).map(|e| e.checksum)
+    }
+
+    /// A checked model must be the model its manifest slot names and
+    /// produce finite outputs on a probe batch.
+    fn decode(bytes: &[u8], checked: Option<&str>) -> Option<Self> {
+        let model = rc_ml::from_bytes::<TrainedModel>(bytes).ok()?;
+        if let Some(logical) = checked {
+            if model.spec.metric.model_name() != logical.trim_start_matches("model/") {
+                return None;
+            }
+            let n = model.spec.n_features();
+            for probe in [vec![0.0; n], vec![0.5; n]] {
+                let (_, score) = rc_ml::Classifier::predict(&model, &probe);
+                if !score.is_finite() {
+                    return None;
+                }
+            }
+        }
+        Some(model)
+    }
+
+    /// Poisoned-model containment: a rejected model never replaces the
+    /// resident one.
+    fn note_rejected(shared: &Shared, logical: &str, _on_demand: bool) {
+        shared.metrics.model_rejected.increment();
+        let mut span = rc_obs::global_tracer().span("client.model_rejected");
+        span.record("model", logical.trim_start_matches("model/"));
+        span.finish();
+    }
+
+    fn resident(snap: &mut ServeSnapshot) -> &mut Resident<Self> {
+        &mut snap.models
+    }
+
+    fn note_disk_install(name: &String) {
+        let mut span = rc_obs::global_tracer().span("client.disk_cache_recovery");
+        span.record("model", name.as_str());
+        span.finish();
+    }
+}
+
+impl Payload for SubscriptionFeatures {
+    type Key = SubscriptionId;
+    const DISK_KIND: &'static str = "features";
+
+    fn logical_key(sub: &SubscriptionId) -> String {
+        feature_store_key(*sub)
+    }
+
+    fn listed_sum(manifest: &Manifest, logical: &str) -> Option<u64> {
+        manifest.feature_entry(logical).map(|e| e.checksum)
+    }
+
+    fn decode(bytes: &[u8], _checked: Option<&str>) -> Option<Self> {
+        serde_json::from_slice(bytes).ok()
+    }
+
+    /// A rejected record is a corrupt payload, counted once: on demand,
+    /// [`resilient_get`] counts it.
+    fn note_rejected(shared: &Shared, _logical: &str, on_demand: bool) {
+        if !on_demand {
+            note_corrupt(shared);
+        }
+    }
+
+    fn resident(snap: &mut ServeSnapshot) -> &mut Resident<Self> {
+        &mut snap.features
     }
 }
 
@@ -405,7 +534,7 @@ impl RcClient {
             backend,
             results,
             config,
-            serve: ArcSwap::from_pointee(ServeSnapshot::empty()),
+            serve: ArcSwap::from_pointee(ServeSnapshot::default()),
             serve_write: Mutex::new(()),
             admission,
             initialized: AtomicBool::new(false),
@@ -422,31 +551,10 @@ impl RcClient {
         });
 
         if shared.admission.is_some() {
-            let worker_shared = shared.clone();
-            worker_shared.live_workers.fetch_add(1, Ordering::SeqCst);
-            worker_shared.metrics.workers_started.increment();
-            let handle = std::thread::Builder::new()
-                .name("rc-pull-worker".into())
-                .spawn(move || {
-                    let _guard = WorkerGuard(worker_shared.clone());
-                    pull_worker(worker_shared);
-                })
-                .expect("spawn pull worker");
-            shared.worker_handles.lock().push(handle);
+            spawn_worker(&shared, "rc-pull-worker", pull_worker);
         }
-
         if let Some(interval) = shared.config.auto_refresh_interval {
-            let watcher_shared = shared.clone();
-            watcher_shared.live_workers.fetch_add(1, Ordering::SeqCst);
-            watcher_shared.metrics.workers_started.increment();
-            let handle = std::thread::Builder::new()
-                .name("rc-push-watcher".into())
-                .spawn(move || {
-                    let _guard = WorkerGuard(watcher_shared.clone());
-                    push_watcher(watcher_shared, interval);
-                })
-                .expect("spawn push watcher");
-            shared.worker_handles.lock().push(handle);
+            spawn_worker(&shared, "rc-push-watcher", move |s| push_watcher(s, interval));
         }
 
         RcClient { shared }
@@ -457,12 +565,12 @@ impl RcClient {
     /// store is unavailable. Returns `true` when at least one model is
     /// ready to serve.
     pub fn initialize(&self) -> bool {
-        let loaded = self.load_from_store() || {
+        let loaded = load_from_store(&self.shared) || {
             let recovered = self.load_from_disk();
             if recovered {
                 self.shared.metrics.disk_recoveries.increment();
                 let mut span = rc_obs::global_tracer().span("client.disk_cache_recovery");
-                span.record("models", self.shared.serve.with(|s| s.models.len()) as u64);
+                span.record("models", self.shared.serve.with(|s| s.models.values.len()) as u64);
                 span.finish();
             }
             recovered
@@ -470,83 +578,64 @@ impl RcClient {
         self.shared.initialized.store(loaded, Ordering::SeqCst);
         loaded
     }
-
-    fn load_from_store(&self) -> bool {
-        load_from_store_shared(&self.shared)
-    }
 }
 
 /// Loads the version the store's publish manifest names: its models and,
 /// in push mode, all its feature data. A store without a readable manifest
 /// has nothing to load. Free function so the push watcher can call it
 /// without constructing a facade.
-fn load_from_store_shared(shared: &Shared) -> bool {
+fn load_from_store(shared: &Shared) -> bool {
     let store = shared.backend.as_ref();
     if !store.is_available() {
         return false;
     }
+    // Fingerprint before the manifest read: a publish that lands during
+    // the load then still differs from the saved fingerprint, and the push
+    // watcher reloads it.
+    let fingerprint = rc_store::fingerprint(store);
     let Some(manifest) =
         store.get_latest(MANIFEST_KEY).ok().and_then(|rec| Manifest::from_bytes(&rec.data))
     else {
         return false;
     };
-    let write_through = shared.config.disk_write_through;
-    let mut models = HashMap::new();
+    let mut models = Resident::default();
     for entry in &manifest.models {
         let name = entry.key.trim_start_matches("model/").to_string();
-        let fetched = store.get_latest(&manifest.versioned_key(&entry.key));
-        let fetched = fetched.map_err(|_| note_unfetched(shared)).ok().and_then(|rec| {
-            match validate_model_payload(&rec.data, entry, &name) {
-                Some(model) => {
-                    if write_through {
-                        if let Some(disk) = &shared.disk {
-                            let _ = disk.save("model", &entry.key, &rec.data);
-                        }
-                    }
-                    Some(Arc::new(model))
+        let fetched = load_one::<TrainedModel>(shared, &manifest, &entry.key, entry.checksum).map(
+            |(model, rec)| {
+                if let Some(disk) = write_through_disk(shared) {
+                    let _ = disk.save(TrainedModel::DISK_KIND, &entry.key, &rec.data);
                 }
-                None => {
-                    note_rejected(shared, &name);
-                    None
-                }
-            }
-        });
+                Arc::new(model)
+            },
+        );
         // Containment: a rejected (or unfetchable) payload never replaces
         // a resident model — the old one keeps serving.
-        if let Some(model) = fetched.or_else(|| shared.serve.with(|s| s.models.get(&name).cloned()))
+        if let Some(model) =
+            fetched.or_else(|| shared.serve.with(|s| s.models.values.get(&name).cloned()))
         {
-            models.insert(name, model);
+            models.install(name, model, false);
         }
     }
-    if models.is_empty() {
+    if models.values.is_empty() {
         return false;
     }
     let push = shared.config.mode == CacheMode::Push;
-    let mut features = HashMap::new();
+    let mut features = Resident::default();
     if push {
         for entry in &manifest.features {
-            let Ok(rec) = store.get_latest(&manifest.versioned_key(&entry.key)) else {
-                note_unfetched(shared);
-                continue;
-            };
-            if checksum(&rec.data) != entry.checksum {
-                note_corrupt(shared);
-                continue;
-            }
-            match serde_json::from_slice::<SubscriptionFeatures>(&rec.data) {
-                Ok(f) => {
-                    features.insert(f.subscription, Arc::new(f));
-                }
-                Err(_) => note_corrupt(shared),
+            if let Some((f, _)) =
+                load_one::<SubscriptionFeatures>(shared, &manifest, &entry.key, entry.checksum)
+            {
+                features.install(f.subscription, Arc::new(f), false);
             }
         }
-        if write_through {
-            if let Some(disk) = &shared.disk {
-                let records: Vec<&SubscriptionFeatures> =
-                    features.values().map(|f| f.as_ref()).collect();
-                if let Ok(blob) = serde_json::to_vec(&records) {
-                    let _ = disk.save("features", "all", &blob);
-                }
+        // A push load mirrors every record as one `features/all` blob.
+        if let Some(disk) = write_through_disk(shared) {
+            let records: Vec<&SubscriptionFeatures> =
+                features.values.values().map(|f| f.as_ref()).collect();
+            if let Ok(blob) = serde_json::to_vec(&records) {
+                let _ = disk.save(SubscriptionFeatures::DISK_KIND, "all", &blob);
             }
         }
     }
@@ -565,9 +654,7 @@ fn load_from_store_shared(shared: &Shared) -> bool {
     // no feature records and fetch each on demand.
     publish_serve(shared, |s| {
         s.models = models;
-        s.stale_models.clear();
         s.features = features;
-        s.stale_subs.clear();
         s.manifest = Some(manifest);
     });
     if push {
@@ -575,42 +662,53 @@ fn load_from_store_shared(shared: &Shared) -> bool {
     } else {
         maybe_clear_degraded(shared);
     }
-    shared.store_fingerprint.store(rc_store::fingerprint(store), Ordering::SeqCst);
+    shared.store_fingerprint.store(fingerprint, Ordering::SeqCst);
     true
 }
 
-/// Sanity-checks a fetched model payload before it may be swapped in:
-/// the bytes must match the manifest entry's checksum, decode to a model,
-/// be the model the manifest slot names, and produce finite outputs on a
-/// probe batch. `None` means the payload is poisoned and must not serve.
-fn validate_model_payload(
-    bytes: &[u8],
-    entry: &ModelEntry,
-    expected_name: &str,
-) -> Option<TrainedModel> {
-    if checksum(bytes) != entry.checksum {
+/// One payload of a bulk load: a plain store read of the manifest's
+/// versioned key (the next load is the retry), then [`verify`]. `None`
+/// when the store did not return it (counted as unfetched) or it failed
+/// verification.
+fn load_one<P: Payload>(
+    shared: &Shared,
+    manifest: &Manifest,
+    logical: &str,
+    expected: u64,
+) -> Option<(P, VersionedRecord)> {
+    let Ok(rec) = shared.backend.get_latest(&manifest.versioned_key(logical)) else {
+        note_unfetched(shared);
         return None;
-    }
-    let model = rc_ml::from_bytes::<TrainedModel>(bytes).ok()?;
-    if model.spec.metric.model_name() != expected_name {
-        return None;
-    }
-    let n = model.spec.n_features();
-    for probe in [vec![0.0; n], vec![0.5; n]] {
-        let (_, score) = rc_ml::Classifier::predict(&model, &probe);
-        if !score.is_finite() {
-            return None;
-        }
-    }
-    Some(model)
+    };
+    let value = verify::<P>(shared, &rec.data, logical, Some(expected), false)?;
+    Some((value, rec))
 }
 
-/// Records one rejected model payload (poisoned-model containment).
-fn note_rejected(shared: &Shared, model_name: &str) {
-    shared.metrics.model_rejected.increment();
-    let mut span = rc_obs::global_tracer().span("client.model_rejected");
-    span.record("model", model_name);
-    span.finish();
+/// The one verify step, for the on-demand pull and both loops of a bulk
+/// load: the checksum against the manifest entry when there is one, then
+/// the kind's decode, sanity-checked when there was an entry. A payload
+/// that fails against its entry is counted by its kind.
+fn verify<P: Payload>(
+    shared: &Shared,
+    bytes: &[u8],
+    logical: &str,
+    expected: Option<u64>,
+    on_demand: bool,
+) -> Option<P> {
+    let Some(sum) = expected else {
+        return P::decode(bytes, None);
+    };
+    let value = if checksum(bytes) == sum { P::decode(bytes, Some(logical)) } else { None };
+    if value.is_none() {
+        P::note_rejected(shared, logical, on_demand);
+    }
+    value
+}
+
+/// The disk cache fetched payloads are mirrored to, when write-through
+/// is on.
+fn write_through_disk(shared: &Shared) -> Option<&DiskCache> {
+    shared.disk.as_ref().filter(|_| shared.config.disk_write_through)
 }
 
 /// Records one corrupt/undecodable payload (store pull or disk entry).
@@ -635,7 +733,7 @@ fn note_degraded(shared: &Shared, reason: DegradedReason) {
 /// and nothing stale is resident.
 fn maybe_clear_degraded(shared: &Shared) {
     if shared.breakers.open_count() == 0
-        && shared.serve.with(|s| s.stale_models.is_empty() && s.stale_subs.is_empty())
+        && shared.serve.with(|s| s.models.stale.is_empty() && s.features.stale.is_empty())
     {
         *shared.degraded.lock() = None;
     }
@@ -647,67 +745,36 @@ impl RcClient {
         let Some(disk) = &shared.disk else {
             return false;
         };
-        let grace = shared.config.stale_grace;
-        let mut models = HashMap::new();
-        let mut stale_names = HashSet::new();
+        let mut models = Resident::default();
         // `list` returns the original store keys (e.g. "model/VM_P95UTIL")
         // thanks to the disk cache's lossless name escaping.
-        for name in disk.list("model") {
-            let (bytes, stale) = match disk.load_graced("model", &name, grace) {
-                DiskLoadResult::Fresh(bytes) => (bytes, false),
-                DiskLoadResult::Stale(bytes) => (bytes, true),
-                DiskLoadResult::Corrupt => {
-                    note_corrupt(shared);
-                    continue;
-                }
-                DiskLoadResult::Expired | DiskLoadResult::Missing => continue,
+        for name in disk.list(TrainedModel::DISK_KIND) {
+            let Some((bytes, stale)) = read_disk(shared, TrainedModel::DISK_KIND, &name) else {
+                continue;
             };
-            match rc_ml::from_bytes::<TrainedModel>(&bytes) {
-                Ok(model) => {
-                    let model_name = model.spec.metric.model_name().to_string();
-                    if stale {
-                        stale_names.insert(model_name.clone());
-                    }
-                    models.insert(model_name, Arc::new(model));
-                }
-                Err(_) => note_corrupt(shared),
+            if let Some(model) = decode_disk::<TrainedModel>(shared, &bytes) {
+                models.install(model.spec.metric.model_name().to_string(), Arc::new(model), stale);
             }
         }
-        if models.is_empty() {
+        if models.values.is_empty() {
             return false;
         }
-        let mut features = HashMap::new();
-        let mut features_stale = false;
-        let blob = match disk.load_graced("features", "all", grace) {
-            DiskLoadResult::Fresh(blob) => Some(blob),
-            DiskLoadResult::Stale(blob) => {
-                features_stale = true;
-                Some(blob)
-            }
-            DiskLoadResult::Corrupt => {
-                note_corrupt(shared);
-                None
-            }
-            DiskLoadResult::Expired | DiskLoadResult::Missing => None,
-        };
-        if let Some(blob) = blob {
-            match serde_json::from_slice::<Vec<SubscriptionFeatures>>(&blob) {
+        let mut features = Resident::default();
+        let blob = read_disk(shared, SubscriptionFeatures::DISK_KIND, "all");
+        if let Some((blob, stale)) = &blob {
+            match serde_json::from_slice::<Vec<SubscriptionFeatures>>(blob) {
                 Ok(records) => {
                     for f in records {
-                        features.insert(f.subscription, Arc::new(f));
+                        features.install(f.subscription, Arc::new(f), *stale);
                     }
                 }
                 Err(_) => note_corrupt(shared),
             }
         }
-        if !stale_names.is_empty() || features_stale {
+        if !models.stale.is_empty() || blob.is_some_and(|(_, stale)| stale) {
             note_degraded(shared, DegradedReason::StaleData);
         }
-        let stale_keys: Vec<SubscriptionId> =
-            if features_stale { features.keys().copied().collect() } else { Vec::new() };
         publish_serve(shared, |s| {
-            s.stale_subs.extend(stale_keys);
-            s.stale_models = stale_names;
             s.models = models;
             s.features = features;
         });
@@ -716,7 +783,8 @@ impl RcClient {
 
     /// Table 2: `get_available_models`.
     pub fn get_available_models(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.shared.serve.with(|s| s.models.keys().cloned().collect());
+        let mut names: Vec<String> =
+            self.shared.serve.with(|s| s.models.values.keys().cloned().collect());
         names.sort();
         names
     }
@@ -827,7 +895,7 @@ impl RcClient {
     /// Table 2: `force_reload_cache` — refreshes memory and disk caches
     /// from the store.
     pub fn force_reload_cache(&self) {
-        if self.load_from_store() {
+        if load_from_store(&self.shared) {
             self.shared.results.clear();
             self.shared.initialized.store(true, Ordering::SeqCst);
         }
@@ -839,11 +907,9 @@ impl RcClient {
         // One publish flushes every serve-path structure at once (the
         // generation keeps counting up — flushes are publishes too).
         publish_serve(&self.shared, |s| {
-            s.models.clear();
-            s.features.clear();
+            s.models = Resident::default();
+            s.features = Resident::default();
             s.manifest = None;
-            s.stale_models.clear();
-            s.stale_subs.clear();
         });
         self.shared.results.clear();
         if let Some(disk) = &self.shared.disk {
@@ -906,8 +972,8 @@ impl RcClient {
         candidate: &TrainedModel,
     ) -> ShadowPrediction {
         let resolved = self.shared.serve.with(|snap| {
-            let sub = snap.features.get(&inputs.subscription).cloned();
-            let model = snap.models.get(model_name).cloned();
+            let sub = snap.features.values.get(&inputs.subscription).cloned();
+            let model = snap.models.values.get(model_name).cloned();
             (model, sub)
         });
         let (model, sub) = resolved;
@@ -1041,6 +1107,21 @@ impl RcClient {
     }
 }
 
+/// Starts one background worker thread. The last facade to drop joins it.
+fn spawn_worker(shared: &Arc<Shared>, name: &str, body: impl FnOnce(Arc<Shared>) + Send + 'static) {
+    let worker_shared = shared.clone();
+    worker_shared.live_workers.fetch_add(1, Ordering::SeqCst);
+    worker_shared.metrics.workers_started.increment();
+    let handle = std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            let _guard = WorkerGuard(worker_shared.clone());
+            body(worker_shared);
+        })
+        .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+    shared.worker_handles.lock().push(handle);
+}
+
 /// Decrements the live-worker count when a background thread exits, even
 /// if the worker body panics.
 struct WorkerGuard(Arc<Shared>);
@@ -1099,9 +1180,7 @@ fn push_watcher(shared: Arc<Shared>, interval: StdDuration) {
             continue;
         }
         let current = rc_store::fingerprint(shared.backend.as_ref());
-        if current != shared.store_fingerprint.load(Ordering::SeqCst)
-            && load_from_store_shared(&shared)
-        {
+        if current != shared.store_fingerprint.load(Ordering::SeqCst) && load_from_store(&shared) {
             shared.results.clear();
             shared.metrics.background_refreshes.increment();
         }
@@ -1118,7 +1197,7 @@ fn push_watcher(shared: Arc<Shared>, interval: StdDuration) {
 fn execute(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<Executed> {
     let metrics = &shared.metrics;
     let resolved = shared.serve.with(|snap| {
-        let model = match snap.models.get(model_name) {
+        let model = match snap.models.values.get(model_name) {
             Some(m) => {
                 metrics.model_cache_hits.increment();
                 m.clone()
@@ -1128,7 +1207,7 @@ fn execute(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<E
                 return None;
             }
         };
-        let sub = match snap.features.get(&inputs.subscription) {
+        let sub = match snap.features.values.get(&inputs.subscription) {
             Some(sub) => {
                 metrics.feature_cache_hits.increment();
                 sub.clone()
@@ -1138,8 +1217,8 @@ fn execute(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<E
                 return None;
             }
         };
-        let stale = snap.stale_models.contains(model_name)
-            || snap.stale_subs.contains(&inputs.subscription);
+        let stale = snap.models.stale.contains(model_name)
+            || snap.features.stale.contains(&inputs.subscription);
         Some((model, sub, snap.generation, stale))
     });
     let (model, sub, generation, stale) = resolved?;
@@ -1151,11 +1230,13 @@ fn execute(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<E
 /// record resident (store → retry/backoff → disk fallback), then
 /// executes. `None` when every rung of the ladder failed.
 fn resolve_sync(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<Executed> {
-    if shared.serve.with(|s| !s.models.contains_key(model_name)) {
-        resilient_fetch_model(shared, model_name)?;
+    if shared.serve.with(|s| !s.models.values.contains_key(model_name))
+        && !fetch::<TrainedModel>(shared, &model_name.to_string())
+    {
+        return None;
     }
-    if shared.serve.with(|s| !s.features.contains_key(&inputs.subscription))
-        && !resilient_fetch_features(shared, inputs.subscription)
+    if shared.serve.with(|s| !s.features.values.contains_key(&inputs.subscription))
+        && !fetch::<SubscriptionFeatures>(shared, &inputs.subscription)
     {
         return None;
     }
@@ -1284,170 +1365,85 @@ fn cached_manifest(shared: &Shared) -> Option<Manifest> {
     }
 }
 
-/// Fetches and caches a model: store (with retry/backoff/breaker), then
-/// the disk cache (fresh first, stale within the grace window). When the
-/// store publishes a manifest, the pull goes to the manifest's versioned
-/// key and the payload must pass [`validate_model_payload`] — a poisoned
-/// payload is rejected without touching the resident model.
-fn resilient_fetch_model(shared: &Shared, model_name: &str) -> Option<Arc<TrainedModel>> {
-    let logical = format!("model/{model_name}");
+/// The on-demand ladder, for either payload kind. The cached manifest
+/// directs the pull to the entry's versioned key, [`resilient_get`] pulls
+/// and [`verify`]s it, and the bytes the store returned are written
+/// through to disk before the value is installed. When the pull fails,
+/// the disk rung serves a fresh entry, else a stale one inside the grace
+/// window, installed stale. `false` when the store has no such key or
+/// every rung failed; a rejected payload never replaces a resident one.
+fn fetch<P: Payload>(shared: &Shared, key: &P::Key) -> bool {
+    let logical = P::logical_key(key);
     let manifest = cached_manifest(shared);
-    let entry = manifest.as_ref().and_then(|m| m.model_entry(&logical).cloned());
+    let expected = manifest.as_ref().and_then(|m| P::listed_sum(m, &logical));
     // A manifest entry directs the pull to its versioned key; names the
     // manifest does not list (out-of-band models, quarantined metrics)
     // fall back to the flat logical key, as does a client that could not
     // read the manifest.
-    let key = match (&manifest, &entry) {
-        (Some(m), Some(e)) => m.versioned_key(&e.key),
+    let store_key = match (&manifest, expected) {
+        (Some(m), Some(_)) => m.versioned_key(&logical),
         _ => logical.clone(),
     };
-    let decode = |bytes: &[u8]| match &entry {
-        Some(e) => match validate_model_payload(bytes, e, model_name) {
-            Some(model) => Some((model, bytes.to_vec())),
-            None => {
-                note_rejected(shared, model_name);
-                None
-            }
-        },
-        None => rc_ml::from_bytes::<TrainedModel>(bytes).ok().map(|m| (m, bytes.to_vec())),
+    let verified = |bytes: &[u8]| {
+        verify::<P>(shared, bytes, &logical, expected, true).map(|value| (value, bytes.to_vec()))
     };
-    match resilient_get(shared, &key, decode) {
-        FetchOutcome::Data((model, bytes)) => {
-            let model = Arc::new(model);
-            publish_serve(shared, |s| {
-                s.models.insert(model_name.to_string(), model.clone());
-                s.stale_models.remove(model_name);
-            });
-            if shared.config.disk_write_through {
-                if let Some(disk) = &shared.disk {
-                    // Disk entries key by the *logical* name so a cached
-                    // copy survives version flips and serves as the
-                    // fallback whatever version published it.
-                    let _ = disk.save("model", &logical, &bytes);
-                }
+    let (value, stale) = match resilient_get(shared, &store_key, verified) {
+        FetchOutcome::Data((value, bytes)) => {
+            // Disk entries key by the *logical* name so a cached copy
+            // survives version flips and serves as the fallback whatever
+            // version published it.
+            if let Some(disk) = write_through_disk(shared) {
+                let _ = disk.save(P::DISK_KIND, &logical, &bytes);
             }
-            Some(model)
+            (value, false)
         }
-        FetchOutcome::NotFound => None,
+        FetchOutcome::NotFound => return false,
         FetchOutcome::Failed => {
             // Only an actual fall-back to the local disk counts toward
             // `store_fallbacks`; a successful store pull is the normal
             // pull-mode path, not a fallback.
             shared.metrics.store_fallbacks.increment();
-            let (bytes, stale) = disk_fallback(shared, "model", &logical)?;
-            install_disk_model(shared, model_name, &bytes, stale)
-        }
-    }
-}
-
-/// Decodes a disk-cache model payload and makes it resident, tracking
-/// whether it is stale-grace data.
-fn install_disk_model(
-    shared: &Shared,
-    model_name: &str,
-    bytes: &[u8],
-    stale: bool,
-) -> Option<Arc<TrainedModel>> {
-    let model = match rc_ml::from_bytes::<TrainedModel>(bytes) {
-        Ok(model) => Arc::new(model),
-        Err(_) => {
-            note_corrupt(shared);
-            return None;
-        }
-    };
-    publish_serve(shared, |s| {
-        s.models.insert(model_name.to_string(), model.clone());
-        if stale {
-            s.stale_models.insert(model_name.to_string());
-        } else {
-            s.stale_models.remove(model_name);
-        }
-    });
-    let mut span = rc_obs::global_tracer().span("client.disk_cache_recovery");
-    span.record("model", model_name);
-    span.finish();
-    Some(model)
-}
-
-/// Fetches and caches one subscription's feature data, with the same
-/// ladder as [`resilient_fetch_model`].
-fn resilient_fetch_features(shared: &Shared, sub: SubscriptionId) -> bool {
-    let logical = feature_store_key(sub);
-    let manifest = cached_manifest(shared);
-    let entry = manifest.as_ref().and_then(|m| m.feature_entry(&logical).cloned());
-    let key = match (&manifest, &entry) {
-        (Some(m), Some(e)) => m.versioned_key(&e.key),
-        _ => logical.clone(),
-    };
-    let decode = |bytes: &[u8]| {
-        if let Some(e) = &entry {
-            if checksum(bytes) != e.checksum {
-                return None;
-            }
-        }
-        serde_json::from_slice::<SubscriptionFeatures>(bytes).ok()
-    };
-    match resilient_get(shared, &key, decode) {
-        FetchOutcome::Data(features) => {
-            if shared.config.disk_write_through {
-                if let Some(disk) = &shared.disk {
-                    if let Ok(blob) = serde_json::to_vec(&features) {
-                        let _ = disk.save("features", &logical, &blob);
-                    }
-                }
-            }
-            let features = Arc::new(features);
-            publish_serve(shared, |s| {
-                s.features.insert(sub, features);
-                s.stale_subs.remove(&sub);
-            });
-            true
-        }
-        FetchOutcome::NotFound => false,
-        FetchOutcome::Failed => {
-            shared.metrics.store_fallbacks.increment();
-            let Some((bytes, stale)) = disk_fallback(shared, "features", &logical) else {
+            let Some((bytes, stale)) = read_disk(shared, P::DISK_KIND, &logical) else {
                 return false;
             };
-            // Like a disk model, a disk record is checked by its own
-            // frame, not against the current manifest: it may be an
-            // older version's copy, which is still a good fallback.
-            let Ok(features) = serde_json::from_slice::<SubscriptionFeatures>(&bytes) else {
-                note_corrupt(shared);
+            shared.metrics.disk_recoveries.increment();
+            note_degraded(
+                shared,
+                if stale { DegradedReason::StaleData } else { DegradedReason::DiskFallback },
+            );
+            let Some(value) = decode_disk::<P>(shared, &bytes) else {
                 return false;
             };
-            let features = Arc::new(features);
-            publish_serve(shared, |s| {
-                s.features.insert(sub, features);
-                if stale {
-                    s.stale_subs.insert(sub);
-                } else {
-                    s.stale_subs.remove(&sub);
-                }
-            });
-            true
+            P::note_disk_install(key);
+            (value, stale)
         }
-    }
+    };
+    let value = Arc::new(value);
+    publish_serve(shared, |s| P::resident(s).install(key.clone(), value, stale));
+    true
 }
 
-/// The disk rung of the ladder: a fresh entry if there is one, else a
-/// stale entry within the grace window. Returns the payload and whether
-/// it was stale; records recovery metrics and the degraded mark.
-fn disk_fallback(shared: &Shared, kind: &str, key: &str) -> Option<(Vec<u8>, bool)> {
-    let disk = shared.disk.as_ref()?;
-    let (bytes, stale) = match disk.load_graced(kind, key, shared.config.stale_grace) {
-        DiskLoadResult::Fresh(bytes) => (bytes, false),
-        DiskLoadResult::Stale(bytes) => (bytes, true),
+/// The one read of a disk-cache entry: fresh, or stale inside the grace
+/// window (`true`). A torn entry counts as corrupt.
+fn read_disk(shared: &Shared, kind: &str, name: &str) -> Option<(Vec<u8>, bool)> {
+    match shared.disk.as_ref()?.load_graced(kind, name, shared.config.stale_grace) {
+        DiskLoadResult::Fresh(bytes) => Some((bytes, false)),
+        DiskLoadResult::Stale(bytes) => Some((bytes, true)),
         DiskLoadResult::Corrupt => {
             note_corrupt(shared);
-            return None;
+            None
         }
-        DiskLoadResult::Expired | DiskLoadResult::Missing => return None,
-    };
-    shared.metrics.disk_recoveries.increment();
-    note_degraded(
-        shared,
-        if stale { DegradedReason::StaleData } else { DegradedReason::DiskFallback },
-    );
-    Some((bytes, stale))
+        DiskLoadResult::Expired | DiskLoadResult::Missing => None,
+    }
+}
+
+/// Decodes a disk-cache payload. Its own frame is its check, not the
+/// current manifest: an older version's copy is still a good fallback.
+/// Undecodable bytes count as corrupt.
+fn decode_disk<P: Payload>(shared: &Shared, bytes: &[u8]) -> Option<P> {
+    let value = P::decode(bytes, None);
+    if value.is_none() {
+        note_corrupt(shared);
+    }
+    value
 }

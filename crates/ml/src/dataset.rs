@@ -45,16 +45,6 @@ impl Dataset {
         }
     }
 
-    /// Replaces the default `f0..fN` column names.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the name count does not match the feature count.
-    pub fn set_feature_names(&mut self, names: Vec<String>) {
-        assert_eq!(names.len(), self.n_features, "one name per feature");
-        self.feature_names = names;
-    }
-
     /// Column names.
     pub fn feature_names(&self) -> &[String] {
         &self.feature_names

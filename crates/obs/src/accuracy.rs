@@ -414,11 +414,6 @@ impl AccuracyTracker {
             .map(|s| s.card.clone())
             .unwrap_or_default()
     }
-
-    /// Metrics the tracker has seen, ascending by name.
-    pub fn metric_names(&self) -> Vec<String> {
-        self.metrics.lock().expect("accuracy lock").keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]

@@ -204,11 +204,6 @@ impl ServerFleet {
         self.n_vms[i]
     }
 
-    /// True when server `i` hosts no VMs.
-    pub fn server_is_empty(&self, i: usize) -> bool {
-        self.n_vms[i] == 0
-    }
-
     /// Occupied server indices (arbitrary order; callers needing a
     /// deterministic preference must rank candidates explicitly).
     pub fn occupied(&self) -> &[u32] {

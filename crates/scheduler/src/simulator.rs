@@ -64,22 +64,6 @@ pub struct SimConfig {
     pub accuracy: Option<Arc<AccuracyTracker>>,
 }
 
-impl SimConfig {
-    /// The paper's cluster: 880 servers, 16 cores, 112 GB.
-    pub fn paper_cluster(scheduler: SchedulerConfig) -> Self {
-        SimConfig {
-            n_servers: 880,
-            cores_per_server: 16.0,
-            memory_per_server_gb: 112.0,
-            scheduler,
-            util_shift: 0.0,
-            tick_stride: 1,
-            obs_tick_secs: OBS_TICK_DAILY,
-            accuracy: None,
-        }
-    }
-}
-
 /// The default observability epoch: one simulated day.
 pub const OBS_TICK_DAILY: u64 = 86_400;
 

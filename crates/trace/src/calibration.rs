@@ -127,15 +127,6 @@ pub const LIFETIME_BUCKET_BOUNDS: [LifetimeBucketShape; 4] = [
     LifetimeBucketShape { lo_secs: 86_400.0, hi_secs: 90.0 * 86_400.0 },
 ];
 
-/// Probability that a deployment has exactly one VM (§3.4: roughly 40%;
-/// Table 4 measures 49% over the test month — we target the middle).
-pub fn single_vm_deployment_fraction(party: Party) -> f64 {
-    match party {
-        Party::First => 0.40,
-        Party::Third => 0.50,
-    }
-}
-
 /// Target deployment-size bucket shares (1 / 2–10 / 11–100 / >100 VMs).
 ///
 /// Blend reproduces Table 4 (49 / 40 / 10 / 1) and Figure 4 (80% of

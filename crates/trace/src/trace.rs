@@ -149,15 +149,4 @@ impl Trace {
     pub fn vm_ids(&self) -> impl Iterator<Item = VmId> + '_ {
         (0..self.vms.len() as u64).map(VmId)
     }
-
-    /// Total core-hours across all VMs, clipped to the window.
-    pub fn total_core_hours(&self) -> f64 {
-        self.vms
-            .iter()
-            .map(|vm| {
-                let end = vm.deleted.min(self.window_end());
-                vm.sku.cores as f64 * end.since(vm.created).as_hours_f64()
-            })
-            .sum()
-    }
 }

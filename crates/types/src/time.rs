@@ -155,11 +155,6 @@ impl Duration {
         self.0
     }
 
-    /// Fractional minutes in this duration.
-    pub fn as_minutes_f64(self) -> f64 {
-        self.0 as f64 / 60.0
-    }
-
     /// Fractional hours in this duration.
     pub fn as_hours_f64(self) -> f64 {
         self.0 as f64 / 3600.0

@@ -454,3 +454,235 @@ fn client_is_thread_safe() {
     let served: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(served > 0);
 }
+
+/// Sets the modification time of `path` to `age` ago.
+fn age_file(path: &std::path::Path, age: StdDuration) {
+    let file = std::fs::File::options().write(true).open(path).unwrap();
+    file.set_modified(std::time::SystemTime::now() - age).unwrap();
+}
+
+/// [`age_file`] for every file in `dir`.
+fn age_files(dir: &std::path::Path, age: StdDuration) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        age_file(&entry.unwrap().path(), age);
+    }
+}
+
+/// Regression: a disk load replaced the stale-model set but only added
+/// to the stale-feature set. A push client that came up from a stale
+/// disk cache went on serving every lookup `Stale` after a second
+/// initialize found the cache fresh again.
+#[test]
+fn reinitializing_from_a_refreshed_disk_cache_serves_fresh() {
+    let (trace, store) = world();
+    let dir = temp_dir("refreshed");
+    let config = ClientConfig {
+        disk_cache_dir: Some(dir.clone()),
+        disk_cache_expiry: StdDuration::from_secs(3600),
+        stale_grace: StdDuration::from_secs(24 * 3600),
+        ..ClientConfig::default()
+    };
+    assert!(RcClient::new(store.clone(), config.clone()).initialize(), "primes the disk");
+    age_files(&dir, StdDuration::from_secs(2 * 3600));
+
+    store.set_available(false);
+    let client = RcClient::new(store, config);
+    let inputs = vm_inputs(&trace, VmId(5));
+    assert!(client.initialize(), "a stale disk cache inside the grace window serves");
+    assert_eq!(client.predict_single_traced("VM_P95UTIL", &inputs).1, Served::Stale);
+
+    age_files(&dir, StdDuration::ZERO);
+    assert!(client.initialize());
+    client.clear_result_cache();
+    let (response, served) = client.predict_single_traced("VM_P95UTIL", &inputs);
+    assert!(response.is_predicted());
+    assert_eq!(served, Served::Fresh, "the refreshed disk cache is fresh data");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// How [`Switchboard`] answers a read of its target key.
+#[derive(Debug, Clone, Copy)]
+enum Line {
+    Up,
+    Down,
+    /// Bytes that fail verification against the manifest entry.
+    Garbled,
+}
+
+/// A store that answers reads of one logical key, under any version
+/// prefix, as its `line` says; every other key reads normally.
+struct Switchboard {
+    inner: Store,
+    target: String,
+    line: Mutex<Line>,
+}
+
+impl StoreBackend for Switchboard {
+    fn is_available(&self) -> bool {
+        self.inner.is_available()
+    }
+
+    fn keys(&self) -> Vec<String> {
+        self.inner.keys()
+    }
+
+    fn get_latest(&self, key: &str) -> Result<VersionedRecord, StoreError> {
+        let targeted = key == self.target || key.ends_with(&format!("/{}", self.target));
+        match *self.line.lock().unwrap() {
+            Line::Down if targeted => Err(StoreError::Unavailable),
+            Line::Garbled if targeted => {
+                let rec = self.inner.get_latest(key)?;
+                Ok(VersionedRecord { data: Bytes::from_static(b"garbled"), ..rec })
+            }
+            _ => self.inner.get_latest(key),
+        }
+    }
+
+    fn get_version(&self, key: &str, version: u64) -> Result<VersionedRecord, StoreError> {
+        self.inner.get_version(key, version)
+    }
+
+    fn latest_version(&self, key: &str) -> Option<u64> {
+        self.inner.latest_version(key)
+    }
+
+    fn put(&self, key: &str, data: Bytes) -> Result<u64, StoreError> {
+        self.inner.put(key, data)
+    }
+}
+
+/// The disk entry a ladder case starts from.
+#[derive(Debug, Clone, Copy)]
+enum DiskEntry {
+    Absent,
+    Fresh,
+    /// Past the expiry, inside the stale grace.
+    Stale,
+    /// A frame that fails its own checksum.
+    Torn,
+    /// An intact frame around bytes that do not decode.
+    Undecodable,
+}
+
+/// The on-demand ladder's counter contract, for both payload kinds. One
+/// `PullSync` lookup per case pulls the target payload (a model the
+/// initial load could not fetch, or a feature record) through each
+/// outcome: store data, a payload that fails verification, and a store
+/// failure that falls back to a fresh, stale, torn or undecodable disk
+/// entry. Each case checks the `Served` rung and the client's own counts
+/// of rejected models, corrupt payloads, store fallbacks and retries. A
+/// store failure over a fresh disk feature record is
+/// `older_disk_feature_record_serves_through_a_store_outage`.
+#[test]
+fn on_demand_ladder_counts_each_outcome_per_payload_kind() {
+    use DiskEntry::*;
+    use Line::*;
+    let (trace, store) = world();
+    let inputs = vm_inputs(&trace, VmId(5));
+    let model_key = "model/VM_P95UTIL".to_string();
+    let feature_key = rc_core::feature_store_key(inputs.subscription);
+    let config = |dir: &std::path::Path| ClientConfig {
+        mode: CacheMode::PullSync,
+        disk_cache_dir: Some(dir.to_path_buf()),
+        disk_cache_expiry: StdDuration::from_secs(3600),
+        stale_grace: StdDuration::from_secs(24 * 3600),
+        disk_write_through: false,
+        retry: RetryPolicy {
+            max_attempts: 2,
+            base_backoff: StdDuration::ZERO,
+            max_backoff: StdDuration::ZERO,
+            call_deadline: StdDuration::from_secs(30),
+            ..RetryPolicy::default()
+        },
+        ..ClientConfig::default()
+    };
+
+    // A disk cache holding both target payloads.
+    let primed = temp_dir("ladder_primed");
+    let primer =
+        RcClient::new(store.clone(), ClientConfig { disk_write_through: true, ..config(&primed) });
+    assert!(primer.initialize());
+    assert!(primer.predict_single("VM_P95UTIL", &inputs).is_predicted());
+    drop(primer);
+    // Both kinds write through the bytes the store returned.
+    let manifest = rc_store::Manifest::read_current(&store).unwrap().expect("published manifest");
+    let primed_disk = rc_core::DiskCache::new(primed.clone(), StdDuration::from_secs(3600));
+    for (kind, key) in [("model", &model_key), ("features", &feature_key)] {
+        let stored = store.get_latest(&manifest.versioned_key(key)).unwrap().data;
+        assert_eq!(primed_disk.load_if_fresh(kind, key).as_deref(), Some(&stored[..]), "{kind}");
+    }
+
+    // (line, disk, served, rejected, corrupt, fallbacks, retries)
+    type Case = (Line, DiskEntry, Served, u64, u64, u64, u64);
+    let model_cases: [Case; 6] = [
+        (Up, Absent, Served::Fresh, 0, 0, 0, 0),
+        (Garbled, Absent, Served::Default, 2, 2, 1, 1),
+        (Down, Fresh, Served::Fresh, 0, 0, 1, 1),
+        (Down, Stale, Served::Stale, 0, 0, 1, 1),
+        (Down, Torn, Served::Default, 0, 1, 1, 1),
+        (Down, Undecodable, Served::Default, 0, 1, 1, 1),
+    ];
+    let feature_cases: [Case; 5] = [
+        (Up, Absent, Served::Fresh, 0, 0, 0, 0),
+        (Garbled, Absent, Served::Default, 0, 2, 1, 1),
+        (Down, Stale, Served::Stale, 0, 0, 1, 1),
+        (Down, Torn, Served::Default, 0, 1, 1, 1),
+        (Down, Undecodable, Served::Default, 0, 1, 1, 1),
+    ];
+    let kinds =
+        [("model", &model_key, &model_cases[..]), ("features", &feature_key, &feature_cases[..])];
+    for (kind, target, cases) in kinds {
+        for &(line, disk_entry, served, rejected, corrupt, fallbacks, retries) in cases {
+            let what = format!("{kind} {line:?} {disk_entry:?}");
+            let dir = temp_dir(&format!("ladder_{kind}_{line:?}_{disk_entry:?}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            for entry in std::fs::read_dir(&primed).unwrap() {
+                let path = entry.unwrap().path();
+                std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+            }
+            let disk = rc_core::DiskCache::new(dir.clone(), StdDuration::from_secs(3600));
+            let file = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .find(|p| {
+                    let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                    name.starts_with(&format!("{kind}_"))
+                        && name.contains(target.rsplit('/').next().unwrap())
+                })
+                .unwrap_or_else(|| panic!("{what}: the primed disk holds the target"));
+            match disk_entry {
+                Absent => std::fs::remove_file(&file).unwrap(),
+                Fresh => {}
+                Stale => age_file(&file, StdDuration::from_secs(2 * 3600)),
+                Torn => std::fs::write(&file, b"not a framed cache entry").unwrap(),
+                Undecodable => disk.save(kind, target, b"not a payload").unwrap(),
+            }
+
+            // The model case's initial load cannot fetch the target, so
+            // the lookup pulls it on demand; a pull-mode load never
+            // fetches feature records.
+            let initial = if kind == "model" { Down } else { Up };
+            let board = Arc::new(Switchboard {
+                inner: store.clone(),
+                target: target.clone(),
+                line: Mutex::new(initial),
+            });
+            let client = RcClient::with_backend(board.clone(), config(&dir));
+            assert!(client.initialize(), "{what}");
+            *board.line.lock().unwrap() = line;
+
+            let (response, got) = client.predict_single_traced("VM_P95UTIL", &inputs);
+            assert_eq!(got, served, "{what}");
+            assert_eq!(response.is_predicted(), served != Served::Default, "{what}");
+            let counts = (
+                client.model_rejected_count(),
+                client.corrupt_payload_count(),
+                client.store_fallback_count(),
+                client.retry_count(),
+            );
+            assert_eq!(counts, (rejected, corrupt, fallbacks, retries), "{what}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&primed);
+}

@@ -1,18 +1,21 @@
 //! Client lifecycle and concurrency regressions: shutdown on concurrent
 //! facade drops (with and without pull-mode refreshes still queued),
 //! pull-mode misses filled once the queue drains, exact sharded-cache
-//! statistics under multi-threaded load, and `store_fallbacks` counting
-//! only real store-pull failures.
+//! statistics under multi-threaded load, `store_fallbacks` counting
+//! only real store-pull failures, and the push watcher catching a
+//! publish that lands during a load.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration as StdDuration;
 
+use bytes::Bytes;
 use rc_core::labels::vm_inputs;
+use rc_store::{StoreError, VersionedRecord, MANIFEST_KEY};
 use rc_types::vm::SubscriptionId;
 use resource_central::prelude::*;
 
-fn world() -> (Trace, Store) {
+fn trained() -> (Trace, PipelineOutput) {
     let trace = Trace::generate(&TraceConfig {
         target_vms: 5_000,
         n_subscriptions: 200,
@@ -20,6 +23,11 @@ fn world() -> (Trace, Store) {
         ..TraceConfig::small()
     });
     let output = rc_core::run_pipeline(&trace, &rc_core::PipelineConfig::fast(24)).unwrap();
+    (trace, output)
+}
+
+fn world() -> (Trace, Store) {
+    let (trace, output) = trained();
     let store = Store::in_memory();
     output.publish(&store, 0.5).unwrap();
     (trace, store)
@@ -264,6 +272,71 @@ fn hammering_threads_never_lose_cache_counts() {
     let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
     while client.background_refresh_count() == 0 {
         assert!(std::time::Instant::now() < deadline, "watcher never refreshed");
+        std::thread::sleep(StdDuration::from_millis(10));
+    }
+}
+
+/// A store that publishes `next` as a new version right after it serves
+/// the first read of the manifest pointer: a publish that lands while a
+/// client is loading the version it just read.
+struct PublishMidLoad {
+    inner: Store,
+    next: PipelineOutput,
+    published: AtomicBool,
+}
+
+impl StoreBackend for PublishMidLoad {
+    fn is_available(&self) -> bool {
+        self.inner.is_available()
+    }
+
+    fn keys(&self) -> Vec<String> {
+        self.inner.keys()
+    }
+
+    fn get_latest(&self, key: &str) -> Result<VersionedRecord, StoreError> {
+        let rec = self.inner.get_latest(key);
+        if key == MANIFEST_KEY && !self.published.swap(true, Ordering::SeqCst) {
+            self.next.publish(&self.inner, 0.5).unwrap();
+        }
+        rec
+    }
+
+    fn get_version(&self, key: &str, version: u64) -> Result<VersionedRecord, StoreError> {
+        self.inner.get_version(key, version)
+    }
+
+    fn latest_version(&self, key: &str) -> Option<u64> {
+        self.inner.latest_version(key)
+    }
+
+    fn put(&self, key: &str, data: Bytes) -> Result<u64, StoreError> {
+        self.inner.put(key, data)
+    }
+}
+
+/// Regression: a load took the store fingerprint after it finished, so a
+/// manifest flip between its manifest read and that point was folded
+/// into the fingerprint. The push watcher then saw no change and the
+/// client served the old version until some later publish.
+#[test]
+fn push_watcher_reloads_a_publish_that_lands_mid_load() {
+    let (_, output) = trained();
+    let store = Store::in_memory();
+    output.publish(&store, 0.5).unwrap();
+    let backend =
+        Arc::new(PublishMidLoad { inner: store, next: output, published: AtomicBool::new(false) });
+    let config = ClientConfig {
+        auto_refresh_interval: Some(StdDuration::from_millis(20)),
+        ..ClientConfig::default()
+    };
+    let client = RcClient::with_backend(backend.clone(), config);
+    assert!(client.initialize());
+    assert!(backend.published.load(Ordering::SeqCst), "version 2 landed during the load");
+
+    let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
+    while client.manifest_version() != Some(2) {
+        assert!(std::time::Instant::now() < deadline, "the watcher never loaded version 2");
         std::thread::sleep(StdDuration::from_millis(10));
     }
 }
