@@ -6,6 +6,8 @@
 //! functions ([`characterize`]), including the FFT-based workload
 //! classification and core-hour accounting behind Figure 6.
 
+#![forbid(unsafe_code)]
+
 pub mod characterize;
 pub mod spearman;
 pub mod stats;

@@ -1,4 +1,6 @@
-//! Thread-per-core saturation bench for the lock-free serve path.
+//! Thread-per-core saturation bench for the serve path: a cache hit takes
+//! no lock, a miss one short read lock on the serve snapshot and one
+//! shard mutex.
 //!
 //! Pins N client threads against *one* [`RcClient`] and sweeps the thread
 //! count over three traffic mixes: all hits over a pre-warmed result
@@ -153,8 +155,8 @@ fn path_allocations(client: &RcClient, inputs: &[ClientInputs], miss_days: Optio
         let inp = &inputs[(k % WORKING_SET) as usize];
         miss_days.map_or(*inp, |first_day| moved_to(inp, first_day + k))
     };
-    // Warm-up: first use registers this thread's epoch slot and touches
-    // every lazy TLS/static the path consults — allowed to allocate.
+    // Warm-up: first use touches every lazy TLS/static the path
+    // consults — allowed to allocate.
     for k in 0..64 {
         let _ = client.predict_single(MODEL, &request(k));
     }

@@ -7,6 +7,8 @@
 //! enough for minutes-scale runs, large enough for stable distributions;
 //! the paper's absolute counts scale linearly).
 
+#![forbid(unsafe_code)]
+
 use rc_core::{run_pipeline, PipelineConfig, PipelineOutput};
 use rc_trace::{Trace, TraceConfig};
 

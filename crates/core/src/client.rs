@@ -34,8 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant, SystemTime};
 
-use arc_swap::ArcSwap;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use rc_obs::{Counter, Gauge, Histogram};
 use rc_store::{checksum, Manifest, Store, StoreBackend, VersionedRecord, MANIFEST_KEY};
@@ -189,7 +188,6 @@ struct ClientMetrics {
     inflight: Gauge,
     serve_publishes: Counter,
     serve_generation: Gauge,
-    serve_retired: Gauge,
     admission_enqueued: Counter,
     admission_coalesced: Counter,
     admission_rejected: Counter,
@@ -229,7 +227,6 @@ impl ClientMetrics {
             inflight: reg.gauge(rc_obs::CLIENT_INFLIGHT),
             serve_publishes: reg.counter(rc_obs::CLIENT_SERVE_SNAPSHOT_PUBLISHES),
             serve_generation: reg.gauge(rc_obs::CLIENT_SERVE_SNAPSHOT_GENERATION),
-            serve_retired: reg.gauge(rc_obs::CLIENT_SERVE_SNAPSHOT_RETIRED),
             admission_enqueued: reg.counter(rc_obs::CLIENT_ADMISSION_ENQUEUED),
             admission_coalesced: reg.counter(rc_obs::CLIENT_ADMISSION_COALESCED),
             admission_rejected: reg.counter(rc_obs::CLIENT_ADMISSION_REJECTED),
@@ -256,14 +253,15 @@ impl Drop for InflightGuard<'_> {
 
 /// The immutable serve-path state: everything a predict resolves against
 /// — models, feature data, the manifest that loaded them, and staleness
-/// membership — published together behind one [`ArcSwap`] pointer.
+/// membership — published together as one `Arc` behind [`Shared::serve`].
 ///
-/// Readers take one epoch pin plus one atomic load per call and never
-/// block; because model, feature record, staleness, and generation all
-/// come from the *same* snapshot, a concurrent swap can never mix
-/// versions within one prediction (no torn reads). Writers clone the
-/// current snapshot under [`Shared::serve_write`], mutate the copy, and
-/// publish it with a single pointer store.
+/// A reader resolves everything it needs under one short read section
+/// (a pointer's worth of work: map lookups and `Arc` clones), so model,
+/// feature record, staleness, and generation all come from the *same*
+/// snapshot and a concurrent publish can never mix versions within one
+/// prediction (no torn reads). Writers clone the current snapshot under
+/// [`Shared::serve_write`], mutate the copy with no lock readers wait on,
+/// and take the write lock only to swap the pointer.
 #[derive(Clone, Default)]
 struct ServeSnapshot {
     models: Resident<TrainedModel>,
@@ -276,9 +274,6 @@ struct ServeSnapshot {
     /// checksums payloads are verified against. `None` until a store read
     /// finds one (a disk-loaded client starts without).
     manifest: Option<Manifest>,
-    /// Monotone publish count; responses attribute to the generation they
-    /// resolved against (the swap-race regression test's oracle).
-    generation: u64,
 }
 
 /// One payload kind's resident values, and which of them are stale disk
@@ -411,7 +406,7 @@ impl Payload for SubscriptionFeatures {
     /// [`resilient_get`] counts it.
     fn note_rejected(shared: &Shared, _logical: &str, on_demand: bool) {
         if !on_demand {
-            note_corrupt(shared);
+            shared.metrics.corrupt_payloads.increment();
         }
     }
 
@@ -420,23 +415,28 @@ impl Payload for SubscriptionFeatures {
     }
 }
 
-/// Publishes the next serve snapshot: clone the current one, bump the
-/// generation, apply `mutate`, store. Writers serialize on `serve_write`
-/// so concurrent publishes never lose each other's updates; readers keep
-/// resolving against the previous snapshot until the single store lands.
+/// Publishes the next serve snapshot: clone the current one, apply
+/// `mutate`, swap it in and bump the generation. Writers serialize on
+/// `serve_write` so concurrent publishes never lose each other's updates,
+/// and so no writer is ever waiting while the copy is taken: readers
+/// keep resolving against the previous snapshot until the swap. The
+/// write lock covers only the pointer swap and the generation bump; the
+/// replaced snapshot is dropped after it, and freed with its last
+/// reader's clone.
 fn publish_serve(shared: &Shared, mutate: impl FnOnce(&mut ServeSnapshot)) {
     let _write = shared.serve_write.lock();
-    let mut next = (*shared.serve.load_full()).clone();
-    next.generation += 1;
+    let mut next = ServeSnapshot::clone(&shared.serve.read());
     mutate(&mut next);
-    let generation = next.generation;
-    shared.serve.store(Arc::new(next));
+    let _replaced = {
+        let mut serve = shared.serve.write();
+        shared.generation.fetch_add(1, Ordering::Release);
+        std::mem::replace(&mut *serve, Arc::new(next))
+    };
     shared.metrics.serve_publishes.increment();
-    shared.metrics.serve_generation.set(generation as f64);
-    shared.metrics.serve_retired.set(shared.serve.retired_len() as f64);
+    shared.metrics.serve_generation.set(shared.generation() as f64);
 }
 
-/// A prediction resolved against one pinned serve snapshot, plus the
+/// A prediction resolved against one serve snapshot, plus the
 /// attribution the caller needs: which generation answered, and whether
 /// that snapshot held the model or feature record as stale disk data.
 struct Executed {
@@ -449,8 +449,17 @@ struct Executed {
 struct Shared {
     backend: Arc<dyn StoreBackend>,
     config: ClientConfig,
-    /// The epoch-swapped serve snapshot; see [`ServeSnapshot`].
-    serve: ArcSwap<ServeSnapshot>,
+    /// The current serve snapshot; see [`ServeSnapshot`]. Readers hold
+    /// the read lock only while they resolve against it.
+    serve: RwLock<Arc<ServeSnapshot>>,
+    /// Monotone publish count, bumped under `serve`'s write lock.
+    /// Responses attribute to the generation they resolved against (the
+    /// swap-race regression test's oracle): a miss reads it inside its
+    /// read section, where the lock ties it to the snapshot being read; a
+    /// cache hit or default reads it without a lock. It publishes no
+    /// other data: the `Release` bump and `Acquire` loads only keep each
+    /// reader's sequence of generations monotone.
+    generation: AtomicU64,
     /// Serializes snapshot publishes (loads, refreshes, on-demand
     /// fetches — all rare). The predict path never touches it.
     serve_write: Mutex<()>,
@@ -479,6 +488,23 @@ struct Shared {
     worker_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     disk: Option<DiskCache>,
     metrics: ClientMetrics,
+}
+
+impl Shared {
+    /// Runs `f` against the current serve snapshot, under one read
+    /// section.
+    #[inline]
+    fn with_serve<R>(&self, f: impl FnOnce(&ServeSnapshot) -> R) -> R {
+        f(&self.serve.read())
+    }
+
+    /// The generation of the current serve snapshot. Lock-free; read
+    /// inside [`Shared::with_serve`] it is the generation of the snapshot
+    /// being read.
+    #[inline]
+    fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
 }
 
 /// The Resource Central client.
@@ -534,7 +560,8 @@ impl RcClient {
             backend,
             results,
             config,
-            serve: ArcSwap::from_pointee(ServeSnapshot::default()),
+            serve: RwLock::new(Arc::default()),
+            generation: AtomicU64::new(0),
             serve_write: Mutex::new(()),
             admission,
             initialized: AtomicBool::new(false),
@@ -570,7 +597,7 @@ impl RcClient {
             if recovered {
                 self.shared.metrics.disk_recoveries.increment();
                 let mut span = rc_obs::global_tracer().span("client.disk_cache_recovery");
-                span.record("models", self.shared.serve.with(|s| s.models.values.len()) as u64);
+                span.record("models", self.shared.with_serve(|s| s.models.values.len()) as u64);
                 span.finish();
             }
             recovered
@@ -612,7 +639,7 @@ fn load_from_store(shared: &Shared) -> bool {
         // Containment: a rejected (or unfetchable) payload never replaces
         // a resident model — the old one keeps serving.
         if let Some(model) =
-            fetched.or_else(|| shared.serve.with(|s| s.models.values.get(&name).cloned()))
+            fetched.or_else(|| shared.with_serve(|s| s.models.values.get(&name).cloned()))
         {
             models.install(name, model, false);
         }
@@ -677,7 +704,7 @@ fn load_one<P: Payload>(
     expected: u64,
 ) -> Option<(P, VersionedRecord)> {
     let Ok(rec) = shared.backend.get_latest(&manifest.versioned_key(logical)) else {
-        note_unfetched(shared);
+        shared.metrics.unfetched_payloads.increment();
         return None;
     };
     let value = verify::<P>(shared, &rec.data, logical, Some(expected), false)?;
@@ -711,16 +738,6 @@ fn write_through_disk(shared: &Shared) -> Option<&DiskCache> {
     shared.disk.as_ref().filter(|_| shared.config.disk_write_through)
 }
 
-/// Records one corrupt/undecodable payload (store pull or disk entry).
-fn note_corrupt(shared: &Shared) {
-    shared.metrics.corrupt_payloads.increment();
-}
-
-/// Records one manifest-named payload the store did not return.
-fn note_unfetched(shared: &Shared) {
-    shared.metrics.unfetched_payloads.increment();
-}
-
 /// Marks the client degraded (first cause wins until the next all-clear).
 fn note_degraded(shared: &Shared, reason: DegradedReason) {
     let mut degraded = shared.degraded.lock();
@@ -733,7 +750,7 @@ fn note_degraded(shared: &Shared, reason: DegradedReason) {
 /// and nothing stale is resident.
 fn maybe_clear_degraded(shared: &Shared) {
     if shared.breakers.open_count() == 0
-        && shared.serve.with(|s| s.models.stale.is_empty() && s.features.stale.is_empty())
+        && shared.with_serve(|s| s.models.stale.is_empty() && s.features.stale.is_empty())
     {
         *shared.degraded.lock() = None;
     }
@@ -768,7 +785,7 @@ impl RcClient {
                         features.install(f.subscription, Arc::new(f), *stale);
                     }
                 }
-                Err(_) => note_corrupt(shared),
+                Err(_) => shared.metrics.corrupt_payloads.increment(),
             }
         }
         if !models.stale.is_empty() || blob.is_some_and(|(_, stale)| stale) {
@@ -784,7 +801,7 @@ impl RcClient {
     /// Table 2: `get_available_models`.
     pub fn get_available_models(&self) -> Vec<String> {
         let mut names: Vec<String> =
-            self.shared.serve.with(|s| s.models.values.keys().cloned().collect());
+            self.shared.with_serve(|s| s.models.values.keys().cloned().collect());
         names.sort();
         names
     }
@@ -811,7 +828,7 @@ impl RcClient {
     /// `predict_single_traced` plus the serve-snapshot generation the
     /// call resolved against — the swap-race regression test's torn-read
     /// oracle. A miss that executes a model attributes to the single
-    /// pinned snapshot that supplied both the model and the feature
+    /// snapshot that supplied both the model and the feature
     /// record; a cache hit (or default) reports the generation current at
     /// answer time, which may postdate the publish that filled the cached
     /// entry.
@@ -825,16 +842,14 @@ impl RcClient {
         let _inflight = InflightGuard::enter(&metrics.inflight);
         metrics.lookups.increment();
         if !self.shared.initialized.load(Ordering::SeqCst) {
-            let generation = self.shared.serve.with(|s| s.generation);
-            return (self.no_prediction(), Served::Default, generation);
+            return (self.no_prediction(), Served::Default, self.shared.generation());
         }
         let key = inputs.cache_key(model_name);
         if let Some(hit) = self.shared.results.get(key) {
             metrics.result_hits.increment();
             metrics.predictions.increment();
             metrics.hit_latency.record_duration(start.elapsed());
-            let generation = self.shared.serve.with(|s| s.generation);
-            return (PredictionResponse::Predicted(hit), Served::Hit, generation);
+            return (PredictionResponse::Predicted(hit), Served::Hit, self.shared.generation());
         }
         metrics.result_misses.increment();
         let resolved = match self.shared.config.mode {
@@ -854,18 +869,15 @@ impl RcClient {
                 metrics.predictions.increment();
                 (PredictionResponse::Predicted(executed.prediction), served, executed.generation)
             }
-            None => {
-                let generation = self.shared.serve.with(|s| s.generation);
-                (self.no_prediction(), Served::Default, generation)
-            }
+            None => (self.no_prediction(), Served::Default, self.shared.generation()),
         };
         metrics.miss_latency.record_duration(start.elapsed());
         (response, served, generation)
     }
 
     /// Classifies (and counts) one served lookup as fresh or stale. The
-    /// staleness flag comes from the same pinned snapshot that resolved
-    /// the prediction, so no extra lock (or pin) is taken here.
+    /// staleness flag comes from the same snapshot that resolved the
+    /// prediction, so no extra lock is taken here.
     fn count_serve_stale(&self, stale: bool) -> Served {
         if stale {
             self.shared.metrics.stale_serves.increment();
@@ -955,7 +967,7 @@ impl RcClient {
 
     /// Shadow-evaluates a candidate model side-by-side with the serving
     /// one. Both models see the feature vector assembled from the *same*
-    /// pinned serve snapshot, so a concurrent publish can never make the
+    /// serve snapshot, so a concurrent publish can never make the
     /// comparison lopsided. No production path calls it: the control loop
     /// scores candidates against their own feature records offline. It
     /// stays for the benchmark's layer suite, which times it.
@@ -971,7 +983,7 @@ impl RcClient {
         inputs: &ClientInputs,
         candidate: &TrainedModel,
     ) -> ShadowPrediction {
-        let resolved = self.shared.serve.with(|snap| {
+        let resolved = self.shared.with_serve(|snap| {
             let sub = snap.features.values.get(&inputs.subscription).cloned();
             let model = snap.models.values.get(model_name).cloned();
             (model, sub)
@@ -1078,7 +1090,7 @@ impl RcClient {
     /// The manifest version the resident caches were loaded through;
     /// `None` until a store read finds one.
     pub fn manifest_version(&self) -> Option<u64> {
-        self.shared.serve.with(|s| s.manifest.as_ref().map(|m| m.version))
+        self.shared.with_serve(|s| s.manifest.as_ref().map(|m| m.version))
     }
 
     /// Per-key circuit breakers currently open.
@@ -1189,14 +1201,14 @@ fn push_watcher(shared: Arc<Shared>, interval: StdDuration) {
 
 /// Executes a model synchronously against cached feature data.
 ///
-/// One epoch pin covers the whole resolution: model, feature record,
+/// One read section covers the whole resolution: model, feature record,
 /// staleness, and generation all come from the same snapshot, so a
 /// concurrent publish can never mix versions within one call. Feature
-/// assembly and the model run outside the pin, on the stack, against the
-/// two `Arc`s cloned under it — a miss allocates nothing.
+/// assembly and the model run after the section, on the stack, against
+/// the two `Arc`s cloned in it — a miss allocates nothing.
 fn execute(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<Executed> {
     let metrics = &shared.metrics;
-    let resolved = shared.serve.with(|snap| {
+    let resolved = shared.with_serve(|snap| {
         let model = match snap.models.values.get(model_name) {
             Some(m) => {
                 metrics.model_cache_hits.increment();
@@ -1219,7 +1231,7 @@ fn execute(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<E
         };
         let stale = snap.models.stale.contains(model_name)
             || snap.features.stale.contains(&inputs.subscription);
-        Some((model, sub, snap.generation, stale))
+        Some((model, sub, shared.generation(), stale))
     });
     let (model, sub, generation, stale) = resolved?;
     metrics.model_execs.increment();
@@ -1230,12 +1242,12 @@ fn execute(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<E
 /// record resident (store → retry/backoff → disk fallback), then
 /// executes. `None` when every rung of the ladder failed.
 fn resolve_sync(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<Executed> {
-    if shared.serve.with(|s| !s.models.values.contains_key(model_name))
+    if shared.with_serve(|s| !s.models.values.contains_key(model_name))
         && !fetch::<TrainedModel>(shared, &model_name.to_string())
     {
         return None;
     }
-    if shared.serve.with(|s| !s.features.values.contains_key(&inputs.subscription))
+    if shared.with_serve(|s| !s.features.values.contains_key(&inputs.subscription))
         && !fetch::<SubscriptionFeatures>(shared, &inputs.subscription)
     {
         return None;
@@ -1323,7 +1335,7 @@ fn resilient_get<T>(
                     maybe_clear_degraded(shared);
                     return FetchOutcome::Data(value);
                 }
-                None => note_corrupt(shared),
+                None => shared.metrics.corrupt_payloads.increment(),
             },
             Err(err) if !err.is_retryable() => {
                 // The store answered; the key just isn't there.
@@ -1353,7 +1365,7 @@ fn resilient_get<T>(
 /// record. `None` when the store has no manifest or is unreachable —
 /// callers then use the flat logical keys directly.
 fn cached_manifest(shared: &Shared) -> Option<Manifest> {
-    if let Some(m) = shared.serve.with(|s| s.manifest.clone()) {
+    if let Some(m) = shared.with_serve(|s| s.manifest.clone()) {
         return Some(m);
     }
     match resilient_get(shared, MANIFEST_KEY, Manifest::from_bytes) {
@@ -1430,7 +1442,7 @@ fn read_disk(shared: &Shared, kind: &str, name: &str) -> Option<(Vec<u8>, bool)>
         DiskLoadResult::Fresh(bytes) => Some((bytes, false)),
         DiskLoadResult::Stale(bytes) => Some((bytes, true)),
         DiskLoadResult::Corrupt => {
-            note_corrupt(shared);
+            shared.metrics.corrupt_payloads.increment();
             None
         }
         DiskLoadResult::Expired | DiskLoadResult::Missing => None,
@@ -1443,7 +1455,52 @@ fn read_disk(shared: &Shared, kind: &str, name: &str) -> Option<(Vec<u8>, bool)>
 fn decode_disk<P: Payload>(shared: &Shared, bytes: &[u8]) -> Option<P> {
     let value = P::decode(bytes, None);
     if value.is_none() {
-        note_corrupt(shared);
+        shared.metrics.corrupt_payloads.increment();
     }
     value
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Weak;
+
+    use rc_trace::{Trace, TraceConfig};
+
+    use super::*;
+    use crate::pipeline::{run_pipeline, PipelineConfig};
+
+    /// A replaced serve snapshot is released once no reader holds it: a
+    /// model from version N stays alive while a reader still holds
+    /// version N's snapshot, and is freed as soon as that reader lets go
+    /// of it after the reload to version N+1.
+    #[test]
+    fn replaced_snapshot_is_released_once_no_reader_holds_it() {
+        let trace = Trace::generate(&TraceConfig {
+            target_vms: 3_000,
+            n_subscriptions: 150,
+            days: 18,
+            ..TraceConfig::small()
+        });
+        let output = run_pipeline(&trace, &PipelineConfig::fast(18)).expect("pipeline");
+        let store = Store::in_memory();
+        output.publish(&store, 0.0).expect("publish version N");
+        let client = RcClient::new(store.clone(), ClientConfig::default());
+        assert!(client.initialize());
+        let version = client.manifest_version().expect("loaded through a manifest");
+
+        let model_of = |client: &RcClient| -> Weak<TrainedModel> {
+            client.shared.with_serve(|s| Arc::downgrade(&s.models.values["VM_P95UTIL"]))
+        };
+        let old_model = model_of(&client);
+        let reader = client.shared.serve.read().clone();
+
+        output.publish(&store, 0.0).expect("publish version N+1");
+        client.force_reload_cache();
+        assert_eq!(client.manifest_version(), Some(version + 1));
+        assert!(!Weak::ptr_eq(&old_model, &model_of(&client)), "the reload decoded a new model");
+        assert!(old_model.upgrade().is_some(), "a reader still holds version N's snapshot");
+
+        drop(reader);
+        assert!(old_model.upgrade().is_none(), "version N's model outlived its last reader");
+    }
 }

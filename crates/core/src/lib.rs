@@ -17,6 +17,8 @@
 //!   model, and feature caches, push/pull modes, and a local disk cache
 //!   consulted when the store is unavailable.
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod admission;
 pub mod cache;
 pub mod cleanup;

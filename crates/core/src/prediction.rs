@@ -16,7 +16,7 @@ pub struct Prediction {
 
 /// A shadow evaluation's paired result: what the serving model answered
 /// and what a not-yet-promoted candidate would have answered for the same
-/// inputs, both resolved against one pinned serve snapshot. Produced by
+/// inputs, both resolved against one serve snapshot. Produced by
 /// `RcClient::shadow_predict`; never visible to prediction clients.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadowPrediction {

@@ -116,6 +116,14 @@ pub enum Admission {
     Reject,
 }
 
+/// Every breaker's state and how many are Open, under one lock so that
+/// the count can never disagree with the map.
+#[derive(Default)]
+struct Table {
+    states: HashMap<String, State>,
+    open: i64,
+}
+
 /// Per-key circuit breakers (Closed → Open → HalfOpen → Closed).
 ///
 /// Keys are store keys (`model/…`, `features/…`), so one flapping record
@@ -124,7 +132,7 @@ pub enum Admission {
 /// is exported on the `rc_client_breaker_open` gauge.
 pub struct CircuitBreakers {
     config: BreakerConfig,
-    states: Mutex<HashMap<String, State>>,
+    table: Mutex<Table>,
     transitions: Counter,
     half_open_probes: Counter,
     /// Per-instance mirror of `half_open_probes`: the registry counter
@@ -132,7 +140,6 @@ pub struct CircuitBreakers {
     /// probe count needs its own cell.
     local_probes: AtomicU64,
     open_gauge: Gauge,
-    open_count: Mutex<i64>,
 }
 
 impl CircuitBreakers {
@@ -141,12 +148,11 @@ impl CircuitBreakers {
         let reg = rc_obs::global();
         CircuitBreakers {
             config,
-            states: Mutex::new(HashMap::new()),
+            table: Mutex::new(Table::default()),
             transitions: reg.counter(rc_obs::CLIENT_BREAKER_TRANSITIONS),
             half_open_probes: reg.counter(rc_obs::CLIENT_BREAKER_HALF_OPEN_PROBES),
             local_probes: AtomicU64::new(0),
             open_gauge: reg.gauge(rc_obs::CLIENT_BREAKER_OPEN),
-            open_count: Mutex::new(0),
         }
     }
 
@@ -155,22 +161,23 @@ impl CircuitBreakers {
         self.local_probes.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn note_transition(&self, delta_open: i64) {
+    /// Counts one transition and moves the open count and its gauge by
+    /// `delta_open`; called with the table locked.
+    fn note_transition(&self, open: &mut i64, delta_open: i64) {
         self.transitions.increment();
-        let mut open = self.open_count.lock();
         *open += delta_open;
         self.open_gauge.set(*open as f64);
     }
 
     /// Gatekeeper: call before touching the store for `key`.
     pub fn admit(&self, key: &str) -> Admission {
-        let mut states = self.states.lock();
+        let mut table = self.table.lock();
+        let Table { states, open } = &mut *table;
         let state =
             states.entry(key.to_string()).or_insert(State::Closed { consecutive_failures: 0 });
         match state {
             State::Closed { .. } => Admission::Allow,
             State::HalfOpen { .. } => {
-                drop(states);
                 self.note_probe();
                 Admission::Probe
             }
@@ -178,8 +185,7 @@ impl CircuitBreakers {
                 *rejected += 1;
                 if *rejected >= self.config.probe_after {
                     *state = State::HalfOpen { successes: 0 };
-                    drop(states);
-                    self.note_transition(-1);
+                    self.note_transition(open, -1);
                     self.note_probe();
                     Admission::Probe
                 } else {
@@ -191,7 +197,8 @@ impl CircuitBreakers {
 
     /// Reports the outcome of an admitted call.
     pub fn record(&self, key: &str, success: bool) {
-        let mut states = self.states.lock();
+        let mut table = self.table.lock();
+        let Table { states, open } = &mut *table;
         let state =
             states.entry(key.to_string()).or_insert(State::Closed { consecutive_failures: 0 });
         let delta = match (&mut *state, success) {
@@ -226,13 +233,12 @@ impl CircuitBreakers {
             // without a transition.
             (State::Open { .. }, _) => return,
         };
-        drop(states);
-        self.note_transition(delta);
+        self.note_transition(open, delta);
     }
 
     /// The state of `key`'s breaker (Closed when never touched).
     pub fn state(&self, key: &str) -> BreakerState {
-        match self.states.lock().get(key) {
+        match self.table.lock().states.get(key) {
             None | Some(State::Closed { .. }) => BreakerState::Closed,
             Some(State::Open { .. }) => BreakerState::Open,
             Some(State::HalfOpen { .. }) => BreakerState::HalfOpen,
@@ -241,7 +247,7 @@ impl CircuitBreakers {
 
     /// Number of breakers currently Open.
     pub fn open_count(&self) -> usize {
-        *self.open_count.lock() as usize
+        self.table.lock().open as usize
     }
 
     /// HalfOpen probe admissions so far, across all keys — every call
@@ -256,9 +262,8 @@ impl CircuitBreakers {
     /// Resets every breaker to Closed (used by `flush_cache`). Not a
     /// transition for metric purposes — the client is starting over.
     pub fn reset(&self) {
-        let mut states = self.states.lock();
-        states.clear();
-        *self.open_count.lock() = 0;
+        let mut table = self.table.lock();
+        *table = Table::default();
         self.open_gauge.set(0.0);
     }
 }
@@ -430,6 +435,46 @@ mod tests {
         breakers.admit("model/Q");
         assert_eq!(breakers.admit("model/Q"), Admission::Probe);
         assert_eq!(breakers.half_open_probe_count(), 4);
+    }
+
+    /// `reset` (from `flush_cache`) racing trips and recoveries never
+    /// leaves the open count out of step with the breakers it counts: a
+    /// stale count would keep `health()` at `BreakerOpen` forever. Each
+    /// round ends on a reset that lands while the workers still run.
+    #[test]
+    fn open_count_matches_open_states_across_concurrent_resets() {
+        use std::sync::atomic::AtomicBool;
+        for round in 0..300 {
+            let breakers = CircuitBreakers::new(config());
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                for worker in 0..2 {
+                    let (breakers, stop) = (&breakers, &stop);
+                    scope.spawn(move || {
+                        let mut i = 0;
+                        while !stop.load(Ordering::Relaxed) {
+                            let key = format!("model/{}", (worker * 7 + i) % 5);
+                            for _ in 0..3 {
+                                breakers.record(&key, false);
+                            }
+                            breakers.admit(&key);
+                            breakers.admit(&key);
+                            breakers.record(&key, i % 3 != 0);
+                            i += 1;
+                        }
+                    });
+                }
+                for _ in 0..20 {
+                    std::thread::yield_now();
+                    breakers.reset();
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+            let table = breakers.table.lock();
+            let open_states =
+                table.states.values().filter(|s| matches!(s, State::Open { .. })).count();
+            assert_eq!(table.open, open_states as i64, "round {round}");
+        }
     }
 
     #[test]

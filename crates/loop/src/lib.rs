@@ -32,6 +32,8 @@
 //! previously published version still serving. The whole soak is a pure
 //! function of [`LoopConfig`] (same seed ⇒ bit-identical event journal).
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod controller;
 

@@ -26,6 +26,8 @@
 //! serialize with serde so the client library can cache them and account
 //! for their size (Table 1's "model size" column).
 
+#![forbid(unsafe_code)]
+
 mod arena;
 pub mod dataset;
 pub mod fft;

@@ -196,9 +196,23 @@ impl WindowSketch {
         serde_json::to_vec(self).expect("sketch serialization")
     }
 
-    /// Decodes persisted sketch bytes.
+    /// Decodes persisted sketch bytes. A histogram must have the shape
+    /// [`FeatureHistogram::new`] gives it: [`SKETCH_BINS`] bins summing to
+    /// its total, over a finite, non-empty range. Anything else would
+    /// index past its bins in PSI or divide by an empty range.
     pub fn from_bytes(bytes: &[u8]) -> Option<WindowSketch> {
-        serde_json::from_slice(bytes).ok()
+        let sketch: WindowSketch = serde_json::from_slice(bytes).ok()?;
+        sketch
+            .features
+            .values()
+            .all(|h| {
+                h.counts.len() == SKETCH_BINS
+                    && h.counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) == Some(h.total)
+                    && h.lo.is_finite()
+                    && h.hi.is_finite()
+                    && h.lo < h.hi
+            })
+            .then_some(sketch)
     }
 }
 

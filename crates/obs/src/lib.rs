@@ -29,7 +29,11 @@
 //! constructor; bench binaries snapshot the same registry the layers
 //! write to, which is what lets them drop their hand-rolled accounting.
 
+#![deny(unsafe_code)]
+
 mod accuracy;
+// `GlobalAlloc` cannot be implemented in safe Rust.
+#[allow(unsafe_code)]
 mod alloc;
 mod distribution;
 mod metrics;

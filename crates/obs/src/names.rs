@@ -61,17 +61,14 @@ pub const CLIENT_PREDICTIONS: &str = "rc_client_predictions";
 /// Predict calls currently executing, across all threads (gauge).
 pub const CLIENT_INFLIGHT: &str = "rc_client_inflight";
 
-// --- rc-core client (lock-free serve path) ---
+// --- rc-core client (serve snapshot and pull admission) ---
 
 /// Serve-snapshot publishes: each model/manifest/feature/stale-set
-/// change builds a new immutable snapshot and stores it with one atomic
-/// swap (counter).
+/// change builds a new immutable snapshot and swaps it in with one
+/// pointer store (counter).
 pub const CLIENT_SERVE_SNAPSHOT_PUBLISHES: &str = "rc_client_serve_snapshot_publishes";
 /// Generation number of the currently published serve snapshot (gauge).
 pub const CLIENT_SERVE_SNAPSHOT_GENERATION: &str = "rc_client_serve_snapshot_generation";
-/// Retired serve snapshots awaiting their epoch grace period before
-/// reclamation (gauge).
-pub const CLIENT_SERVE_SNAPSHOT_RETIRED: &str = "rc_client_serve_snapshot_retired";
 /// Pull-mode refresh keys admitted into the bounded admission queue
 /// (counter).
 pub const CLIENT_ADMISSION_ENQUEUED: &str = "rc_client_serve_admission_enqueued";

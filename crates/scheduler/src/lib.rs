@@ -10,6 +10,8 @@
 //! Baseline, Naive, RC-informed-soft/-hard, RC-soft-right and
 //! RC-soft-wrong.
 
+#![forbid(unsafe_code)]
+
 pub mod policy;
 pub mod request;
 pub mod scheduler;

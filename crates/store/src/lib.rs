@@ -16,6 +16,8 @@
 //! explicitly (a put outage after a budget, a brownout of one key shard,
 //! a race on the manifest flip).
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod kv;
 pub mod latency;

@@ -19,6 +19,8 @@
 //! assert!(avg_util <= p95_util + 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arrival;
 pub mod calibration;
 pub mod degrade;

@@ -13,6 +13,8 @@
 //! trace generator, the ML pipeline, and the scheduler simulator can exchange
 //! them without conversion layers.
 
+#![forbid(unsafe_code)]
+
 pub mod buckets;
 pub mod fnv;
 pub mod metrics;

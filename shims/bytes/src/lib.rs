@@ -3,6 +3,8 @@
 //! allocation (O(1)), matching the property the store relies on when
 //! handing the same record to many readers.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Deref;
 use std::sync::Arc;
 

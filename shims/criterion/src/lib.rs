@@ -8,6 +8,8 @@
 //! batch sized so one batch takes ≳1ms, and the median/min/max per-call
 //! times are printed. No HTML reports, no outlier analysis.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// How to amortize setup cost in [`Bencher::iter_batched`].

@@ -1,6 +1,8 @@
 //! In-tree stand-in for `crossbeam`: only `utils::CachePadded`, the one
 //! item the workspace uses.
 
+#![forbid(unsafe_code)]
+
 pub mod utils {
     /// Mirror of `crossbeam_utils::CachePadded`: aligns (and therefore
     /// pads) the wrapped value to a cache-line boundary so two hot

@@ -3,6 +3,8 @@
 //! guards directly). A poisoned std lock means a holder panicked; matching
 //! parking_lot semantics, the lock is simply taken over.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// Mutual exclusion without poisoning.

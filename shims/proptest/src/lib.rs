@@ -7,6 +7,8 @@
 //! shrinking — the RNG is seeded from the test name, so failures
 //! reproduce exactly.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use std::ops::Range;
 

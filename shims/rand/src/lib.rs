@@ -6,6 +6,8 @@
 //! crate's ChaCha12, so streams differ from upstream but are stable across
 //! runs and platforms), and [`seq::SliceRandom::shuffle`].
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// The low-level generator interface: a source of uniform `u64`s.

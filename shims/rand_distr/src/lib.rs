@@ -2,6 +2,8 @@
 //! (used by the trace generator's deployment inter-arrival model) and a
 //! re-export of the shim `rand`'s [`Distribution`] trait.
 
+#![forbid(unsafe_code)]
+
 use rand::{Rng, RngCore};
 
 pub use rand::distributions::Distribution;

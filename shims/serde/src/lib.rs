@@ -10,6 +10,8 @@
 //! conventions, so the wire format of derived types matches what the real
 //! serde_json would produce for the same definitions.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;

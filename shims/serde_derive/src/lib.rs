@@ -9,6 +9,8 @@
 //! panic at expansion time with a clear message rather than silently
 //! producing wrong code.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// A parsed field list: named fields carry their identifiers, tuple

@@ -3,6 +3,8 @@
 //! points this workspace uses are provided (`to_vec`, `from_slice`,
 //! `Error`).
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize, Value};
 
 pub use serde::Error;

@@ -44,6 +44,8 @@
 //! assert!(response.is_predicted() || response == PredictionResponse::NoPrediction);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use rc_analysis as analysis;
 pub use rc_core as core;
 pub use rc_loop as lifecycle;

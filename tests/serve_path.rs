@@ -35,8 +35,8 @@ fn world() -> (Trace, Store, rc_core::PipelineOutput) {
 /// Regression: the serve state used to live in four separately locked
 /// structures (models, features, staleness sets, manifest), so a reload
 /// racing `predict_single` could observe version N models against
-/// version N+1 features. The epoch-swapped [`ServeSnapshot`] publishes
-/// them as one immutable value: while a writer flips manifest versions
+/// version N+1 features. The serve snapshot publishes them as one
+/// immutable value behind one pointer swap: while a writer flips manifest versions
 /// as fast as it can, every concurrent prediction must still resolve —
 /// no torn intermediate state ever answers `NoPrediction` — and must
 /// attribute to a fully published generation, observed monotonically.
@@ -132,11 +132,11 @@ fn model_swap_racing_predict_single_never_tears() {
 }
 
 /// The headline hot-path claim, asserted by the counting allocator: once
-/// a thread is warmed up (epoch slot registered, metrics handles
-/// resolved), a cache-hit `predict_single` performs zero heap
-/// allocations — and zero mutex/rwlock acquisitions, which the epoch
-/// design guarantees structurally (the hit path only touches `ArcSwap`
-/// loads and atomics).
+/// a thread is warmed up (metrics handles resolved, lazy statics
+/// touched), a cache-hit `predict_single` performs zero heap
+/// allocations — and zero mutex/rwlock acquisitions, which the serve
+/// path guarantees structurally (a hit reads the result cache's atomic
+/// slots and the serve generation's atomic, never the snapshot lock).
 #[test]
 fn hit_path_is_allocation_free() {
     let (trace, store, _) = world();
@@ -148,8 +148,8 @@ fn hit_path_is_allocation_free() {
         client.predict_single("VM_P95UTIL", &inp).prediction().is_some(),
         "probe input must resolve so the follow-ups are cache hits"
     );
-    // Warm-up: registers this thread's epoch slot and touches every lazy
-    // structure on the path; these calls may allocate.
+    // Warm-up: touches every lazy structure on the path; these calls
+    // may allocate.
     for _ in 0..64 {
         let _ = client.predict_single("VM_P95UTIL", &inp);
     }
