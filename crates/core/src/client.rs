@@ -932,13 +932,19 @@ impl RcClient {
         self.shared.initialized.store(false, Ordering::SeqCst);
     }
 
+    /// True when [`RcClient::health`] would report
+    /// [`ClientHealth::Offline`]: one atomic load, no lock taken.
+    pub fn is_offline(&self) -> bool {
+        !self.shared.initialized.load(Ordering::SeqCst)
+    }
+
     /// The health probe (§4.3): `Offline` when uninitialized or flushed
     /// (every lookup answers the default — schedulers should take their
     /// conservative no-prediction path without asking), `Degraded` while
     /// serving from fallbacks (stale data, disk, open breakers), else
     /// `Healthy`.
     pub fn health(&self) -> ClientHealth {
-        if !self.shared.initialized.load(Ordering::SeqCst) {
+        if self.is_offline() {
             return ClientHealth::Offline;
         }
         if let Some((since, reason)) = *self.shared.degraded.lock() {

@@ -212,7 +212,9 @@ pub const SCHED_FAILURES: &str = "rc_sched_failures";
 /// ignoring the utilization cap (counter).
 pub const SCHED_RULE_RELAXATIONS: &str = "rc_sched_rule_relaxations";
 /// Candidate servers rejected by Algorithm 1's predicted-utilization
-/// cap (counter).
+/// cap that rank ahead of the chosen server — all of them when the VM
+/// lands on an empty server or fails; selection stops at the first
+/// server that passes (counter).
 pub const SCHED_UTIL_CAP_REJECTIONS: &str = "rc_sched_util_cap_rejections";
 /// Utilization readings observed at or above 100% of physical cores
 /// (counter).

@@ -12,6 +12,8 @@
 
 #![forbid(unsafe_code)]
 
+#[cfg(test)]
+mod differential;
 pub mod policy;
 pub mod request;
 pub mod scheduler;
@@ -22,7 +24,7 @@ pub mod stream_source;
 pub use policy::{NoSource, OracleSource, P95Source, PolicyKind, RcSource, WrongSource};
 pub use request::VmRequest;
 pub use scheduler::{Placement, Scheduler, SchedulerConfig};
-pub use server::{Server, ServerFleet, ServerKind};
+pub use server::{ServerFleet, ServerKind};
 pub use simulator::{
     simulate, simulate_partitioned, simulate_stream, suggest_server_count,
     suggest_server_count_stream, SimConfig, SimReport, OBS_TICK_DAILY,

@@ -6,7 +6,7 @@
 //! prediction-quality endpoints (always-right, always-wrong). The policy
 //! picks the rule behaviour; a [`P95Source`] supplies the predictions.
 
-use rc_core::{ClientHealth, PredictionResponse, RcClient};
+use rc_core::{PredictionResponse, RcClient};
 use rc_types::metrics::PredictionMetric;
 
 use crate::request::VmRequest;
@@ -41,8 +41,10 @@ impl P95Source for RcSource {
         // §4.3: an Offline client answers the default for everything;
         // skip the lookup entirely so Algorithm 1 degrades to its
         // conservative no-prediction path (assume 100% utilization)
-        // exactly as it would with no prediction source at all.
-        if self.client.health() == ClientHealth::Offline {
+        // exactly as it would with no prediction source at all. The
+        // Offline test alone is lock-free; `health()` would also lock the
+        // degraded slot and the breaker table on every placement.
+        if self.client.is_offline() {
             return None;
         }
         match self.client.predict_single(PredictionMetric::P95MaxCpuUtil.model_name(), &req.inputs)

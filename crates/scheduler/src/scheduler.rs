@@ -51,12 +51,13 @@ impl SchedulerConfig {
 
 /// The cluster scheduler: the server fleet plus the placement logic.
 ///
-/// Selection scans only the occupied-server index (plus at most one empty
-/// representative — all empty servers are interchangeable, so the
-/// lowest-index one stands for the group, which is exactly the server the
-/// old full scan's first-wins tie-break would have picked). The
-/// preference order among candidates is unchanged: filled before empty,
-/// then tightest fit (highest allocation), then lowest index.
+/// Selection asks `ServerFleet::first_fitting` for the first occupied
+/// server, in preference order — tightest fit (highest allocation)
+/// first, lowest index on ties — that has room for the VM's cores and
+/// passes the memory and utilization-cap filters. Only when none does is
+/// an empty server considered: all empty servers are interchangeable, so
+/// the lowest-index one stands for the group, which is exactly the server
+/// a full scan's first-wins tie-break would pick.
 pub struct Scheduler {
     /// Server fleet (struct-of-arrays hot-path layout).
     pub fleet: ServerFleet,
@@ -177,42 +178,23 @@ impl Scheduler {
         self.fleet.complete(placement.server, req, placement.predicted_util_cores);
     }
 
-    /// Replaces `best` when `(alloc, i)` wins the filled-server
-    /// preference: tightest fit (highest allocation) first, lowest index
-    /// on ties — the order the old full index scan's first-wins strict
-    /// comparison produced, made explicit because the occupied index is
-    /// scanned in arbitrary order.
-    fn prefer(best: Option<(f64, usize)>, alloc: f64, i: usize) -> bool {
-        match best {
-            None => true,
-            Some((best_alloc, best_i)) => alloc > best_alloc || (alloc == best_alloc && i < best_i),
-        }
-    }
-
     /// Baseline selection: any server with free allocation and memory; no
     /// grouping, no oversubscription.
     fn select_baseline(&self, req: &VmRequest) -> Option<Placement> {
         let cores = req.cores as f64;
         let capacity = self.fleet.capacity_cores();
-        let mut best: Option<(f64, usize)> = None;
-        for &i in self.fleet.occupied() {
-            let i = i as usize;
-            let alloc = self.fleet.alloc_cores(i);
-            if alloc + cores <= capacity
-                && self.fleet.free_memory_gb(i) >= req.memory_gb
-                && Self::prefer(best, alloc, i)
-            {
-                best = Some((alloc, i));
-            }
-        }
-        let server = best.map(|(_, i)| i).or_else(|| {
-            // Soft fill rule: empty servers only when no filled server
-            // fits. Empty servers are interchangeable, so eligibility is
-            // a property of the request; take the lowest index.
-            self.fleet
-                .lowest_empty()
-                .filter(|_| cores <= capacity && req.memory_gb <= self.fleet.capacity_memory_gb())
-        });
+        let any = [ServerKind::NonOversubscribable, ServerKind::Oversubscribable];
+        let server = self
+            .fleet
+            .first_fitting(&any, cores, capacity, |i| self.fleet.free_memory_gb(i) >= req.memory_gb)
+            .or_else(|| {
+                // Soft fill rule: empty servers only when no filled server
+                // fits. Empty servers are interchangeable, so eligibility
+                // is a property of the request; take the lowest index.
+                self.fleet.lowest_empty().filter(|_| {
+                    cores <= capacity && req.memory_gb <= self.fleet.capacity_memory_gb()
+                })
+            });
         server.map(|server| Placement { server, predicted_util_cores: 0.0, predicted_p95: None })
     }
 
@@ -220,60 +202,43 @@ impl Scheduler {
     ///
     /// `util_cores`: `Some(v)` applies the utilization cap with that
     /// charge (infinite `v` disables the cap but still records grouping);
-    /// `None` is the Naive policy (no utilization tracking at all).
+    /// `None` is the Naive policy (no utilization tracking at all). Every
+    /// cap-rejected candidate ranked ahead of the chosen server counts
+    /// one `rc_sched_util_cap_rejections`.
     fn select_grouped(&self, req: &VmRequest, util_cores: Option<f64>) -> Option<Placement> {
         let production = req.prod == ProdTag::Production;
         let cores = req.cores as f64;
         let capacity = self.fleet.capacity_cores();
         let alloc_limit = if production { capacity } else { self.config.max_oversub * capacity };
+        let util_limit = self.config.max_util * capacity;
         let util_charge = match util_cores {
             Some(v) if !production && v.is_finite() => Some(v),
             _ => None,
         };
+        let under_cap = |util: f64| match util_charge {
+            Some(v) if util + v > util_limit => {
+                self.metrics.util_cap_rejections.increment();
+                false
+            }
+            _ => true,
+        };
 
-        let mut best: Option<(f64, usize)> = None;
-        for &i in self.fleet.occupied() {
-            let i = i as usize;
-            let group_ok = matches!(
-                (production, self.fleet.kind(i)),
-                (true, ServerKind::NonOversubscribable) | (false, ServerKind::Oversubscribable)
-            );
-            if !group_ok || self.fleet.free_memory_gb(i) < req.memory_gb {
-                continue;
-            }
-            let alloc = self.fleet.alloc_cores(i);
-            if alloc + cores > alloc_limit {
-                continue;
-            }
-            if let Some(v) = util_charge {
-                if self.fleet.predicted_util_cores(i) + v > self.config.max_util * capacity {
-                    self.metrics.util_cap_rejections.increment();
-                    continue;
-                }
-            }
-            if Self::prefer(best, alloc, i) {
-                best = Some((alloc, i));
-            }
-        }
-        let server = best.map(|(_, i)| i).or_else(|| {
-            let empty_ok = req.memory_gb <= self.fleet.capacity_memory_gb()
-                && cores <= alloc_limit
-                && match util_charge {
-                    Some(v) => {
-                        let ok = v <= self.config.max_util * capacity;
-                        if !ok && self.fleet.lowest_empty().is_some() {
-                            self.metrics.util_cap_rejections.increment();
-                        }
-                        ok
-                    }
-                    None => true,
-                };
-            if empty_ok {
-                self.fleet.lowest_empty()
-            } else {
-                None
-            }
-        });
+        let group = [if production {
+            ServerKind::NonOversubscribable
+        } else {
+            ServerKind::Oversubscribable
+        }];
+        let server = self
+            .fleet
+            .first_fitting(&group, cores, alloc_limit, |i| {
+                self.fleet.free_memory_gb(i) >= req.memory_gb
+                    && under_cap(self.fleet.predicted_util_cores(i))
+            })
+            .or_else(|| {
+                let empty = self.fleet.lowest_empty()?;
+                let fits = req.memory_gb <= self.fleet.capacity_memory_gb() && cores <= alloc_limit;
+                (fits && under_cap(0.0)).then_some(empty)
+            });
         server.map(|server| Placement {
             server,
             predicted_util_cores: match util_cores {

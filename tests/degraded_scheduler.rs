@@ -4,6 +4,7 @@
 //! critical path; Algorithm 1 falls back to assuming full utilization).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use rc_scheduler::{NoSource, P95Source, RcSource};
 use rc_types::time::Timestamp;
@@ -30,14 +31,19 @@ struct OutageSource {
     store: Store,
     calls: AtomicU64,
     flip_at: u64,
+    /// The client's `(lookups, defaults)` right after the flush.
+    at_flip: Arc<OnceLock<(u64, u64)>>,
 }
 
 impl P95Source for OutageSource {
     fn predict_p95(&self, req: &VmRequest) -> Option<(usize, f64)> {
         if self.calls.fetch_add(1, Ordering::SeqCst) == self.flip_at {
             self.store.set_available(false);
-            self.inner.client().flush_cache();
-            assert!(self.inner.client().health().is_offline(), "flushed client must go Offline");
+            let client = self.inner.client();
+            client.flush_cache();
+            assert!(client.health().is_offline(), "flushed client must go Offline");
+            assert!(client.is_offline());
+            self.at_flip.set((client.lookup_count(), client.no_prediction_count())).unwrap();
         }
         self.inner.predict_p95(req)
     }
@@ -95,6 +101,7 @@ fn offline_client_degrades_scheduler_to_no_source_exactly() {
 
     // Outage run: same simulation, but the source's RC client actually
     // loses its store and caches at the flip.
+    let at_flip = Arc::new(OnceLock::new());
     let (outage, client) = {
         let client = RcClient::new(store.clone(), ClientConfig::default());
         assert!(client.initialize());
@@ -103,6 +110,7 @@ fn offline_client_degrades_scheduler_to_no_source_exactly() {
             store: store.clone(),
             calls: AtomicU64::new(0),
             flip_at: FLIP_AT,
+            at_flip: Arc::clone(&at_flip),
         };
         (simulate(&requests, &config, Box::new(source), (from, until)), client)
     };
@@ -111,6 +119,11 @@ fn offline_client_degrades_scheduler_to_no_source_exactly() {
     // ended the run offline.
     assert!(client.lookup_count() > 0, "RC was never consulted before the outage");
     assert!(client.health().is_offline());
+    // After the flip every placement skipped the lookup: not one more
+    // lookup or default was counted.
+    let &(lookups, defaults) = at_flip.get().expect("the run reached the flip");
+    assert_eq!(client.lookup_count(), lookups, "an Offline client was still asked");
+    assert_eq!(client.no_prediction_count(), defaults);
 
     // Identical placements, failures, readings — byte for byte. An
     // Offline client is indistinguishable from having no source.

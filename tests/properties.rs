@@ -504,7 +504,7 @@ fn periodicity_detector_agrees_with_the_spectrum_path_it_replaced() {
 #[test]
 fn server_accounting_is_conservative() {
     use rc_core::ClientInputs;
-    use rc_scheduler::{Server, VmRequest};
+    use rc_scheduler::{ServerFleet, ServerKind, VmRequest};
     use rc_types::vm::{OsType, Party, ProdTag, SubscriptionId, VmId, VmRole};
 
     let request = |id: u64, cores: u32| VmRequest {
@@ -529,7 +529,7 @@ fn server_accounting_is_conservative() {
         true_p95_bucket: 1,
     };
 
-    let mut server = Server::new(16.0, 112.0);
+    let mut fleet = ServerFleet::new(1, 16.0, 112.0);
     let mut resident = Vec::new();
     let mut state = 11u64;
     for step in 0..2_000 {
@@ -538,22 +538,25 @@ fn server_accounting_is_conservative() {
             let cores = 1 + (state % 4) as u32;
             let req = request(step, cores);
             let util = cores as f64 * 0.5;
-            server.place(&req, util);
+            fleet.place(0, &req, util);
             resident.push((req, util));
         } else {
             let idx = (state as usize / 7) % resident.len();
             let (req, util) = resident.swap_remove(idx);
-            server.complete(&req, util);
+            fleet.complete(0, &req, util);
         }
-        assert!(server.alloc_cores >= 0.0);
-        assert!(server.alloc_memory_gb >= 0.0);
-        assert!(server.predicted_util_cores >= -1e-9);
-        assert_eq!(server.n_vms as usize, resident.len());
+        assert!(fleet.alloc_cores(0) >= 0.0);
+        assert!(fleet.free_memory_gb(0) <= 112.0);
+        assert!(fleet.predicted_util_cores(0) >= -1e-9);
+        assert_eq!(fleet.n_vms(0) as usize, resident.len());
+        assert_eq!(fleet.total_alloc_cores(), fleet.recompute_aggregates().0);
     }
     for (req, util) in resident.drain(..) {
-        server.complete(&req, util);
+        fleet.complete(0, &req, util);
     }
-    assert!(server.is_empty());
-    assert_eq!(server.alloc_cores, 0.0);
-    assert_eq!(server.predicted_util_cores, 0.0);
+    assert_eq!(fleet.n_vms(0), 0);
+    assert_eq!(fleet.kind(0), ServerKind::Empty);
+    assert_eq!(fleet.lowest_empty(), Some(0));
+    assert_eq!(fleet.alloc_cores(0), 0.0);
+    assert_eq!(fleet.predicted_util_cores(0), 0.0);
 }
