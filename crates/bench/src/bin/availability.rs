@@ -61,7 +61,7 @@ fn main() {
         let primer = RcClient::new(
             store.clone(),
             ClientConfig {
-                mode: CacheMode::PullSync,
+                mode: CacheMode::Pull,
                 disk_cache_dir: Some(dir.clone()),
                 ..ClientConfig::default()
             },
@@ -113,7 +113,7 @@ fn main() {
         let client = RcClient::with_backend(
             Arc::new(faulty.clone()),
             ClientConfig {
-                mode: CacheMode::PullSync,
+                mode: CacheMode::Pull,
                 disk_cache_dir: Some(dir.clone()),
                 disk_cache_expiry: Duration::ZERO,
                 stale_grace: Duration::from_secs(3600),

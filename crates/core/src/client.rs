@@ -8,9 +8,11 @@
 //! - **push** (the production default): `initialize` /
 //!   `force_reload_cache` load *everything* from the store, and
 //!   predictions never touch the store or the disk on the request path.
-//! - **pull**: a result-cache miss returns the no-prediction flag
-//!   immediately while a background worker fetches the model/feature data
-//!   and executes the model, so a later identical request hits the cache.
+//! - **pull**: a result-cache miss fetches the model and the
+//!   subscription's feature record on demand, installs them, and then
+//!   executes the model, so the call answers a prediction (or the
+//!   default when every rung of the ladder below fails) and a later
+//!   identical request hits the cache.
 //!
 //! When the store misbehaves, the client walks a degradation ladder
 //! instead of failing (§4.3: RC is non-mission-critical): store pulls are
@@ -40,7 +42,6 @@ use rc_obs::{Counter, Gauge, Histogram};
 use rc_store::{checksum, Manifest, Store, StoreBackend, VersionedRecord, MANIFEST_KEY};
 use rc_types::vm::SubscriptionId;
 
-use crate::admission::{AdmissionQueue, SubmitOutcome};
 use crate::cache::{DiskCache, DiskLoadResult, ShardedResultCache};
 use crate::features::SubscriptionFeatures;
 use crate::inputs::ClientInputs;
@@ -57,14 +58,12 @@ pub enum CacheMode {
     /// RC pushes models and feature data; loads happen at initialize /
     /// reload time and the predict path never blocks on the store.
     Push,
-    /// Models and feature data are fetched on demand in the background; a
-    /// result-cache miss answers no-prediction.
+    /// §4.2's pull mode: models and feature data are fetched on demand.
+    /// A result-cache miss fetches the model and the subscription's
+    /// feature record through the resilient path (retry + breaker + disk
+    /// fallback), then executes, and resolves to a prediction or the
+    /// default in one call. The mode the chaos suite exercises.
     Pull,
-    /// Models and feature data are fetched on demand *synchronously*: a
-    /// result-cache miss blocks on the resilient fetch path (retry +
-    /// breaker + disk fallback) and always resolves to a prediction or
-    /// the default in one call. The mode the chaos suite exercises.
-    PullSync,
 }
 
 /// Client configuration.
@@ -88,7 +87,8 @@ pub struct ClientConfig {
     /// publishes new models or feature data ("RC periodically produces new
     /// models and feature data ... and pushes them in the background to
     /// the caches in the client DLL", §4.2). `None` disables the watcher;
-    /// `force_reload_cache` still refreshes on demand.
+    /// `force_reload_cache` still refreshes on demand. A zero interval
+    /// panics at construction.
     pub auto_refresh_interval: Option<StdDuration>,
     /// Retry/backoff/deadline policy for on-demand store pulls.
     pub retry: RetryPolicy,
@@ -104,11 +104,6 @@ pub struct ClientConfig {
     /// reproducibility runs do this so a run never perturbs the next).
     pub disk_write_through: bool,
 }
-
-/// Pull-mode admission-queue depth: result-cache misses waiting for the
-/// background worker. A full queue sheds further misses (backpressure —
-/// they keep answering the default) instead of growing unboundedly.
-const PULL_QUEUE_CAPACITY: usize = 4096;
 
 impl Default for ClientConfig {
     fn default() -> Self {
@@ -188,9 +183,6 @@ struct ClientMetrics {
     inflight: Gauge,
     serve_publishes: Counter,
     serve_generation: Gauge,
-    admission_enqueued: Counter,
-    admission_coalesced: Counter,
-    admission_rejected: Counter,
 }
 
 impl ClientMetrics {
@@ -227,9 +219,6 @@ impl ClientMetrics {
             inflight: reg.gauge(rc_obs::CLIENT_INFLIGHT),
             serve_publishes: reg.counter(rc_obs::CLIENT_SERVE_SNAPSHOT_PUBLISHES),
             serve_generation: reg.gauge(rc_obs::CLIENT_SERVE_SNAPSHOT_GENERATION),
-            admission_enqueued: reg.counter(rc_obs::CLIENT_ADMISSION_ENQUEUED),
-            admission_coalesced: reg.counter(rc_obs::CLIENT_ADMISSION_COALESCED),
-            admission_rejected: reg.counter(rc_obs::CLIENT_ADMISSION_REJECTED),
         }
     }
 }
@@ -464,9 +453,6 @@ struct Shared {
     /// fetches — all rare). The predict path never touches it.
     serve_write: Mutex<()>,
     results: ShardedResultCache,
-    /// Pull-mode admission: the bounded queue of refreshes and the keys
-    /// in flight, feeding the pull worker.
-    admission: Option<AdmissionQueue>,
     initialized: AtomicBool,
     shutdown: AtomicBool,
     /// FNV fingerprint over (key, version) pairs at the last load; the
@@ -519,8 +505,7 @@ pub struct RcClient {
 ///
 /// Obtained from [`RcClient::worker_lifecycle`]; stays valid after every
 /// facade has dropped, which is exactly when it is useful: embedders can
-/// assert the pull worker and push watcher actually exited instead of
-/// leaking.
+/// assert the push watcher actually exited instead of leaking.
 #[derive(Clone)]
 pub struct WorkerLifecycle(Arc<AtomicUsize>);
 
@@ -541,7 +526,18 @@ impl RcClient {
     /// Creates a client bound to any [`StoreBackend`] — a plain
     /// [`Store`], or a fault-injecting wrapper like
     /// `rc_store::FaultyStore` for chaos runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.result_cache_capacity == 0`, and when
+    /// `config.auto_refresh_interval` is `Some(Duration::ZERO)`: a zero
+    /// interval would make the push watcher fingerprint the store in a
+    /// loop that never sleeps.
     pub fn with_backend(backend: Arc<dyn StoreBackend>, config: ClientConfig) -> Self {
+        assert!(
+            config.auto_refresh_interval != Some(StdDuration::ZERO),
+            "auto_refresh_interval must be positive"
+        );
         let disk =
             config.disk_cache_dir.clone().map(|dir| DiskCache::new(dir, config.disk_cache_expiry));
         let n_shards = if config.result_cache_shards == 0 {
@@ -554,8 +550,6 @@ impl RcClient {
         rc_obs::global().gauge(rc_obs::CLIENT_RESULT_CACHE_SHARDS).set(results.n_shards() as f64);
         let breakers = CircuitBreakers::new(config.breaker);
         let jitter = RetryJitter::new(&config.retry);
-        let admission =
-            (config.mode == CacheMode::Pull).then(|| AdmissionQueue::new(PULL_QUEUE_CAPACITY));
         let shared = Arc::new(Shared {
             backend,
             results,
@@ -563,7 +557,6 @@ impl RcClient {
             serve: RwLock::new(Arc::default()),
             generation: AtomicU64::new(0),
             serve_write: Mutex::new(()),
-            admission,
             initialized: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             store_fingerprint: AtomicU64::new(0),
@@ -577,9 +570,6 @@ impl RcClient {
             metrics,
         });
 
-        if shared.admission.is_some() {
-            spawn_worker(&shared, "rc-pull-worker", pull_worker);
-        }
         if let Some(interval) = shared.config.auto_refresh_interval {
             spawn_worker(&shared, "rc-push-watcher", move |s| push_watcher(s, interval));
         }
@@ -677,8 +667,8 @@ fn load_from_store(shared: &Shared) -> bool {
     }
     // One publish swaps in the whole load: models, feature data,
     // staleness, and manifest become visible together, and the reloaded
-    // caches are fresh again. The pull modes start the new version with
-    // no feature records and fetch each on demand.
+    // caches are fresh again. Pull mode starts the new version with no
+    // feature records and fetches each on demand.
     publish_serve(shared, |s| {
         s.models = models;
         s.features = features;
@@ -854,13 +844,7 @@ impl RcClient {
         metrics.result_misses.increment();
         let resolved = match self.shared.config.mode {
             CacheMode::Push => execute(&self.shared, model_name, inputs),
-            CacheMode::PullSync => resolve_sync(&self.shared, model_name, inputs),
-            CacheMode::Pull => {
-                // Answer no-prediction now; the pull worker fills the
-                // cache so the next identical request hits.
-                submit_refresh(&self.shared, model_name, inputs, key);
-                None
-            }
+            CacheMode::Pull => resolve_sync(&self.shared, model_name, inputs),
         };
         let (response, served, generation) = match resolved {
             Some(executed) => {
@@ -1115,14 +1099,6 @@ impl RcClient {
     pub fn background_refresh_count(&self) -> u64 {
         self.shared.metrics.background_refreshes.get()
     }
-
-    /// Blocks until the pull worker has completed every admitted refresh
-    /// (test helper).
-    pub fn drain_pull_queue(&self) {
-        if let Some(q) = &self.shared.admission {
-            q.wait_idle();
-        }
-    }
 }
 
 /// Starts one background worker thread. The last facade to drop joins it.
@@ -1166,9 +1142,6 @@ impl Drop for RcClient {
             return;
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(q) = &self.shared.admission {
-            q.close();
-        }
         // Join the workers so "drop the last facade" deterministically
         // means "no client threads remain". Workers never own a facade,
         // so this cannot self-join.
@@ -1244,7 +1217,7 @@ fn execute(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<E
     Some(Executed { prediction: model.predict_for(inputs, &sub), generation, stale })
 }
 
-/// Synchronous pull: makes the model and the subscription's feature
+/// Pull mode's miss path: makes the model and the subscription's feature
 /// record resident (store → retry/backoff → disk fallback), then
 /// executes. `None` when every rung of the ladder failed.
 fn resolve_sync(shared: &Shared, model_name: &str, inputs: &ClientInputs) -> Option<Executed> {
@@ -1267,35 +1240,6 @@ fn fill_result(shared: &Shared, key: u64, prediction: Prediction) {
     shared.metrics.result_insertions.increment();
     if evicted {
         shared.metrics.result_evictions.increment();
-    }
-}
-
-/// Hands a pull-mode miss to the admission queue and counts how it
-/// resolved.
-fn submit_refresh(shared: &Shared, model_name: &str, inputs: &ClientInputs, key: u64) {
-    let Some(q) = &shared.admission else {
-        return;
-    };
-    let counter = match q.submit(model_name, inputs, key) {
-        SubmitOutcome::Enqueued => &shared.metrics.admission_enqueued,
-        SubmitOutcome::Coalesced => &shared.metrics.admission_coalesced,
-        SubmitOutcome::Rejected => &shared.metrics.admission_rejected,
-    };
-    counter.increment();
-}
-
-/// The pull-mode background worker: resolves each admitted refresh
-/// through the synchronous-pull path and fills the result cache, until
-/// the queue is closed and drained.
-fn pull_worker(shared: Arc<Shared>) {
-    let Some(q) = shared.admission.as_ref() else {
-        return;
-    };
-    while let Some((model_name, inputs, key)) = q.next() {
-        if let Some(executed) = resolve_sync(&shared, &model_name, &inputs) {
-            fill_result(&shared, key, executed.prediction);
-        }
-        q.complete(key);
     }
 }
 

@@ -19,7 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-pub(crate) mod admission;
 pub mod cache;
 pub mod cleanup;
 pub mod client;

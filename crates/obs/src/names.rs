@@ -42,15 +42,14 @@ pub const CLIENT_STORE_FALLBACKS: &str = "rc_client_store_fallbacks";
 pub const CLIENT_DISK_CACHE_RECOVERIES: &str = "rc_client_disk_cache_recoveries";
 /// Model executions — result-cache misses that ran a model (counter).
 pub const CLIENT_MODEL_EXECS: &str = "rc_client_model_execs";
-/// Background model refreshes applied by pull/push workers (counter).
+/// Cache reloads applied by the push watcher (counter).
 pub const CLIENT_BACKGROUND_REFRESHES: &str = "rc_client_background_refreshes";
 /// Number of result-cache shards the most recently built client uses
 /// (gauge).
 pub const CLIENT_RESULT_CACHE_SHARDS: &str = "rc_client_result_cache_shards";
 /// `predict_many` calls with at least one input (counter).
 pub const CLIENT_BATCH_PREDICTS: &str = "rc_client_batch_predicts";
-/// Background worker threads (pull worker, push watcher) started
-/// (counter).
+/// Background worker threads (the push watcher) started (counter).
 pub const CLIENT_WORKERS_STARTED: &str = "rc_client_workers_started";
 /// Background worker threads that observed shutdown and exited (counter).
 pub const CLIENT_WORKERS_STOPPED: &str = "rc_client_workers_stopped";
@@ -61,7 +60,7 @@ pub const CLIENT_PREDICTIONS: &str = "rc_client_predictions";
 /// Predict calls currently executing, across all threads (gauge).
 pub const CLIENT_INFLIGHT: &str = "rc_client_inflight";
 
-// --- rc-core client (serve snapshot and pull admission) ---
+// --- rc-core client (serve snapshot) ---
 
 /// Serve-snapshot publishes: each model/manifest/feature/stale-set
 /// change builds a new immutable snapshot and swaps it in with one
@@ -69,15 +68,6 @@ pub const CLIENT_INFLIGHT: &str = "rc_client_inflight";
 pub const CLIENT_SERVE_SNAPSHOT_PUBLISHES: &str = "rc_client_serve_snapshot_publishes";
 /// Generation number of the currently published serve snapshot (gauge).
 pub const CLIENT_SERVE_SNAPSHOT_GENERATION: &str = "rc_client_serve_snapshot_generation";
-/// Pull-mode refresh keys admitted into the bounded admission queue
-/// (counter).
-pub const CLIENT_ADMISSION_ENQUEUED: &str = "rc_client_serve_admission_enqueued";
-/// Refresh keys coalesced because an identical key was already in
-/// flight — the thundering-herd dedup (counter).
-pub const CLIENT_ADMISSION_COALESCED: &str = "rc_client_serve_admission_coalesced";
-/// Refresh keys dropped because the admission queue was full —
-/// backpressure; the caller still gets its degraded answer (counter).
-pub const CLIENT_ADMISSION_REJECTED: &str = "rc_client_serve_admission_rejected";
 
 // --- rc-core client (resilience layer) ---
 

@@ -87,7 +87,7 @@ fn prime_disk(store: &Store, dir: &std::path::Path, reqs: &[(&'static str, Clien
     let client = RcClient::new(
         store.clone(),
         ClientConfig {
-            mode: CacheMode::PullSync,
+            mode: CacheMode::Pull,
             disk_cache_dir: Some(dir.to_path_buf()),
             ..ClientConfig::default()
         },
@@ -104,7 +104,7 @@ fn prime_disk(store: &Store, dir: &std::path::Path, reqs: &[(&'static str, Clien
 /// that never sleeps or consults the deadline.
 fn chaos_config(dir: std::path::PathBuf) -> ClientConfig {
     ClientConfig {
-        mode: CacheMode::PullSync,
+        mode: CacheMode::Pull,
         disk_cache_dir: Some(dir),
         disk_cache_expiry: StdDuration::ZERO,
         stale_grace: StdDuration::from_secs(3600),
@@ -305,7 +305,7 @@ fn breaker_walks_a_deterministic_transition_schedule() {
     let client = RcClient::with_backend(
         std::sync::Arc::new(store.clone()),
         ClientConfig {
-            mode: CacheMode::PullSync,
+            mode: CacheMode::Pull,
             breaker: BreakerConfig { failure_threshold: 3, probe_after: 4, success_threshold: 1 },
             retry: RetryPolicy {
                 max_attempts: 1,
@@ -398,7 +398,7 @@ fn latency_spike_overrunning_the_deadline_feeds_the_breaker() {
         p_corrupt: 0.0,
     };
     let sync_config = |deadline: StdDuration| ClientConfig {
-        mode: CacheMode::PullSync,
+        mode: CacheMode::Pull,
         breaker: BreakerConfig { failure_threshold: 3, probe_after: 4, success_threshold: 1 },
         retry: RetryPolicy {
             max_attempts: 1,

@@ -109,40 +109,6 @@ fn predict_many_matches_predict_single() {
     }
 }
 
-/// A store whose reads wait while a test holds `gate`, so a pull-mode
-/// refresh cannot land before the test lets it.
-struct Gated {
-    inner: Store,
-    gate: Mutex<()>,
-}
-
-impl StoreBackend for Gated {
-    fn is_available(&self) -> bool {
-        self.inner.is_available()
-    }
-
-    fn keys(&self) -> Vec<String> {
-        self.inner.keys()
-    }
-
-    fn get_latest(&self, key: &str) -> Result<VersionedRecord, StoreError> {
-        drop(self.gate.lock().unwrap());
-        self.inner.get_latest(key)
-    }
-
-    fn get_version(&self, key: &str, version: u64) -> Result<VersionedRecord, StoreError> {
-        self.inner.get_version(key, version)
-    }
-
-    fn latest_version(&self, key: &str) -> Option<u64> {
-        self.inner.latest_version(key)
-    }
-
-    fn put(&self, key: &str, data: Bytes) -> Result<u64, StoreError> {
-        self.inner.put(key, data)
-    }
-}
-
 /// `predict_many` is `predict_single` over its inputs: every response and
 /// every counter equals what the same inputs sent one by one leave, and a
 /// key repeated in the batch runs its model once (its first occurrence
@@ -167,7 +133,7 @@ fn predict_many_equals_one_by_one_calls() {
     let mut unknown = vm_inputs(&trace, VmId(7));
     unknown.subscription = SubscriptionId(9_999_999);
     let batch = [a, unknown, b, a, unknown, b, a];
-    for mode in [CacheMode::Push, CacheMode::PullSync] {
+    for mode in [CacheMode::Push, CacheMode::Pull] {
         let config = ClientConfig { mode, ..ClientConfig::default() };
         let batched = RcClient::new(store.clone(), config.clone());
         let single = RcClient::new(store.clone(), config);
@@ -184,27 +150,6 @@ fn predict_many_equals_one_by_one_calls() {
         assert_eq!(counts(&batched), counts(&single), "{mode:?}");
         assert_eq!(batched.model_exec_count(), 2, "{mode:?}");
     }
-
-    // Pull mode: with the refreshes held back, the whole batch answers
-    // no-prediction; once they land, the same batch is all hits, and each
-    // unique key ran its model once.
-    let gated = Arc::new(Gated { inner: store, gate: Mutex::new(()) });
-    let pull = RcClient::with_backend(
-        gated.clone(),
-        ClientConfig { mode: CacheMode::Pull, ..ClientConfig::default() },
-    );
-    assert!(pull.initialize());
-    let batch = [a, b, a, b, a];
-    let held = gated.gate.lock().unwrap();
-    let first = pull.predict_many("VM_AVGUTIL", &batch);
-    drop(held);
-    assert!(first.iter().all(|r| *r == PredictionResponse::NoPrediction));
-    pull.drain_pull_queue();
-    let hits_before = pull.result_cache_stats().hits;
-    let again = pull.predict_many("VM_AVGUTIL", &batch);
-    assert!(again.iter().all(|r| r.is_predicted()));
-    assert_eq!(pull.result_cache_stats().hits - hits_before, batch.len() as u64);
-    assert_eq!(pull.model_exec_count(), 2);
 }
 
 #[test]
@@ -288,7 +233,7 @@ fn force_reload_replaces_pull_mode_feature_records() {
             PredictionMetric::ALL.into_iter().map(move |m| (m.model_name(), inputs))
         })
         .collect();
-    let config = ClientConfig { mode: CacheMode::PullSync, ..ClientConfig::default() };
+    let config = ClientConfig { mode: CacheMode::Pull, ..ClientConfig::default() };
     let client = RcClient::new(store.clone(), config.clone());
     assert!(client.initialize());
     for (model, inputs) in &lookups {
@@ -350,7 +295,7 @@ fn older_disk_feature_record_serves_through_a_store_outage() {
     let (trace, store) = world();
     let dir = temp_dir("disk_features");
     let config = ClientConfig {
-        mode: CacheMode::PullSync,
+        mode: CacheMode::Pull,
         disk_cache_dir: Some(dir.clone()),
         ..ClientConfig::default()
     };
@@ -409,23 +354,6 @@ fn push_watcher_picks_up_new_publications() {
         std::thread::sleep(StdDuration::from_millis(20));
     }
     assert!(client.background_refresh_count() >= 1);
-}
-
-#[test]
-fn pull_mode_fills_cache_in_background() {
-    let (trace, store) = world();
-    let config = ClientConfig { mode: CacheMode::Pull, ..ClientConfig::default() };
-    let client = RcClient::new(store, config);
-    assert!(client.initialize());
-    let inputs = vm_inputs(&trace, VmId(9));
-    // First request misses: no-prediction now, background fill.
-    assert_eq!(client.predict_single("VM_AVGUTIL", &inputs), PredictionResponse::NoPrediction);
-    client.drain_pull_queue();
-    // The identical request now hits the result cache.
-    assert!(
-        client.predict_single("VM_AVGUTIL", &inputs).is_predicted(),
-        "background fill should have landed"
-    );
 }
 
 #[test]
@@ -565,7 +493,7 @@ enum DiskEntry {
 }
 
 /// The on-demand ladder's counter contract, for both payload kinds. One
-/// `PullSync` lookup per case pulls the target payload (a model the
+/// `Pull` lookup per case pulls the target payload (a model the
 /// initial load could not fetch, or a feature record) through each
 /// outcome: store data, a payload that fails verification, and a store
 /// failure that falls back to a fresh, stale, torn or undecodable disk
@@ -582,7 +510,7 @@ fn on_demand_ladder_counts_each_outcome_per_payload_kind() {
     let model_key = "model/VM_P95UTIL".to_string();
     let feature_key = rc_core::feature_store_key(inputs.subscription);
     let config = |dir: &std::path::Path| ClientConfig {
-        mode: CacheMode::PullSync,
+        mode: CacheMode::Pull,
         disk_cache_dir: Some(dir.to_path_buf()),
         disk_cache_expiry: StdDuration::from_secs(3600),
         stale_grace: StdDuration::from_secs(24 * 3600),

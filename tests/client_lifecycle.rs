@@ -1,11 +1,11 @@
 //! Client lifecycle and concurrency regressions: shutdown on concurrent
-//! facade drops (with and without pull-mode refreshes still queued),
-//! pull-mode misses filled once the queue drains, exact sharded-cache
-//! statistics under multi-threaded load, `store_fallbacks` counting
-//! only real store-pull failures, and the push watcher catching a
-//! publish that lands during a load.
+//! facade drops, a zero push interval rejected at construction, exact
+//! sharded-cache statistics under multi-threaded load, `store_fallbacks`
+//! counting only real store-pull failures, and the push watcher catching
+//! a publish that lands during a load.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration as StdDuration;
 
@@ -36,22 +36,21 @@ fn world() -> (Trace, Store) {
 /// Regression: `Drop` used to infer "last facade" from a racy
 /// `Arc::strong_count` heuristic; two clones dropped concurrently could
 /// both observe a high count, neither would signal shutdown, and the
-/// pull-worker/push-watcher threads leaked forever. The explicit facade
-/// count makes exactly one drop the shutdown owner, and that drop joins
-/// the workers — so after the last facade is gone, zero worker threads
-/// remain, deterministically.
+/// push-watcher thread leaked forever. The explicit facade count makes
+/// exactly one drop the shutdown owner, and that drop joins the watcher
+/// — so after the last facade is gone, zero worker threads remain,
+/// deterministically.
 #[test]
 fn concurrent_facade_drops_always_stop_workers() {
     let store = Store::in_memory();
     for round in 0..40 {
         let config = ClientConfig {
-            mode: CacheMode::Pull,
             auto_refresh_interval: Some(StdDuration::from_millis(5)),
             ..ClientConfig::default()
         };
         let client = RcClient::new(store.clone(), config);
         let lifecycle = client.worker_lifecycle();
-        assert_eq!(lifecycle.live(), 2, "pull worker + push watcher running");
+        assert_eq!(lifecycle.live(), 1, "push watcher running");
 
         // Drop every facade simultaneously from racing threads.
         let clones: Vec<RcClient> = (0..4).map(|_| client.clone()).collect();
@@ -74,89 +73,35 @@ fn concurrent_facade_drops_always_stop_workers() {
     }
 }
 
-/// `inputs` moved to deployment day `day`. The cache key buckets the
-/// deployment time by day, so every day is a distinct result-cache key.
-fn on_day(inputs: &ClientInputs, day: u64) -> ClientInputs {
-    ClientInputs { deployment_time: Timestamp::from_days(day), ..*inputs }
-}
-
-/// Dropping every facade while pull-mode refreshes are still queued: the
-/// worker drains what was admitted, exits, and the last drop returns
-/// with no client thread left.
+/// Regression: a zero push interval made the watcher's sleep step zero,
+/// so it fingerprinted the whole store in a loop that never slept. The
+/// client now refuses it at construction. Construction runs on a helper
+/// thread under a deadline, so a client that accepts the interval fails
+/// the test instead of hanging it.
 #[test]
-fn dropping_facades_with_refreshes_queued_stops_the_worker() {
-    const THREADS: u64 = 4;
-    const PER_THREAD: u64 = 125;
-    let (trace, store) = world();
-    let config = ClientConfig { mode: CacheMode::Pull, ..ClientConfig::default() };
-    let client = RcClient::new(store, config);
-    assert!(client.initialize());
-    let lifecycle = client.worker_lifecycle();
-    assert_eq!(lifecycle.live(), 1, "pull worker running");
-
-    let base = vm_inputs(&trace, VmId(9));
-    let barrier = Arc::new(Barrier::new(THREADS as usize));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let facade = client.clone();
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                for i in 0..PER_THREAD {
-                    let inputs = on_day(&base, t * PER_THREAD + i);
-                    assert_eq!(
-                        facade.predict_single("VM_AVGUTIL", &inputs),
-                        PredictionResponse::NoPrediction,
-                        "a never-seen key misses"
-                    );
-                }
-                barrier.wait();
-                drop(facade);
-            })
-        })
-        .collect();
-    drop(client);
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(lifecycle.live(), 0, "pull worker leaked past the last drop");
-}
-
-/// Pull-mode misses on a few keys from several threads coalesce in the
-/// admission queue; once `drain_pull_queue` returns, every key hits.
-#[test]
-fn drained_pull_queue_leaves_every_missed_key_cached() {
-    const THREADS: usize = 4;
-    let (trace, store) = world();
-    let config = ClientConfig { mode: CacheMode::Pull, ..ClientConfig::default() };
-    let client = RcClient::new(store, config);
-    assert!(client.initialize());
-
-    let base = vm_inputs(&trace, VmId(9));
-    let keys: Vec<ClientInputs> = (0..32).map(|day| on_day(&base, day)).collect();
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|_| {
-            let facade = client.clone();
-            let barrier = barrier.clone();
-            let keys = keys.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                for inputs in &keys {
-                    facade.predict_single("VM_AVGUTIL", inputs);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-
-    client.drain_pull_queue();
-    for (day, inputs) in keys.iter().enumerate() {
-        assert!(
-            client.predict_single("VM_AVGUTIL", inputs).is_predicted(),
-            "day {day}: drained refresh never filled the cache"
-        );
+#[should_panic(expected = "auto_refresh_interval must be positive")]
+fn zero_push_watcher_interval_is_rejected() {
+    let (built, constructed) = mpsc::channel();
+    let builder = std::thread::spawn(move || {
+        let config = ClientConfig {
+            auto_refresh_interval: Some(StdDuration::ZERO),
+            ..ClientConfig::default()
+        };
+        let client = RcClient::new(Store::in_memory(), config);
+        let _ = built.send(());
+        client
+    });
+    match constructed.recv_timeout(StdDuration::from_secs(10)) {
+        Ok(()) => {
+            drop(builder.join());
+            panic!("a zero push interval was accepted");
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("client construction hung"),
+        Err(RecvTimeoutError::Disconnected) => {
+            if let Err(payload) = builder.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
     }
 }
 
@@ -172,14 +117,12 @@ fn store_fallbacks_counts_only_failed_store_pulls() {
     assert!(client.initialize());
 
     // Publish a model under a name the client has not cached, so the
-    // pull worker takes the fetch_model path — and succeeds at the store.
+    // miss takes the on-demand fetch path — and succeeds at the store.
     store.put("model/CUSTOM", rc_ml::to_bytes(&output.models[0]).into()).unwrap();
     let inputs = vm_inputs(&trace, VmId(3));
-    assert_eq!(client.predict_single("CUSTOM", &inputs), PredictionResponse::NoPrediction);
-    client.drain_pull_queue();
     assert!(
         client.predict_single("CUSTOM", &inputs).is_predicted(),
-        "background fetch should have cached the published model"
+        "the miss should have fetched the published model"
     );
     assert_eq!(
         client.store_fallback_count(),
@@ -190,7 +133,6 @@ fn store_fallbacks_counts_only_failed_store_pulls() {
     // Now a fetch whose store pull fails: the fallback path must count.
     store.set_available(false);
     assert_eq!(client.predict_single("CUSTOM2", &inputs), PredictionResponse::NoPrediction);
-    client.drain_pull_queue();
     assert_eq!(client.store_fallback_count(), 1, "failed store pull is exactly one fallback");
 }
 

@@ -624,7 +624,7 @@ fn a_garbled_arena_is_a_decode_error_and_the_old_model_keeps_serving() {
     let pull = RcClient::new(
         store.clone(),
         ClientConfig {
-            mode: CacheMode::PullSync,
+            mode: CacheMode::Pull,
             retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
             ..ClientConfig::default()
         },
